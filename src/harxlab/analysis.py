@@ -16,15 +16,11 @@ import numpy as np
 from . import shapecheck
 from .errors import DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from .filters import FilterConfig, FilterState, initial_state, step
-from .plant import Dataset, HarxPlant, generate_sequence
+from .plant import Dataset, HarxPlant, _cell as _g, generate_sequence
 
 DIVERGENCE_THRESHOLD = 1e12
 LEAK_EPS = 1e-15
 _PSD_TOL = -1e-10
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
     """Sample-mean estimates R = (1/N) sum psi psi^T and p = (1/N) sum psi s."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot estimate correlations from zero samples")
-    X = dataset.regressor_matrix()
+    X = dataset.X
     N = X.shape[0]
     R = X.T @ X / N
     R = 0.5 * (R + R.T)  # exact symmetry despite BLAS rounding
@@ -81,8 +77,8 @@ def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
     No silent regularization: with the default ridge of zero a rank-deficient
     R raises SingularCorrelation instead of returning a least-norm answer.
     """
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     if float(est.eigenvalues[-1]) + ridge <= 1e-12:
         raise SingularCorrelation(
             f"smallest eigenvalue {est.eigenvalues[-1]:.3e} + ridge {ridge:.3e} is not above 1e-12"
@@ -135,11 +131,11 @@ def run_experiment(
     imag: list[float] = []
     diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for reg, desired in zip(data.regressors, data.outputs):
-            state, rec = step(state, cfg, reg, float(desired))
+        for psi, desired in zip(data.X, data.outputs):
+            state, rec = step(state, cfg, psi, float(desired))
             mse.append(rec.error * rec.error)
             werr.append(float(np.linalg.norm(state.w.real - omega)))
-            imag.append(float(np.linalg.norm(state.w.imag)))
+            imag.append(rec.imag_norm)
             latest = (mse[-1], werr[-1], imag[-1])
             if not all(np.isfinite(latest)) or max(latest) > DIVERGENCE_THRESHOLD:
                 diverged = True

@@ -17,19 +17,23 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import dataclass, replace
+import tempfile
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, shapecheck
 from .errors import ExperimentSpecError, HarxlabError, ScenarioError
-from .filters import POWER_INTERPRETATIONS, VARIANTS, FilterConfig
-from .plant import HarxPlant, generate_sequence, load_scenario, muscle_preset
+from .filters import FilterConfig
+from .plant import HarxPlant, _cell as _g, generate_sequence, load_scenario, muscle_preset
 
 OUTDIR_ENV = "HARXLAB_OUTDIR"
 EMIT_MODES = ("curves", "summary", "both")
 SWEEP_PARAMS = ("eta", "beta", "v")
+_SWEEP_COLUMNS = ("param_value", "diverged_fraction", "terminal_weight_error_mean", "leak_fraction_mean")
+_FILTER_KEYS = ("variant", "eta", "beta", "v", "power_interpretation", "epsilon_guard")
+_TEXT_KEYS = ("variant", "power_interpretation")
 
 # Frozen at the first verified build; `harxlab audit` exits 4 on any drift.
 GOLDEN_AUDIT: tuple[tuple[str, str], ...] = (
@@ -52,10 +56,6 @@ GOLDEN_AUDIT: tuple[tuple[str, str], ...] = (
     ),
     ("F", "unsatisfiable(F: scalar vs matrix(9,9))"),
 )
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _jsonable(obj):
@@ -153,6 +153,22 @@ def _reject_unknown(items, path: str) -> None:
         raise ExperimentSpecError(f"unknown key {key!r}", path, lineno)
 
 
+def _filter_config(fields: dict, where: str, lines: dict[str, int]) -> FilterConfig:
+    """Build a FilterConfig from ``fields``; FilterConfig states every range.
+
+    The CLI adds one rule of its own, eta > 0.  A ValueError becomes an
+    ExperimentSpecError at ``where``: its message starts with the field it
+    names, and ``lines`` maps that field to its line.
+    """
+    try:
+        if not fields["eta"] > 0.0:
+            raise ValueError(f"eta must be > 0, got {fields['eta']}")
+        return FilterConfig(**fields)
+    except ValueError as exc:
+        field = str(exc).split(None, 1)[0]
+        raise ExperimentSpecError(str(exc), where, lines.get(field)) from None
+
+
 def load_experiment_spec(path) -> ExperimentSpec:
     """Parse and validate an experiment spec; every failure names the field
     and carries the offending line."""
@@ -206,10 +222,10 @@ def load_experiment_spec(path) -> ExperimentSpec:
         seeds = tuple(int(s) for s in value.split(","))
     except ValueError:
         raise ExperimentSpecError(f"seeds must be comma-separated integers, got {value!r}", pstr, line) from None
-    if not seeds:
-        raise ExperimentSpecError("seeds must be non-empty", pstr, line)
     if len(set(seeds)) != len(seeds):
         raise ExperimentSpecError("seeds must be distinct", pstr, line)
+    if min(seeds) < 0:
+        raise ExperimentSpecError(f"seeds must be >= 0, got {min(seeds)}", pstr, line)
 
     value, _ = _pop_value(items, "outputs", pstr, exp_line, required=False, default="harxlab_out")
     outputs = spec_path.parent / value
@@ -225,47 +241,13 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
     filters = []
     for name, sec_line, fitems in filter_sections:
-        variant, line = _pop_value(fitems, "variant", pstr, sec_line)
-        if variant not in VARIANTS:
-            raise ExperimentSpecError(f"variant must be one of {VARIANTS}, got {variant!r}", pstr, line)
-        value, line = _pop_value(fitems, "eta", pstr, sec_line)
-        eta = _as_float(value, "eta", pstr, line)
-        if eta <= 0.0:
-            raise ExperimentSpecError(f"eta must be > 0, got {eta}", pstr, line)
-        value, line = _pop_value(fitems, "beta", pstr, sec_line, required=False, default="0")
-        beta = _as_float(value, "beta", pstr, line)
-        if not 0.0 <= beta < 1.0:
-            raise ExperimentSpecError(f"beta must lie in [0, 1), got {beta}", pstr, line)
-        value, line = _pop_value(fitems, "v", pstr, sec_line, required=False, default="1.0")
-        v = _as_float(value, "v", pstr, line)
-        if not 0.0 < v <= 1.0:
-            raise ExperimentSpecError(f"v must lie in (0, 1], got {v}", pstr, line)
-        interp, line = _pop_value(
-            fitems, "power_interpretation", pstr, sec_line, required=False, default="elementwise_abs"
-        )
-        if interp not in POWER_INTERPRETATIONS:
-            raise ExperimentSpecError(
-                f"power_interpretation must be one of {POWER_INTERPRETATIONS}, got {interp!r}", pstr, line
-            )
-        value, line = _pop_value(fitems, "epsilon_guard", pstr, sec_line, required=False, default="0")
-        guard = _as_float(value, "epsilon_guard", pstr, line)
-        if guard < 0.0:
-            raise ExperimentSpecError(f"epsilon_guard must be >= 0, got {guard}", pstr, line)
+        fields, lines = {"dim": plant.n}, {}
+        for key in _FILTER_KEYS:
+            if key in fitems or key in ("variant", "eta"):
+                value, lines[key] = _pop_value(fitems, key, pstr, sec_line)
+                fields[key] = value if key in _TEXT_KEYS else _as_float(value, key, pstr, lines[key])
         _reject_unknown(fitems, pstr)
-        filters.append(
-            (
-                name,
-                FilterConfig(
-                    variant=variant,
-                    eta=eta,
-                    dim=plant.n,
-                    beta=beta,
-                    v=v,
-                    power_interpretation=interp,
-                    epsilon_guard=guard,
-                ),
-            )
-        )
+        filters.append((name, _filter_config(fields, pstr, lines)))
 
     return ExperimentSpec(
         path=spec_path,
@@ -292,19 +274,21 @@ def _resolve_outdir(spec: ExperimentSpec) -> Path:
 def _write_artifacts(outdir: Path, files: dict[str, str]) -> None:
     """Write all artifacts to a staging directory, then move them over.
 
-    Nothing lands in ``outdir`` unless every artifact was produced.
+    Nothing lands in ``outdir`` unless every artifact was produced.  Each
+    call stages in its own fresh directory, so concurrent runs into one
+    ``outdir`` never remove each other's files.
     """
     outdir = Path(outdir)
-    staging = outdir.parent / f".{outdir.name}.staging"
-    if staging.exists():
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", suffix=".staging", dir=outdir.parent))
+    try:
+        for name in sorted(files):
+            (staging / name).write_bytes(files[name].encode("utf-8"))
+        outdir.mkdir(exist_ok=True)
+        for name in sorted(files):
+            os.replace(staging / name, outdir / name)
+    finally:
         shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-    for name in sorted(files):
-        (staging / name).write_bytes(files[name].encode("utf-8"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(files):
-        os.replace(staging / name, outdir / name)
-    shutil.rmtree(staging)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +309,7 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
         "max_imag": float(np.max([s["max_imag"] for s in per_seed])),
     }
     return {
-        "config": {
-            "name": name,
-            "variant": cfg.variant,
-            "eta": cfg.eta,
-            "beta": cfg.beta,
-            "v": cfg.v,
-            "power_interpretation": cfg.power_interpretation,
-            "epsilon_guard": cfg.epsilon_guard,
-            "dim": cfg.dim,
-        },
+        "config": {"name": name, **asdict(cfg)},
         "plant": {
             "scenario": spec.plant_ref,
             "m": spec.plant.m,
@@ -404,13 +379,6 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_PARAM_RANGES = {
-    "eta": (lambda x: x > 0.0, "eta must be > 0"),
-    "beta": (lambda x: 0.0 <= x < 1.0, "beta must lie in [0, 1)"),
-    "v": (lambda x: 0.0 < x <= 1.0, "v must lie in (0, 1]"),
-}
-
-
 def cmd_sweep(args) -> int:
     spec = load_experiment_spec(args.spec)
     param = args.param
@@ -418,50 +386,33 @@ def cmd_sweep(args) -> int:
         grid = [float(x) for x in args.grid.split(",")]
     except ValueError:
         raise ExperimentSpecError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
-    if not grid:
-        raise ExperimentSpecError("--grid must be non-empty")
-    legal, why = _PARAM_RANGES[param]
-    for value in grid:
-        if not legal(value):
-            raise ExperimentSpecError(f"illegal {param} value {value}: {why}")
+    name, cfg = spec.filters[0]
+    configs = [_filter_config({**asdict(cfg), param: value}, "--grid", {}) for value in grid]
     if param == "eta" and any(b <= a for a, b in zip(grid, grid[1:])):
         raise ExperimentSpecError("eta grid must be strictly ascending")
 
-    name, cfg = spec.filters[0]
-    rows: list[tuple[str, analysis.SweepCell]] = []
+    # one row per grid value: (param_value label, diverged, terminal weight error, leak fraction)
+    rows: list[tuple] = []
     lambda_max = None
     eta_reference = None
     if param == "eta":
         probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
         lambda_max = probe.lambda_max
         eta_reference = probe.eta_reference
-        for i, eta in enumerate(grid):
-            rows.append(
-                (
-                    _g(eta),
-                    analysis.SweepCell(
-                        diverged_fraction=float(probe.diverged_fraction[i]),
-                        terminal_weight_error_mean=float(probe.terminal_weight_error_mean[i]),
-                        leak_fraction_mean=float(probe.leak_fraction_mean[i]),
-                    ),
-                )
-            )
+        rows += zip(
+            map(_g, grid), probe.diverged_fraction, probe.terminal_weight_error_mean, probe.leak_fraction_mean
+        )
         ref_cell = analysis.sweep_cell(
             spec.plant, replace(cfg, eta=eta_reference), spec.T, spec.seeds, spec.input_kind
         )
-        rows.append(("2/lambda_max", ref_cell))
+        rows.append(("2/lambda_max", *astuple(ref_cell)))
     else:
-        for value in grid:
-            cell = analysis.sweep_cell(
-                spec.plant, replace(cfg, **{param: value}), spec.T, spec.seeds, spec.input_kind
-            )
-            rows.append((_g(value), cell))
+        for value, swept in zip(grid, configs):
+            cell = analysis.sweep_cell(spec.plant, swept, spec.T, spec.seeds, spec.input_kind)
+            rows.append((_g(value), *astuple(cell)))
 
-    lines = ["param_value,diverged_fraction,terminal_weight_error_mean,leak_fraction_mean"]
-    for label, cell in rows:
-        lines.append(
-            f"{label},{_g(cell.diverged_fraction)},{_g(cell.terminal_weight_error_mean)},{_g(cell.leak_fraction_mean)}"
-        )
+    lines = [",".join(_SWEEP_COLUMNS)]
+    lines += [",".join([label, *map(_g, metrics)]) for label, *metrics in rows]
     summary = {
         "param": param,
         "grid": grid,
@@ -470,15 +421,7 @@ def cmd_sweep(args) -> int:
         "seeds": list(spec.seeds),
         "lambda_max": lambda_max,
         "eta_reference_2_over_lambda_max": eta_reference,
-        "cells": [
-            {
-                "param_value": label,
-                "diverged_fraction": cell.diverged_fraction,
-                "terminal_weight_error_mean": cell.terminal_weight_error_mean,
-                "leak_fraction_mean": cell.leak_fraction_mean,
-            }
-            for label, cell in rows
-        ],
+        "cells": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
     }
     outdir = _resolve_outdir(spec)
     _write_artifacts(
@@ -497,7 +440,10 @@ def cmd_wiener(args) -> int:
     spec = load_experiment_spec(args.spec)
     data = generate_sequence(spec.plant, input_kind=spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0]))
     est = analysis.estimate_correlations(data)
-    omega = analysis.wiener_solution(est, ridge=args.ridge)
+    try:
+        omega = analysis.wiener_solution(est, ridge=args.ridge)
+    except ValueError as exc:
+        raise ExperimentSpecError(str(exc), "--ridge") from None
     doc = analysis.correlation_summary(est, omega_opt=omega)
     doc["ridge"] = args.ridge
     doc["true_weight_vector"] = data.plant_truth.tolist()

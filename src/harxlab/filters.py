@@ -103,12 +103,10 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step diagnostics: the prediction error, the norm of the applied
-    weight update, and the norm of the imaginary weight mass after the step
-    (zero for the real-only variants)."""
+    """Per-step diagnostics: the prediction error and the norm of the
+    imaginary weight mass after the step (zero for the real-only variants)."""
 
     error: float
-    weight_update_norm: float
     imag_norm: float
 
 
@@ -142,14 +140,6 @@ def _check_dims(state: FilterState, cfg: FilterConfig) -> None:
 def _require(cfg: FilterConfig, variant: str) -> None:
     if cfg.variant != variant:
         raise UnsupportedVariant(f"step requires variant {variant!r}, got {cfg.variant!r}")
-
-
-def _record(err: float, w_new: np.ndarray, w_old: np.ndarray) -> StepRecord:
-    return StepRecord(
-        error=err,
-        weight_update_norm=float(np.linalg.norm(w_new - w_old)),
-        imag_norm=float(np.linalg.norm(w_new.imag)),
-    )
 
 
 def predict_error(state: FilterState, reg, desired: float) -> float:
@@ -186,40 +176,40 @@ def fractional_factor(state: FilterState, cfg: FilterConfig) -> np.ndarray | flo
     return float(max(float(np.linalg.norm(re)), cfg.epsilon_guard) ** exponent)
 
 
-def lms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
-    """w' = w + eta * e * psi."""
-    _require(cfg, "lms")
+def _update(
+    state: FilterState, cfg: FilterConfig, reg, desired: float, beta: float, factor: np.ndarray | float = 0.0
+) -> tuple[FilterState, StepRecord]:
+    """The one update rule: w' = w + beta (w - w_prev) + eta e psi (1 + factor).
+
+    Updates ``complex_events`` and ``max_imag`` whenever the post-update
+    weights carry any imaginary part; only ``flms_signed`` may produce one.
+    """
     _check_dims(state, cfg)
     psi = _psi(reg, cfg.dim)
-    err = predict_error(state, reg, desired)
-    w_new = state.w + cfg.eta * err * psi
-    assert not w_new.imag.any(), "lms must stay real"
+    err = predict_error(state, psi, desired)
+    w_new = state.w + beta * (state.w - state.w_prev) + cfg.eta * err * psi * (1.0 + factor)
+    imag_peak = float(np.max(np.abs(w_new.imag)))
+    assert imag_peak == 0.0 or cfg.variant == "flms_signed", f"{cfg.variant} must stay real"
     new = FilterState(
         w=w_new,
         w_prev=state.w,
         iteration=state.iteration + 1,
-        complex_events=state.complex_events,
-        max_imag=state.max_imag,
+        complex_events=state.complex_events + (1 if imag_peak > 0.0 else 0),
+        max_imag=max(state.max_imag, imag_peak),
     )
-    return new, _record(err, w_new, state.w)
+    return new, StepRecord(error=err, imag_norm=float(np.linalg.norm(w_new.imag)))
+
+
+def lms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
+    """w' = w + eta * e * psi; ``cfg.beta`` is ignored."""
+    _require(cfg, "lms")
+    return _update(state, cfg, reg, desired, beta=0.0)
 
 
 def momentum_lms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
     """w' = w + beta * (w - w_prev) + eta * e * psi."""
     _require(cfg, "momentum_lms")
-    _check_dims(state, cfg)
-    psi = _psi(reg, cfg.dim)
-    err = predict_error(state, reg, desired)
-    w_new = state.w + cfg.beta * (state.w - state.w_prev) + cfg.eta * err * psi
-    assert not w_new.imag.any(), "momentum_lms must stay real"
-    new = FilterState(
-        w=w_new,
-        w_prev=state.w,
-        iteration=state.iteration + 1,
-        complex_events=state.complex_events,
-        max_imag=state.max_imag,
-    )
-    return new, _record(err, w_new, state.w)
+    return _update(state, cfg, reg, desired, beta=cfg.beta)
 
 
 def mflms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
@@ -237,20 +227,7 @@ def mflms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tu
     step size.  Weights stay real by construction.
     """
     _require(cfg, "mflms_modulus")
-    _check_dims(state, cfg)
-    psi = _psi(reg, cfg.dim)
-    err = predict_error(state, reg, desired)
-    factor = fractional_factor(state, cfg)
-    w_new = state.w + cfg.beta * (state.w - state.w_prev) + cfg.eta * err * psi * (1.0 + factor)
-    assert not w_new.imag.any(), "mflms_modulus must stay real"
-    new = FilterState(
-        w=w_new,
-        w_prev=state.w,
-        iteration=state.iteration + 1,
-        complex_events=state.complex_events,
-        max_imag=state.max_imag,
-    )
-    return new, _record(err, w_new, state.w)
+    return _update(state, cfg, reg, desired, beta=cfg.beta, factor=fractional_factor(state, cfg))
 
 
 def flms_signed_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
@@ -263,20 +240,7 @@ def flms_signed_step(state: FilterState, cfg: FilterConfig, reg, desired: float)
     post-update weights carry any imaginary part.
     """
     _require(cfg, "flms_signed")
-    _check_dims(state, cfg)
-    psi = _psi(reg, cfg.dim)
-    err = predict_error(state, reg, desired)
-    factor = fractional_factor(state, cfg)
-    w_new = state.w + cfg.beta * (state.w - state.w_prev) + cfg.eta * err * psi * (1.0 + factor)
-    imag_peak = float(np.max(np.abs(w_new.imag)))
-    new = FilterState(
-        w=w_new,
-        w_prev=state.w,
-        iteration=state.iteration + 1,
-        complex_events=state.complex_events + (1 if imag_peak > 0.0 else 0),
-        max_imag=max(state.max_imag, imag_peak),
-    )
-    return new, _record(err, w_new, state.w)
+    return _update(state, cfg, reg, desired, beta=cfg.beta, factor=fractional_factor(state, cfg))
 
 
 _STEPS = {

@@ -60,7 +60,7 @@ class BasisSet:
 def polynomial_basis(l: int) -> BasisSet:
     """Monomial basis r, r**2, ..., r**l."""
     if l < 1:
-        raise ValueError("polynomial basis order must be >= 1")
+        raise ValueError(f"l must be >= 1 (polynomial basis order), got {l}")
     return BasisSet(
         functions=tuple((lambda r, k=k: r**k) for k in range(1, l + 1)),
         kind="polynomial",
@@ -92,11 +92,14 @@ class HarxPlant:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", c)
         if self.m < 1:
-            raise ValueError("linear memory order m must be >= 1")
+            raise ValueError(f"m must be >= 1 (linear memory order), got {self.m}")
         if q.shape != (self.m,):
             raise ValueError(f"q must have length m={self.m}, got {q.shape[0] if q.ndim == 1 else q.shape}")
         if c.shape != (self.basis.l,):
             raise ValueError(f"c must have length l={self.basis.l}, got {c.shape[0] if c.ndim == 1 else c.shape}")
+        for name, arr in (("q", q), ("c", c)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         if not self.noise_std >= 0.0:
             raise ValueError("noise_std must be >= 0")
 
@@ -122,22 +125,18 @@ class Regressor:
 class Dataset:
     """Aligned identification data from one simulated run.
 
-    ``outputs[k]`` is the (noisy) plant response to ``regressors[k]``; both
-    correspond to time m + k.  ``plant_truth`` is the Kronecker weight vector
-    the regressors pair with.
+    ``X`` is the read-only (T - m, n) regressor matrix: row k is the
+    regressor at time m + k, and ``outputs[k]`` is the (noisy) plant response
+    to it.  ``plant_truth`` is the Kronecker weight vector the rows pair with.
     """
 
     inputs: np.ndarray
-    regressors: list[Regressor]
+    X: np.ndarray
     outputs: np.ndarray
     plant_truth: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.regressors)
-
-    def regressor_matrix(self) -> np.ndarray:
-        """All regressors stacked row-wise, shape (len(self), n)."""
-        return np.stack([r.values for r in self.regressors])
+        return self.X.shape[0]
 
 
 def true_weight_vector(plant: HarxPlant) -> np.ndarray:
@@ -226,8 +225,7 @@ def generate_sequence(
     X.setflags(write=False)
     inputs.setflags(write=False)
     outputs.setflags(write=False)
-    regressors = [Regressor(values=X[k], time_index=plant.m + k) for k in range(T - plant.m)]
-    return Dataset(inputs=inputs, regressors=regressors, outputs=outputs, plant_truth=w)
+    return Dataset(inputs=inputs, X=X, outputs=outputs, plant_truth=w)
 
 
 # ---------------------------------------------------------------------------
@@ -260,49 +258,37 @@ def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
         if key not in entries:
             raise ScenarioError(f"missing required key {key!r}", path)
 
-    def take_int(key: str, default: int | None = None) -> int:
+    def take(key: str, convert, what: str, default=None):
         if key not in entries:
             return default
         value, lineno = entries[key]
         try:
-            return int(value)
+            return convert(value)
         except ValueError:
-            raise ScenarioError(f"{key} must be an integer, got {value!r}", path, lineno) from None
+            raise ScenarioError(f"{key} must be {what}, got {value!r}", path, lineno) from None
 
-    def take_float(key: str, default: float) -> float:
-        if key not in entries:
-            return default
-        value, lineno = entries[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ScenarioError(f"{key} must be a number, got {value!r}", path, lineno) from None
-
-    def take_floats(key: str) -> np.ndarray:
-        value, lineno = entries[key]
-        try:
-            return np.array([float(x) for x in value.split(",")])
-        except ValueError:
-            raise ScenarioError(f"{key} must be comma-separated numbers, got {value!r}", path, lineno) from None
+    def floats(value: str) -> np.ndarray:
+        return np.array([float(x) for x in value.split(",")])
 
     basis_name, basis_line = entries["basis"]
     if basis_name != "polynomial":
         raise ScenarioError(
             f"basis must be 'polynomial' (custom bases are code-only), got {basis_name!r}", path, basis_line
         )
-    l = take_int("l")
-    m = take_int("m")
+    l = take("l", int, "an integer")
+    m = take("m", int, "an integer")
     try:
         return HarxPlant(
             m=m,
             basis=polynomial_basis(l),
-            q=take_floats("q"),
-            c=take_floats("c"),
-            noise_std=take_float("noise_std", 0.0),
-            seed=take_int("seed", 0),
+            q=take("q", floats, "comma-separated numbers"),
+            c=take("c", floats, "comma-separated numbers"),
+            noise_std=take("noise_std", float, "a number", 0.0),
+            seed=take("seed", int, "an integer", 0),
         )
     except ValueError as exc:
-        raise ScenarioError(str(exc), path) from None
+        field = str(exc).split(None, 1)[0]  # every message starts with the key it names
+        raise ScenarioError(str(exc), path, entries[field][1] if field in entries else None) from None
 
 
 def load_scenario(path) -> HarxPlant:

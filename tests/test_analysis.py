@@ -15,13 +15,12 @@ from harxlab.analysis import (
 )
 from harxlab.errors import DomainError, EmptyDataset, SingularCorrelation
 from harxlab.filters import FilterConfig
-from harxlab.plant import Dataset, HarxPlant, Regressor, generate_sequence, polynomial_basis, true_weight_vector
+from harxlab.plant import Dataset, HarxPlant, generate_sequence, polynomial_basis, true_weight_vector
 
 
 def synthetic_dataset(X, outputs):
     X = np.asarray(X, dtype=np.float64)
-    regs = [Regressor(values=X[k], time_index=k) for k in range(X.shape[0])]
-    return Dataset(inputs=np.zeros(X.shape[0]), regressors=regs, outputs=np.asarray(outputs, float),
+    return Dataset(inputs=np.zeros(X.shape[0]), X=X, outputs=np.asarray(outputs, float),
                    plant_truth=np.zeros(X.shape[1]))
 
 

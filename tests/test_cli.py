@@ -115,10 +115,52 @@ def test_spec_parse_errors(tmp_path, capsys):
         (SPEC + "\n[filter lms_small]\nvariant = lms\neta = 0.1\n", "duplicate filter"),
         (SPEC.replace("eta = 0.05\n\n[filter mom]", "eta = 0.05\nbogus = 1\n\n[filter mom]"), "unknown key"),
     ]
+    # each illegal filter field is reported on its own line
+    good = {"variant": "mflms_modulus", "eta": "0.05", "beta": "0.2", "v": "0.5",
+            "power_interpretation": "elementwise_abs", "epsilon_guard": "0.1"}
+    illegal = {"eta": "0", "beta": "1.0", "v": "1.5", "power_interpretation": "bogus", "epsilon_guard": "-1"}
+    for field, value in illegal.items():
+        text = SPEC + "\n[filter extra]\n" + "".join(f"{k} = {v}\n" for k, v in {**good, field: value}.items())
+        line = text.splitlines().index(f"{field} = {value}") + 1
+        bad.append((text, f"run.spec:{line}: {field} must"))
     for text, needle in bad:
         spec = write_spec(tmp_path, text)
         assert cli.main(["simulate", str(spec)]) == 2, text
         assert needle in capsys.readouterr().err
+
+    spec = write_spec(tmp_path)
+    assert cli.main(["sweep", str(spec), "--param", "v", "--grid", "0.5,0"]) == 2
+    assert "--grid: v must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_2_names_line(tmp_path, capsys):
+    spec = write_spec(tmp_path, SPEC.replace("seeds = 1, 2, 3", "seeds = 1, -2"))
+    for command in ("simulate", "wiener"):
+        assert cli.main([command, str(spec)]) == 2
+        assert "run.spec:4: seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_non_finite_scenario_taps_exit_2_names_line(tmp_path, capsys):
+    for old, new, needle in (
+        ("q = 0.6, 0.3, 0.1", "q = nan, 0.3, 0.1", "lin.scenario:4: q must be finite"),
+        ("c = 1.0", "c = inf", "lin.scenario:5: c must be finite"),
+    ):
+        spec = write_spec(tmp_path, scenario_text=SCENARIO.replace(old, new))
+        assert cli.main(["simulate", str(spec)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_staging_never_removes_another_runs_files(tmp_path):
+    # another run's staging directory next to the same outdir, under the name it used to share
+    spec = write_spec(tmp_path)
+    foreign = tmp_path / ".out.staging"
+    foreign.mkdir()
+    (foreign / "lms_small_seed1.csv").write_text("another run's file")
+    assert cli.main(["simulate", str(spec)]) == 0
+    assert (foreign / "lms_small_seed1.csv").read_text() == "another run's file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".out.staging", "lin.scenario", "out", "run.spec"]
+    assert len(list((tmp_path / "out").iterdir())) == 8
 
 
 def test_builtin_muscle_plant_reference(tmp_path):
@@ -236,6 +278,13 @@ v = 0.5
 
 # ---------------------------------------------------------------------------
 # wiener
+
+
+def test_wiener_bad_ridge_exit_2(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    for ridge in ("-1", "nan", "inf"):
+        assert cli.main(["wiener", str(spec), "--ridge", ridge]) == 2
+        assert "--ridge: ridge must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_wiener_json_document(tmp_path, capsys):

@@ -197,8 +197,8 @@ def test_mflms_stays_real_and_converges_on_muscle_structure():
     w_true = true_weight_vector(plant)
     state = initial_state(cfg)
     initial_err = float(np.linalg.norm(state.w.real - w_true))
-    for reg, desired in zip(data.regressors, data.outputs):
-        state, rec = mflms_step(state, cfg, reg, float(desired))
+    for psi, desired in zip(data.X, data.outputs):
+        state, rec = mflms_step(state, cfg, psi, float(desired))
         assert rec.imag_norm == 0.0
     final_err = float(np.linalg.norm(state.w.real - w_true))
     assert np.isfinite(final_err)
@@ -232,10 +232,77 @@ def test_flms_monte_carlo_all_seeds_leak():
     for seed in range(100):
         data = generate_sequence(plant, T=2001, rng=np.random.default_rng(seed))
         state = initial_state(cfg)
-        for reg, desired in zip(data.regressors, data.outputs):
-            state, _ = flms_signed_step(state, cfg, reg, float(desired))
+        for psi, desired in zip(data.X, data.outputs):
+            state, _ = flms_signed_step(state, cfg, psi, float(desired))
         assert state.complex_events > 0
         assert state.max_imag > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the shared update rule against the per-variant formulas it replaced
+
+
+def reference_update(state, cfg, psi, d):
+    """The four per-variant update formulas and the signed variant's leak
+    bookkeeping as they were written before the variants shared one rule,
+    each line verbatim; returns (w, w_prev, complex_events, max_imag, error)."""
+    err = predict_error(state, psi, d)
+    events, peak = state.complex_events, state.max_imag
+    if cfg.variant == "lms":
+        w_new = state.w + cfg.eta * err * psi
+    elif cfg.variant == "momentum_lms":
+        w_new = state.w + cfg.beta * (state.w - state.w_prev) + cfg.eta * err * psi
+    else:
+        factor = fractional_factor(state, cfg)
+        w_new = state.w + cfg.beta * (state.w - state.w_prev) + cfg.eta * err * psi * (1.0 + factor)
+    if cfg.variant == "flms_signed":
+        imag_peak = float(np.max(np.abs(w_new.imag)))
+        events, peak = state.complex_events + (1 if imag_peak > 0.0 else 0), max(state.max_imag, imag_peak)
+    else:
+        assert not w_new.imag.any()
+    return w_new, state.w, events, peak, err
+
+
+NAMED_STEPS = {"lms": lms_step, "momentum_lms": momentum_lms_step,
+               "mflms_modulus": mflms_step, "flms_signed": flms_signed_step}
+finite = st.floats(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(NAMED_STEPS)),
+    n=st.integers(1, 4),
+    data=st.data(),
+    eta=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 0.99),
+    v=st.floats(0.01, 1.0),
+    interp=st.sampled_from(["elementwise_abs", "euclidean_norm"]),
+    guard=st.floats(0.0, 0.5),
+    events=st.integers(0, 5),
+    max_imag=st.floats(0.0, 2.0),
+)
+def test_named_steps_match_per_variant_formulas(variant, n, data, eta, beta, v, interp, guard, events, max_imag):
+    # lms configs carry beta != 0 too: lms must ignore it
+    vec = st.lists(finite, min_size=n, max_size=n)
+    w = np.array(data.draw(vec), dtype=np.complex128)
+    w_prev = np.array(data.draw(vec), dtype=np.complex128)
+    if variant == "flms_signed":  # only the signed variant may already carry imaginary mass
+        w = w + 1j * np.array(data.draw(vec))
+        w_prev = w_prev + 1j * np.array(data.draw(vec))
+    psi = np.array(data.draw(vec))
+    d = data.draw(finite)
+    state = FilterState(w=w, w_prev=w_prev, iteration=7, complex_events=events, max_imag=max_imag)
+    cfg = cfg_of(variant, n, eta=eta, beta=beta, v=v, interp=interp, guard=guard)
+
+    new, rec = NAMED_STEPS[variant](state, cfg, psi, d)
+    w_ref, w_prev_ref, events_ref, peak_ref, err_ref = reference_update(state, cfg, psi, d)
+    np.testing.assert_array_equal(new.w, w_ref)
+    np.testing.assert_array_equal(new.w_prev, w_prev_ref)
+    np.testing.assert_array_equal(new.complex_events, events_ref)
+    np.testing.assert_array_equal(new.max_imag, peak_ref)
+    assert new.iteration == 8
+    assert rec.error == err_ref
+    assert rec.imag_norm == float(np.linalg.norm(w_ref.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +327,8 @@ def test_iteration_and_counters_monotone():
     data = generate_sequence(plant, T=100, rng=np.random.default_rng(3))
     state = initial_state(cfg)
     prev_events = 0
-    for i, (reg, desired) in enumerate(zip(data.regressors, data.outputs)):
-        state, _ = flms_signed_step(state, cfg, reg, float(desired))
+    for i, (psi, desired) in enumerate(zip(data.X, data.outputs)):
+        state, _ = flms_signed_step(state, cfg, psi, float(desired))
         assert state.iteration == i + 1
         assert state.complex_events >= prev_events
         prev_events = state.complex_events

@@ -142,18 +142,22 @@ def test_generate_sequence_alignment_and_truth():
     assert len(data) == 38
     assert len(data.inputs) == 40
     w = true_weight_vector(plant)
+    assert data.X.shape == (38, plant.n)
+    assert not data.X.flags.writeable
     # noise-free outputs match the inner product row by row
-    for reg, out in zip(data.regressors, data.outputs):
-        assert out == pytest.approx(float(reg.values @ w))
-    assert data.regressors[0].time_index == 2
+    for row, out in zip(data.X, data.outputs):
+        assert out == pytest.approx(float(row @ w))
+    # row k is the regressor at time m + k
+    for k in (0, 37):
+        reg = build_regressor(data.inputs, t=plant.m + k, basis=plant.basis, m=plant.m)
+        np.testing.assert_array_equal(data.X[k], reg.values)
 
 
 def test_generate_sequence_least_squares_recovery():
     # least-squares oracle: noise-free data pins down the true weights
     plant = make_plant(3, 3, [0.6, 0.3, 0.1], [1.0, 0.5, 0.25], seed=11)
     data = generate_sequence(plant, T=1000)
-    X = data.regressor_matrix()
-    w_hat, *_ = np.linalg.lstsq(X, data.outputs, rcond=None)
+    w_hat, *_ = np.linalg.lstsq(data.X, data.outputs, rcond=None)
     w = true_weight_vector(plant)
     assert np.linalg.norm(w_hat - w) / np.linalg.norm(w) <= 1e-8
 
@@ -162,7 +166,7 @@ def test_generate_sequence_identifiability_at_10nl_samples():
     plant = make_plant(2, 3, [0.9, -0.4], [1.0, -0.3, 0.1], seed=2)
     T = 10 * plant.n + plant.m
     data = generate_sequence(plant, T=T)
-    w_hat, *_ = np.linalg.lstsq(data.regressor_matrix(), data.outputs, rcond=None)
+    w_hat, *_ = np.linalg.lstsq(data.X, data.outputs, rcond=None)
     w = true_weight_vector(plant)
     assert np.linalg.norm(w_hat - w) / np.linalg.norm(w) <= 1e-8
 
