@@ -1,7 +1,8 @@
 """Identification experiments and diagnostics.
 
 Empirical correlations and the Wiener solution they induce, learning-curve
-runs with divergence detection, complex-leak summaries for the signed
+runs with divergence detection (every config and seed of a command stepping
+together in one batched kernel), complex-leak summaries for the signed
 fractional variant, a truncated-binomial residual checked against the direct
 power, and an empirical step-size stability probe that replaces any analytic
 bound with measured divergence fractions.
@@ -10,25 +11,32 @@ bound with measured divergence fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from . import shapecheck
 from .errors import DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
-from .filters import FilterConfig, FilterState, initial_state, step
-from .plant import Dataset, HarxPlant, _cell as _g, generate_sequence
+from .filters import FilterConfig, FilterState
+from .plant import Dataset, HarxPlant, generate_sequence
 
 DIVERGENCE_THRESHOLD = 1e12
 LEAK_EPS = 1e-15
-_PSD_TOL = -1e-10
+# Correlation checks, relative to the size of R: the symmetry check to
+# max|R|, the PSD and singularity checks to lambda_max.  Scaling the data
+# then never changes their verdicts.
+_SYMMETRY_RTOL = 1e-12
+_PSD_RTOL = 1e-10
+_SINGULAR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """Empirical R = E[psi psi^T] and p = E[psi s], with the spectrum of R.
 
-    Eigenvalues are sorted descending; tiny negatives (down to -1e-10) are
-    tolerated as sampling/roundoff noise on a PSD matrix.
+    Eigenvalues are sorted descending; tiny negatives (down to -1e-10 *
+    lambda_max) are tolerated as sampling/roundoff noise on a PSD matrix, and
+    R must be symmetric to within 1e-12 * max|R|.
     """
 
     R: np.ndarray
@@ -46,12 +54,12 @@ class CorrelationEstimate:
         n = p.shape[0]
         if R.shape != (n, n) or eig.shape != (n,):
             raise DimensionMismatch(f"inconsistent estimate shapes: R {R.shape}, p {p.shape}, eig {eig.shape}")
-        if float(np.max(np.abs(R - R.T))) > 1e-12:
-            raise ValueError("R must be symmetric to within 1e-12")
+        if float(np.max(np.abs(R - R.T))) > _SYMMETRY_RTOL * float(np.max(np.abs(R))):
+            raise ValueError("R must be symmetric to within 1e-12 * max|R|")
         if np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be sorted descending")
-        if float(eig[-1]) < _PSD_TOL:
-            raise ValueError(f"R is not PSD up to tolerance: min eigenvalue {eig[-1]}")
+        if float(eig[-1]) < -_PSD_RTOL * max(float(eig[0]), 0.0):
+            raise ValueError(f"R is not PSD up to tolerance: min eigenvalue {eig[-1]}, lambda_max {eig[0]}")
 
     @property
     def lambda_max(self) -> float:
@@ -76,12 +84,16 @@ def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
 
     No silent regularization: with the default ridge of zero a rank-deficient
     R raises SingularCorrelation instead of returning a least-norm answer.
+    R + ridge I counts as singular when its smallest eigenvalue is not above
+    1e-12 times its largest.
     """
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    if float(est.eigenvalues[-1]) + ridge <= 1e-12:
+    lowest, highest = float(est.eigenvalues[-1]) + ridge, est.lambda_max + ridge
+    if lowest <= _SINGULAR_RTOL * highest:
         raise SingularCorrelation(
-            f"smallest eigenvalue {est.eigenvalues[-1]:.3e} + ridge {ridge:.3e} is not above 1e-12"
+            f"smallest eigenvalue {est.eigenvalues[-1]:.3e} + ridge {ridge:.3e} is not above "
+            f"1e-12 * (lambda_max {est.lambda_max:.3e} + ridge)"
         )
     n = est.p.shape[0]
     return np.linalg.solve(est.R + ridge * np.eye(n), est.p)
@@ -95,7 +107,7 @@ class RunRecord:
     empirical Wiener solution of the run's own dataset (stored in
     ``omega_opt``).  A run is flagged diverged as soon as any curve entry is
     non-finite or exceeds 1e12, and stops there; all three curves always
-    share one length.
+    share one length.  The curves are read-only.
     """
 
     mse_curve: np.ndarray
@@ -104,6 +116,217 @@ class RunRecord:
     diverged: bool
     final_state: FilterState
     omega_opt: np.ndarray
+
+
+@dataclass(frozen=True)
+class SeedData:
+    """Every seed's dataset, simulated once and stacked for :func:`run_batch`.
+
+    ``X`` is (S, N, n), ``outputs`` (S, N), ``omega`` (S, n) the Wiener
+    solution of each seed's own data, and ``lambda_max`` (S,) the largest
+    eigenvalue of each seed's correlation matrix.  All arrays are read-only.
+    """
+
+    X: np.ndarray
+    outputs: np.ndarray
+    omega: np.ndarray
+    lambda_max: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.X, self.outputs, self.omega, self.lambda_max):
+            arr.setflags(write=False)
+
+
+def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gaussian") -> SeedData:
+    """Simulate each seed's dataset once and solve its Wiener reference.
+
+    The seed drives the input and noise streams, so a seed's data is the same
+    whichever other seeds it is simulated with.
+    """
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    X, outputs, omega, lam = [], [], [], []
+    for seed in seeds:
+        data = generate_sequence(plant, input_kind=input_kind, T=T, rng=np.random.default_rng(seed))
+        est = estimate_correlations(data)
+        X.append(data.X)
+        outputs.append(data.outputs)
+        omega.append(wiener_solution(est, ridge=0.0))
+        lam.append(est.lambda_max)
+    return SeedData(X=np.stack(X), outputs=np.stack(outputs), omega=np.stack(omega), lambda_max=np.array(lam))
+
+
+def batch_kind(cfg: FilterConfig) -> tuple[str, str | None]:
+    """What the configs of one :func:`run_batch` call share: the variant and,
+    for ``mflms_modulus``, the power interpretation."""
+    return cfg.variant, (cfg.power_interpretation if cfg.variant == "mflms_modulus" else None)
+
+
+def _exponent_groups(exponent: np.ndarray) -> list[tuple[float, np.ndarray | None]]:
+    values = sorted(set(exponent.tolist()))
+    if len(values) == 1:
+        return [(values[0], None)]
+    return [(e, exponent == e) for e in values]
+
+
+def _power(base: np.ndarray, groups) -> np.ndarray:
+    """``base ** exponent`` per config (axis 0), with one np.power call per
+    distinct exponent: a scalar exponent takes np.power's fast paths (sqrt
+    for 0.5), exactly as the single-step functions do."""
+    if groups[0][1] is None:
+        return np.power(base, groups[0][0])
+    out = np.empty_like(base)
+    for e, rows in groups:
+        out[rows] = np.power(base[rows], e)
+    return out
+
+
+def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
+    """Run every config on every seed's data, all (config, seed) rows stepping together.
+
+    ``X`` (S, N, n), ``outputs`` (S, N) and ``omega`` (S, n) hold the seeds'
+    regressor matrices, desired outputs and Wiener solutions; they are
+    broadcast over the configs, never tiled.  The configs must share one
+    :func:`batch_kind`.  Row (c, s) starts from zero weights and applies,
+    element by element and in the same order, the operations of the
+    single-step functions in :mod:`harxlab.filters`::
+
+        w' = w + beta (w - w_prev) + eta e psi (1 + factor)
+
+    with beta = 0 for ``lms``.  Inner products and norms are one BLAS dot per
+    row (``np.vecdot``), so no row's sums depend on the other rows.
+    ``flms_signed`` rows run in complex128, every other row in float64, so
+    their imaginary parts are exactly 0.  The single-step functions hold a
+    real row's weights as the strided real part of a complex vector, where
+    this kernel holds them contiguous, so BLAS may sum a real row's
+    prediction error in another order (n >= 4): the only difference.
+
+    A row stops at its first curve entry that is non-finite or above 1e12:
+    its curves end there, its final state is the state after that step, and
+    it adds nothing more to ``complex_events`` or ``max_imag``.  Returns
+    ``records[c][s]``.  The records' curves are views into the batch's shared
+    (C, S, N) buffers, so any record a caller keeps holds all of them alive.
+    """
+    cfgs = list(cfgs)
+    X = np.asarray(X, dtype=np.float64)
+    outputs = np.asarray(outputs, dtype=np.float64)
+    omega = np.asarray(omega, dtype=np.float64)
+    if X.ndim != 3 or outputs.shape != X.shape[:2] or omega.shape != (X.shape[0], X.shape[2]):
+        raise DimensionMismatch(
+            f"expected X (S, N, n), outputs (S, N), omega (S, n); got {X.shape}, {outputs.shape}, {omega.shape}"
+        )
+    S, N, n = X.shape
+    for cfg in cfgs:
+        if cfg.dim != n:
+            raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
+    kinds = {batch_kind(cfg) for cfg in cfgs}
+    if len(kinds) > 1:
+        raise ValueError(f"run_batch takes configs of one kind, got {sorted(map(str, kinds))}")
+    if not cfgs:
+        return []
+    variant, interpretation = kinds.pop()
+    signed = variant == "flms_signed"
+    C = len(cfgs)
+
+    # per-config parameters as columns over the (C, S) rows
+    column = lambda values: np.array(values, dtype=np.float64)[:, None]  # noqa: E731
+    eta = np.repeat(column([cfg.eta for cfg in cfgs]), S, axis=1)  # per row: zeroed when the row stops
+    beta = column([0.0 if variant == "lms" else cfg.beta for cfg in cfgs])[:, :, None]
+    exponent = column([1.0 - cfg.v for cfg in cfgs])
+    guard = column([cfg.epsilon_guard for cfg in cfgs])[:, :, None]
+    groups = _exponent_groups(exponent[:, 0])
+    row_exponents = np.repeat(exponent, S, axis=1).ravel().tolist()
+
+    W = np.zeros((C, S, n), dtype=np.complex128 if signed else np.float64)
+    W_prev = W.copy()
+    events = np.zeros((C, S), dtype=np.int64)
+    peak_imag = np.zeros((C, S))
+    cap = np.full((C, S), np.inf)  # 0 for stopped rows, so their entries never count again
+
+    mse = np.empty((C, S, N))
+    werr = np.empty((C, S, N))
+    imag = np.empty((C, S, N)) if signed else np.zeros(N)  # real rows share one all-zero curve
+    iterations = np.full((C, S), N)
+    diverged = np.zeros((C, S), dtype=bool)
+    final_w = np.empty_like(W)
+    final_w_prev = np.empty_like(W)
+    final_events = np.zeros((C, S), dtype=np.int64)
+    final_peak = np.zeros((C, S))
+
+    running = C * S
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(N):
+            psi = X[:, t]
+            re = W.real
+            err = outputs[:, t] - np.vecdot(psi, re)
+            grad = (eta * err)[:, :, None] * psi
+            if signed:
+                grad = grad * (1.0 + _power(re.astype(np.complex128), groups))
+            elif interpretation == "elementwise_abs":
+                grad = grad * (1.0 + _power(np.maximum(np.abs(re), guard), groups))
+            elif interpretation == "euclidean_norm":
+                # a Python float power per row, as the single-step function takes it
+                base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[:, :, 0])
+                factor = [b**e for b, e in zip(base.ravel().tolist(), row_exponents)]
+                grad = grad * (1.0 + np.reshape(factor, (C, S, 1)))
+            W_new = W + beta * (W - W_prev) + grad
+            W_prev, W = W, W_new
+
+            diff = W.real - omega
+            m_t = np.multiply(err, err, out=mse[:, :, t])
+            e_t = np.sqrt(np.vecdot(diff, diff), out=werr[:, :, t])
+            worst = np.maximum(m_t, e_t)  # NaN propagates
+            if signed:
+                im = np.ascontiguousarray(W.imag)  # the norm of a contiguous copy, as np.linalg.norm takes it
+                i_t = np.sqrt(np.vecdot(im, im), out=imag[:, :, t])
+                step_peak = np.maximum.reduce(np.abs(im), axis=-1)
+                events += step_peak > 0.0
+                np.fmax(peak_imag, step_peak, out=peak_imag)
+                worst = np.maximum(worst, i_t)
+            worst = np.fmin(worst, cap)  # NaN becomes inf on running rows, anything 0 on stopped ones
+            if worst.max() <= DIVERGENCE_THRESHOLD:
+                continue
+            stop = worst > DIVERGENCE_THRESHOLD
+            iterations[stop] = t + 1
+            diverged[stop] = True
+            final_w[stop], final_w_prev[stop] = W[stop], W_prev[stop]
+            final_events[stop], final_peak[stop] = events[stop], peak_imag[stop]
+            # park the row at zero weights and step size: it stays finite and never counts again
+            W[stop], W_prev[stop], eta[stop], cap[stop] = 0.0, 0.0, 0.0, 0.0
+            running -= int(stop.sum())
+            if running == 0:
+                break
+    live = ~diverged
+    final_w[live], final_w_prev[live] = W[live], W_prev[live]
+    final_events[live], final_peak[live] = events[live], peak_imag[live]
+
+    for arr in (mse, werr, imag):
+        arr.setflags(write=False)
+    records = []
+    for c in range(C):
+        per_seed = []
+        for s in range(S):
+            k = int(iterations[c, s])
+            state = FilterState(
+                w=final_w[c, s],
+                w_prev=final_w_prev[c, s],
+                iteration=k,
+                complex_events=int(final_events[c, s]),
+                max_imag=float(final_peak[c, s]),
+            )
+            per_seed.append(
+                RunRecord(
+                    mse_curve=mse[c, s, :k],
+                    weight_error_curve=werr[c, s, :k],
+                    imag_curve=imag[c, s, :k] if signed else imag[:k],
+                    diverged=bool(diverged[c, s]),
+                    final_state=state,
+                    omega_opt=omega[s].copy(),
+                )
+            )
+        records.append(per_seed)
+    return records
 
 
 def run_experiment(
@@ -116,38 +339,11 @@ def run_experiment(
     """One identification run: simulate the plant, fix the empirical Wiener
     solution as reference, then iterate the configured update rule.
 
-    Deterministic for a fixed seed: the seed drives the input and noise
-    streams, and the steps themselves are pure.
+    A batch of one for :func:`run_batch`.  Deterministic for a fixed seed:
+    the seed drives the input and noise streams, and the steps are pure.
     """
-    if cfg.dim != plant.n:
-        raise DimensionMismatch(f"config dim {cfg.dim} != plant weight dimension {plant.n}")
-    rng = np.random.default_rng(seed)
-    data = generate_sequence(plant, input_kind=input_kind, T=T, rng=rng)
-    omega = wiener_solution(estimate_correlations(data), ridge=0.0)
-
-    state = initial_state(cfg)
-    mse: list[float] = []
-    werr: list[float] = []
-    imag: list[float] = []
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for psi, desired in zip(data.X, data.outputs):
-            state, rec = step(state, cfg, psi, float(desired))
-            mse.append(rec.error * rec.error)
-            werr.append(float(np.linalg.norm(state.w.real - omega)))
-            imag.append(rec.imag_norm)
-            latest = (mse[-1], werr[-1], imag[-1])
-            if not all(np.isfinite(latest)) or max(latest) > DIVERGENCE_THRESHOLD:
-                diverged = True
-                break
-    return RunRecord(
-        mse_curve=np.asarray(mse),
-        weight_error_curve=np.asarray(werr),
-        imag_curve=np.asarray(imag),
-        diverged=diverged,
-        final_state=state,
-        omega_opt=omega,
-    )
+    data = simulate_seeds(plant, T, [seed], input_kind)
+    return run_batch([cfg], data.X, data.outputs, data.omega)[0][0]
 
 
 @dataclass(frozen=True)
@@ -165,8 +361,9 @@ def complex_leak_report(record: RunRecord | np.ndarray) -> LeakReport:
     if curve.size == 0:
         return LeakReport(first_leak_iter=None, max_imag=0.0, leak_fraction=0.0)
     hot = curve > LEAK_EPS
-    first = int(np.argmax(hot)) if bool(hot.any()) else None
-    return LeakReport(first_leak_iter=first, max_imag=float(np.max(curve)), leak_fraction=float(np.mean(hot)))
+    count = int(np.count_nonzero(hot))
+    first = int(hot.argmax()) if count else None
+    return LeakReport(first_leak_iter=first, max_imag=float(curve.max()), leak_fraction=count / curve.size)
 
 
 def binomial_residual(omega_opt: float, delta: float, exponent: float, k_max: int) -> np.ndarray:
@@ -257,14 +454,7 @@ class SweepCell:
     leak_fraction_mean: float
 
 
-def sweep_cell(
-    plant: HarxPlant,
-    cfg: FilterConfig,
-    T: int,
-    seeds,
-    input_kind: str = "white_gaussian",
-) -> SweepCell:
-    records = [run_experiment(plant, cfg, T, int(s), input_kind) for s in seeds]
+def _aggregate(records) -> SweepCell:
     finite = [float(r.weight_error_curve[-1]) for r in records if not r.diverged]
     return SweepCell(
         diverged_fraction=float(np.mean([r.diverged for r in records])),
@@ -273,10 +463,34 @@ def sweep_cell(
     )
 
 
+def sweep_cells(
+    plant: HarxPlant,
+    cfgs,
+    T: int,
+    seeds,
+    input_kind: str = "white_gaussian",
+) -> list[SweepCell]:
+    """One cell per config; every config runs over every seed in one batch,
+    on datasets simulated once."""
+    data = simulate_seeds(plant, T, seeds, input_kind)
+    return [_aggregate(records) for records in run_batch(cfgs, data.X, data.outputs, data.omega)]
+
+
+def sweep_cell(
+    plant: HarxPlant,
+    cfg: FilterConfig,
+    T: int,
+    seeds,
+    input_kind: str = "white_gaussian",
+) -> SweepCell:
+    return sweep_cells(plant, [cfg], T, seeds, input_kind)[0]
+
+
 @dataclass(frozen=True)
 class StabilityProbe:
     """Per-step-size divergence fractions plus the classical reference point
-    2 / lambda_max measured from the first seed's dataset."""
+    2 / lambda_max measured from the first seed's dataset, and the cell
+    measured at that step size."""
 
     etas: np.ndarray
     diverged_fraction: np.ndarray
@@ -284,6 +498,7 @@ class StabilityProbe:
     leak_fraction_mean: np.ndarray
     lambda_max: float
     eta_reference: float
+    reference: SweepCell
 
 
 def stability_probe(
@@ -296,20 +511,19 @@ def stability_probe(
 ) -> StabilityProbe:
     """Empirical stability scan over a step-size grid.
 
-    For each eta the template config is re-run over all seeds and the
-    divergence fraction recorded; the classical mean-stability reference
-    2 / lambda_max comes from correlations estimated on the first seed's
-    dataset.
+    Each seed's dataset is simulated once; the template config then runs at
+    every grid eta and at the classical mean-stability reference
+    2 / lambda_max (from the first seed's correlations) over all seeds, in
+    one batch, and each eta's divergence fraction is recorded.
     """
     grid = np.asarray(eta_grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("eta grid must be positive and strictly ascending")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    reference = generate_sequence(plant, input_kind=input_kind, T=T, rng=np.random.default_rng(seeds[0]))
-    lam = estimate_correlations(reference).lambda_max
-    cells = [sweep_cell(plant, replace(cfg_template, eta=float(eta)), T, seeds, input_kind) for eta in grid]
+    data = simulate_seeds(plant, T, seeds, input_kind)
+    lam = float(data.lambda_max[0])
+    etas = [*grid.tolist(), 2.0 / lam]
+    cfgs = [replace(cfg_template, eta=eta) for eta in etas]
+    *cells, reference = [_aggregate(r) for r in run_batch(cfgs, data.X, data.outputs, data.omega)]
     return StabilityProbe(
         etas=grid,
         diverged_fraction=np.array([c.diverged_fraction for c in cells]),
@@ -317,18 +531,16 @@ def stability_probe(
         leak_fraction_mean=np.array([c.leak_fraction_mean for c in cells]),
         lambda_max=lam,
         eta_reference=2.0 / lam,
+        reference=reference,
     )
 
 
 def run_record_csv(record: RunRecord) -> str:
     """Plot-ready learning curves: header ``iter,mse,weight_error,imag_norm``,
     one row per iteration, %.17g cells, LF line endings."""
-    lines = ["iter,mse,weight_error,imag_norm"]
-    for i in range(len(record.mse_curve)):
-        lines.append(
-            f"{i},{_g(record.mse_curve[i])},{_g(record.weight_error_curve[i])},{_g(record.imag_curve[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    k = len(record.mse_curve)
+    cells = zip(range(k), record.mse_curve.tolist(), record.weight_error_curve.tolist(), record.imag_curve.tolist())
+    return "iter,mse,weight_error,imag_norm\n" + "%d,%.17g,%.17g,%.17g\n" * k % tuple(chain.from_iterable(cells))
 
 
 def run_summary(record: RunRecord) -> dict:

@@ -18,7 +18,7 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -325,17 +325,30 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
     }
 
 
+def _run_filters(spec: ExperimentSpec) -> dict[str, list]:
+    """Every filter's records, one per seed: the filters run in batches of
+    one kind, on datasets simulated once."""
+    data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
+    kinds: dict[tuple, list[tuple[str, FilterConfig]]] = {}
+    for name, cfg in spec.filters:
+        kinds.setdefault(analysis.batch_kind(cfg), []).append((name, cfg))
+    runs = {}
+    for group in kinds.values():
+        batch = analysis.run_batch([cfg for _, cfg in group], data.X, data.outputs, data.omega)
+        runs.update((name, records) for (name, _), records in zip(group, batch))
+    return runs
+
+
 def cmd_simulate(args) -> int:
     spec = load_experiment_spec(args.spec)
+    runs = _run_filters(spec)
+    any_diverged = any(rec.diverged for records in runs.values() for rec in records)
     files: dict[str, str] = {}
-    any_diverged = False
     for name, cfg in spec.filters:
-        records = []
-        for seed in spec.seeds:
-            rec = analysis.run_experiment(spec.plant, cfg, spec.T, seed, spec.input_kind)
-            any_diverged = any_diverged or rec.diverged
-            records.append((seed, rec))
-            if spec.emit in ("curves", "both"):
+        # popped: a kind's shared curve buffers are freed once its last filter is written
+        records = list(zip(spec.seeds, runs.pop(name)))
+        if spec.emit in ("curves", "both"):
+            for seed, rec in records:
                 files[f"{name}_seed{seed}.csv"] = analysis.run_record_csv(rec)
         if spec.emit in ("summary", "both"):
             files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, records))
@@ -388,28 +401,25 @@ def cmd_sweep(args) -> int:
         raise ExperimentSpecError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
     name, cfg = spec.filters[0]
     configs = [_filter_config({**asdict(cfg), param: value}, "--grid", {}) for value in grid]
-    if param == "eta" and any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ExperimentSpecError("eta grid must be strictly ascending")
 
     # one row per grid value: (param_value label, diverged, terminal weight error, leak fraction)
     rows: list[tuple] = []
     lambda_max = None
     eta_reference = None
     if param == "eta":
-        probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
+        try:
+            probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
+        except ValueError as exc:
+            raise ExperimentSpecError(str(exc), "--grid") from None
         lambda_max = probe.lambda_max
         eta_reference = probe.eta_reference
         rows += zip(
             map(_g, grid), probe.diverged_fraction, probe.terminal_weight_error_mean, probe.leak_fraction_mean
         )
-        ref_cell = analysis.sweep_cell(
-            spec.plant, replace(cfg, eta=eta_reference), spec.T, spec.seeds, spec.input_kind
-        )
-        rows.append(("2/lambda_max", *astuple(ref_cell)))
+        rows.append(("2/lambda_max", *astuple(probe.reference)))
     else:
-        for value, swept in zip(grid, configs):
-            cell = analysis.sweep_cell(spec.plant, swept, spec.T, spec.seeds, spec.input_kind)
-            rows.append((_g(value), *astuple(cell)))
+        cells = analysis.sweep_cells(spec.plant, configs, spec.T, spec.seeds, spec.input_kind)
+        rows += [(_g(value), *astuple(cell)) for value, cell in zip(grid, cells)]
 
     lines = [",".join(_SWEEP_COLUMNS)]
     lines += [",".join([label, *map(_g, metrics)]) for label, *metrics in rows]

@@ -33,7 +33,7 @@ POWER_INTERPRETATIONS = ("elementwise_abs", "euclidean_norm")
 class FilterConfig:
     """Variant selection plus step, momentum, and fractional parameters.
 
-    ``eta`` is the gradient step size (0 is tolerated for degenerate
+    ``eta`` is the finite gradient step size (0 is tolerated for degenerate
     algebraic checks), ``beta`` the momentum weight in [0, 1), ``v`` the
     fractional order in (0, 1] (v = 1 recovers the integer-order update) and
     ``epsilon_guard`` floors |w| before the fractional power is taken.
@@ -52,8 +52,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if not 0.0 < self.v <= 1.0:
@@ -62,8 +62,8 @@ class FilterConfig:
             raise ValueError(
                 f"power_interpretation must be one of {POWER_INTERPRETATIONS}, got {self.power_interpretation!r}"
             )
-        if not self.epsilon_guard >= 0.0:
-            raise ValueError(f"epsilon_guard must be >= 0, got {self.epsilon_guard}")
+        if not 0.0 <= self.epsilon_guard < np.inf:
+            raise ValueError(f"epsilon_guard must be finite and >= 0, got {self.epsilon_guard}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 

@@ -100,8 +100,8 @@ class HarxPlant:
         for name, arr in (("q", q), ("c", c)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite, got {arr.tolist()}")
-        if not self.noise_std >= 0.0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from harxlab.analysis import (
+    RunRecord,
     binomial_report,
     binomial_residual,
     binomial_vector_verdict,
@@ -111,6 +112,19 @@ def test_wiener_singular_correlation():
     assert np.all(np.isfinite(omega))
 
 
+def test_correlation_checks_scale_with_the_data():
+    # scaling X must not change which of SingularCorrelation / the PSD error is raised
+    rng = np.random.default_rng(5)
+    well = rng.standard_normal((300, 3))
+    rank_one = rng.standard_normal((300, 1)) * np.array([1.0, -2.0, 0.5])
+    for scale in (1e-6, 1.0, 1e6):
+        est = estimate_correlations(synthetic_dataset(well * scale, well @ np.ones(3)))
+        assert np.all(np.isfinite(wiener_solution(est)))
+        est = estimate_correlations(synthetic_dataset(rank_one * scale, np.ones(300)))
+        with pytest.raises(SingularCorrelation):
+            wiener_solution(est)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 
@@ -161,6 +175,30 @@ def test_run_record_csv_format():
     assert lines[0] == "iter,mse,weight_error,imag_norm"
     assert len(lines) == len(rec.mse_curve) + 1
     assert all(line.count(",") == 3 for line in lines)
+
+
+def test_run_record_csv_matches_per_cell_format():
+    from harxlab.filters import initial_state
+    from harxlab.plant import _cell
+
+    def per_cell(rec):  # the one-format-call-per-cell rendering the bulk pass must reproduce
+        lines = ["iter,mse,weight_error,imag_norm"]
+        for i in range(len(rec.mse_curve)):
+            lines.append(f"{i},{_cell(rec.mse_curve[i])},{_cell(rec.weight_error_curve[i])},{_cell(rec.imag_curve[i])}")
+        return "\n".join(lines) + "\n"
+
+    def record(mse, werr, imag):
+        return RunRecord(mse_curve=np.array(mse, dtype=float), weight_error_curve=np.array(werr, dtype=float),
+                         imag_curve=np.array(imag, dtype=float), diverged=False,
+                         final_state=initial_state(FilterConfig(variant="lms", eta=0.1, dim=1)), omega_opt=np.zeros(1))
+
+    odd = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, -123456789.0]
+    rec = record(odd, odd[::-1], [1e-17] * len(odd))
+    assert run_record_csv(rec) == per_cell(rec)
+    assert run_record_csv(record([], [], [])) == per_cell(record([], [], [])) == "iter,mse,weight_error,imag_norm\n"
+    plant = linear_plant()
+    rec = run_experiment(plant, FilterConfig(variant="lms", eta=0.05, dim=plant.n), 300, seed=4)
+    assert run_record_csv(rec) == per_cell(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,24 @@ def test_non_finite_scenario_taps_exit_2_names_line(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["eta", "epsilon_guard"])
+def test_non_finite_filter_field_exit_2_names_line(tmp_path, capsys, field):
+    fields = {"variant": "mflms_modulus", "eta": "0.05", "v": "0.5", field: "inf"}
+    text = SPEC + "\n[filter extra]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+    line = text.splitlines().index(f"{field} = inf") + 1
+    spec = write_spec(tmp_path, text)
+    assert cli.main(["simulate", str(spec)]) == 2
+    assert f"run.spec:{line}: {field} must be finite and >= 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_noise_std_exit_2_names_line(tmp_path, capsys):
+    spec = write_spec(tmp_path, scenario_text=SCENARIO.replace("noise_std = 0.01", "noise_std = inf"))
+    assert cli.main(["simulate", str(spec)]) == 2
+    assert "lin.scenario:6: noise_std must be finite and >= 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_staging_never_removes_another_runs_files(tmp_path):
     # another run's staging directory next to the same outdir, under the name it used to share
     spec = write_spec(tmp_path)
