@@ -7,7 +7,8 @@ the dimensional consistency of the family's published update and convergence
 equations.
 """
 
-from . import analysis, cli, errors, filters, plant, shapecheck
+# cli is not imported here, so `python -m harxlab.cli` runs it exactly once
+from . import analysis, errors, filters, plant, shapecheck
 from .analysis import (
     BinomialReport,
     CorrelationEstimate,
@@ -15,7 +16,6 @@ from .analysis import (
     RunRecord,
     SeedData,
     StabilityProbe,
-    batch_kind,
     binomial_report,
     binomial_residual,
     binomial_vector_verdict,
@@ -28,7 +28,6 @@ from .analysis import (
     run_summary,
     simulate_seeds,
     stability_probe,
-    sweep_cell,
     sweep_cells,
     wiener_solution,
 )
@@ -49,14 +48,10 @@ from .plant import (
     BasisSet,
     Dataset,
     HarxPlant,
-    Regressor,
-    build_regressor,
-    dataset_to_csv,
     generate_sequence,
     load_scenario,
     muscle_preset,
     parse_scenario,
-    plant_output,
     polynomial_basis,
     true_weight_vector,
 )
@@ -78,19 +73,15 @@ __all__ = [
     "FilterState",
     "HarxPlant",
     "LeakReport",
-    "Regressor",
     "RunRecord",
     "SeedData",
     "StabilityProbe",
     "StepRecord",
-    "batch_kind",
     "binomial_report",
     "binomial_residual",
     "binomial_vector_verdict",
-    "build_regressor",
     "complex_leak_report",
     "correlation_summary",
-    "dataset_to_csv",
     "estimate_correlations",
     "flms_signed_step",
     "fractional_factor",
@@ -102,7 +93,6 @@ __all__ = [
     "momentum_lms_step",
     "muscle_preset",
     "parse_scenario",
-    "plant_output",
     "polynomial_basis",
     "predict_error",
     "run_batch",
@@ -112,7 +102,6 @@ __all__ = [
     "simulate_seeds",
     "stability_probe",
     "step",
-    "sweep_cell",
     "sweep_cells",
     "true_weight_vector",
     "wiener_solution",

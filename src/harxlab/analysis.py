@@ -157,9 +157,9 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     return SeedData(X=np.stack(X), outputs=np.stack(outputs), omega=np.stack(omega), lambda_max=np.array(lam))
 
 
-def batch_kind(cfg: FilterConfig) -> tuple[str, str | None]:
-    """What the configs of one :func:`run_batch` call share: the variant and,
-    for ``mflms_modulus``, the power interpretation."""
+def _batch_kind(cfg: FilterConfig) -> tuple[str, str | None]:
+    """What the configs of one time loop share: the variant and, for
+    ``mflms_modulus``, the power interpretation."""
     return cfg.variant, (cfg.power_interpretation if cfg.variant == "mflms_modulus" else None)
 
 
@@ -187,10 +187,12 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
 
     ``X`` (S, N, n), ``outputs`` (S, N) and ``omega`` (S, n) hold the seeds'
     regressor matrices, desired outputs and Wiener solutions; they are
-    broadcast over the configs, never tiled.  The configs must share one
-    :func:`batch_kind`.  Row (c, s) starts from zero weights and applies,
-    element by element and in the same order, the operations of the
-    single-step functions in :mod:`harxlab.filters`::
+    broadcast over the configs, never tiled.  The configs may be of any
+    variants: each kind (the variant, plus the power interpretation for
+    ``mflms_modulus``) runs its own time loop over its rows.  Row (c, s)
+    starts from zero weights and applies, element by element and in the same
+    order, the operations of the single-step functions in
+    :mod:`harxlab.filters`::
 
         w' = w + beta (w - w_prev) + eta e psi (1 + factor)
 
@@ -205,8 +207,9 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     A row stops at its first curve entry that is non-finite or above 1e12:
     its curves end there, its final state is the state after that step, and
     it adds nothing more to ``complex_events`` or ``max_imag``.  Returns
-    ``records[c][s]``.  The records' curves are views into the batch's shared
-    (C, S, N) buffers, so any record a caller keeps holds all of them alive.
+    ``records[c][s]`` in the order of ``cfgs``.  The records' curves are
+    views into their kind's shared (C, S, N) buffers, so any record a caller
+    keeps holds all of its kind's curves alive.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -216,16 +219,24 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
         raise DimensionMismatch(
             f"expected X (S, N, n), outputs (S, N), omega (S, n); got {X.shape}, {outputs.shape}, {omega.shape}"
         )
-    S, N, n = X.shape
+    n = X.shape[2]
     for cfg in cfgs:
         if cfg.dim != n:
             raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
-    kinds = {batch_kind(cfg) for cfg in cfgs}
-    if len(kinds) > 1:
-        raise ValueError(f"run_batch takes configs of one kind, got {sorted(map(str, kinds))}")
-    if not cfgs:
-        return []
-    variant, interpretation = kinds.pop()
+    kinds: dict[tuple, list[int]] = {}
+    for c, cfg in enumerate(cfgs):
+        kinds.setdefault(_batch_kind(cfg), []).append(c)
+    records: list = [None] * len(cfgs)
+    for (variant, interpretation), rows in kinds.items():
+        kind_records = _run_kind([cfgs[c] for c in rows], variant, interpretation, X, outputs, omega)
+        for c, per_seed in zip(rows, kind_records):
+            records[c] = per_seed
+    return records
+
+
+def _run_kind(cfgs, variant, interpretation, X, outputs, omega) -> list[list[RunRecord]]:
+    """The time loop of :func:`run_batch` for configs of one kind."""
+    S, N, n = X.shape
     signed = variant == "flms_signed"
     C = len(cfgs)
 
@@ -474,16 +485,6 @@ def sweep_cells(
     on datasets simulated once."""
     data = simulate_seeds(plant, T, seeds, input_kind)
     return [_aggregate(records) for records in run_batch(cfgs, data.X, data.outputs, data.omega)]
-
-
-def sweep_cell(
-    plant: HarxPlant,
-    cfg: FilterConfig,
-    T: int,
-    seeds,
-    input_kind: str = "white_gaussian",
-) -> SweepCell:
-    return sweep_cells(plant, [cfg], T, seeds, input_kind)[0]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import analysis, shapecheck
 from .errors import ExperimentSpecError, HarxlabError, ScenarioError
-from .filters import FilterConfig
-from .plant import HarxPlant, _cell as _g, generate_sequence, load_scenario, muscle_preset
+from .filters import VARIANT_FIELDS, FilterConfig
+from .plant import INPUT_KINDS, HarxPlant, generate_sequence, load_scenario, muscle_preset
 
 OUTDIR_ENV = "HARXLAB_OUTDIR"
 EMIT_MODES = ("curves", "summary", "both")
@@ -56,6 +56,10 @@ GOLDEN_AUDIT: tuple[tuple[str, str], ...] = (
     ),
     ("F", "unsatisfiable(F: scalar vs matrix(9,9))"),
 )
+
+
+def _g(x: float) -> str:
+    return format(float(x), ".17g")
 
 
 def _jsonable(obj):
@@ -214,8 +218,13 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
     value, line = _pop_value(items, "T", pstr, exp_line)
     T = _as_int(value, "T", pstr, line)
-    if T <= plant.m:
-        raise ExperimentSpecError(f"T must exceed the plant memory m={plant.m}; got T={T}", pstr, line)
+    if T - plant.m < plant.n:
+        raise ExperimentSpecError(
+            f"T must be >= m + n = {plant.m + plant.n}: after the plant memory m={plant.m}, a full-rank "
+            f"correlation matrix needs n={plant.n} regressor rows; got T={T}",
+            pstr,
+            line,
+        )
 
     value, line = _pop_value(items, "seeds", pstr, exp_line)
     try:
@@ -235,8 +244,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
         raise ExperimentSpecError(f"emit must be one of {EMIT_MODES}, got {emit!r}", pstr, line)
 
     input_kind, line = _pop_value(items, "input", pstr, exp_line, required=False, default="white_gaussian")
-    if input_kind not in ("white_gaussian", "uniform"):
-        raise ExperimentSpecError(f"input must be white_gaussian or uniform, got {input_kind!r}", pstr, line)
+    if input_kind not in INPUT_KINDS:
+        raise ExperimentSpecError(f"input must be one of {INPUT_KINDS}, got {input_kind!r}", pstr, line)
     _reject_unknown(items, pstr)
 
     filters = []
@@ -247,6 +256,13 @@ def load_experiment_spec(path) -> ExperimentSpec:
                 value, lines[key] = _pop_value(fitems, key, pstr, sec_line)
                 fields[key] = value if key in _TEXT_KEYS else _as_float(value, key, pstr, lines[key])
         _reject_unknown(fitems, pstr)
+        read = VARIANT_FIELDS.get(fields["variant"], _FILTER_KEYS)  # FilterConfig names an unknown variant
+        ignored = sorted((line, key) for key, line in lines.items() if key not in ("variant", *read))
+        if ignored:
+            line, key = ignored[0]
+            raise ExperimentSpecError(
+                f"{key} is not read by variant {fields['variant']!r}, which reads {', '.join(read)}", pstr, line
+            )
         filters.append((name, _filter_config(fields, pstr, lines)))
 
     return ExperimentSpec(
@@ -326,17 +342,11 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
 
 
 def _run_filters(spec: ExperimentSpec) -> dict[str, list]:
-    """Every filter's records, one per seed: the filters run in batches of
-    one kind, on datasets simulated once."""
+    """Every filter's records, one per seed, from one batch on datasets
+    simulated once."""
     data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
-    kinds: dict[tuple, list[tuple[str, FilterConfig]]] = {}
-    for name, cfg in spec.filters:
-        kinds.setdefault(analysis.batch_kind(cfg), []).append((name, cfg))
-    runs = {}
-    for group in kinds.values():
-        batch = analysis.run_batch([cfg for _, cfg in group], data.X, data.outputs, data.omega)
-        runs.update((name, records) for (name, _), records in zip(group, batch))
-    return runs
+    batch = analysis.run_batch([cfg for _, cfg in spec.filters], data.X, data.outputs, data.omega)
+    return {name: records for (name, _), records in zip(spec.filters, batch)}
 
 
 def cmd_simulate(args) -> int:
@@ -401,6 +411,8 @@ def cmd_sweep(args) -> int:
         raise ExperimentSpecError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
     name, cfg = spec.filters[0]
     configs = [_filter_config({**asdict(cfg), param: value}, "--grid", {}) for value in grid]
+    if param not in VARIANT_FIELDS[cfg.variant]:
+        raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
 
     # one row per grid value: (param_value label, diverged, terminal weight error, leak fraction)
     rows: list[tuple] = []
@@ -513,3 +525,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -11,10 +11,6 @@ class DimensionMismatch(HarxlabError):
     """A vector or matrix operand has the wrong length for the operation."""
 
 
-class InsufficientHistory(HarxlabError):
-    """Fewer past input samples than the plant memory requires."""
-
-
 class BadLength(HarxlabError):
     """A requested sequence length is too short to produce any data."""
 

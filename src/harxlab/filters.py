@@ -23,10 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedVariant
-from .plant import Regressor
 
 VARIANTS = ("lms", "momentum_lms", "flms_signed", "mflms_modulus")
 POWER_INTERPRETATIONS = ("elementwise_abs", "euclidean_norm")
+# The FilterConfig fields each variant's update reads; it ignores the others.
+VARIANT_FIELDS = {
+    "lms": ("eta",),
+    "momentum_lms": ("eta", "beta"),
+    "flms_signed": ("eta", "beta", "v"),
+    "mflms_modulus": ("eta", "beta", "v", "power_interpretation", "epsilon_guard"),
+}
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,7 @@ class FilterConfig:
     algebraic checks), ``beta`` the momentum weight in [0, 1), ``v`` the
     fractional order in (0, 1] (v = 1 recovers the integer-order update) and
     ``epsilon_guard`` floors |w| before the fractional power is taken.
-    ``v``, ``power_interpretation`` and ``epsilon_guard`` are ignored by the
-    non-fractional variants.
+    :data:`VARIANT_FIELDS` lists the fields each variant reads.
     """
 
     variant: str
@@ -110,21 +115,16 @@ class StepRecord:
     imag_norm: float
 
 
-def initial_state(cfg: FilterConfig, kind: str = "zeros", rng: np.random.Generator | None = None, scale: float = 0.1) -> FilterState:
-    """All-zero start (the usual LMS convention) or a small uniform draw."""
-    if kind == "zeros":
-        w = np.zeros(cfg.dim, dtype=np.complex128)
-    elif kind == "small_uniform":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        w = rng.uniform(-scale, scale, cfg.dim).astype(np.complex128)
-    else:
+def initial_state(cfg: FilterConfig, kind: str = "zeros") -> FilterState:
+    """All-zero start, the usual LMS convention."""
+    if kind != "zeros":
         raise ValueError(f"unknown init kind {kind!r}")
+    w = np.zeros(cfg.dim, dtype=np.complex128)
     return FilterState(w=w, w_prev=w.copy())
 
 
 def _psi(reg, n: int) -> np.ndarray:
-    values = reg.values if isinstance(reg, Regressor) else np.asarray(reg, dtype=np.float64)
+    values = np.asarray(reg, dtype=np.float64)
     if values.shape != (n,):
         raise DimensionMismatch(
             f"regressor length {values.shape[0] if values.ndim == 1 else values.shape} != filter dim {n}"

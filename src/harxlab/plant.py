@@ -13,58 +13,33 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, InsufficientHistory, ScenarioError
+from .errors import BadLength, ScenarioError
 
-INPUT_KINDS = ("white_gaussian", "uniform", "custom")
-
-
-def _cell(x: float) -> str:
-    return format(float(x), ".17g")
+INPUT_KINDS = ("white_gaussian", "uniform")
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered family of scalar maps applied to delayed input samples."""
+    """The monomial basis r, r**2, ..., r**l applied to delayed input samples."""
 
-    functions: tuple[Callable[[float], float], ...]
-    kind: str = "custom"
+    l: int
 
     def __post_init__(self):
-        if len(self.functions) < 1:
-            raise ValueError("a basis needs at least one function")
-        if self.kind not in ("polynomial", "custom"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-
-    @property
-    def l(self) -> int:
-        return len(self.functions)
-
-    def evaluate(self, r: float) -> np.ndarray:
-        """Evaluate every basis function at one sample; returns length l."""
-        if self.kind == "polynomial":
-            return np.power(float(r), np.arange(1, self.l + 1, dtype=np.float64))
-        return np.array([float(f(r)) for f in self.functions])
+        if self.l < 1:
+            raise ValueError(f"l must be >= 1 (polynomial basis order), got {self.l}")
 
     def evaluate_many(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the basis on a sample vector; returns shape (len(r), l)."""
         r = np.asarray(r, dtype=np.float64)
-        if self.kind == "polynomial":
-            return np.power(r[:, None], np.arange(1, self.l + 1, dtype=np.float64)[None, :])
-        return np.column_stack([[float(f(x)) for x in r] for f in self.functions])
+        return np.power(r[:, None], np.arange(1, self.l + 1, dtype=np.float64)[None, :])
 
 
 def polynomial_basis(l: int) -> BasisSet:
     """Monomial basis r, r**2, ..., r**l."""
-    if l < 1:
-        raise ValueError(f"l must be >= 1 (polynomial basis order), got {l}")
-    return BasisSet(
-        functions=tuple((lambda r, k=k: r**k) for k in range(1, l + 1)),
-        kind="polynomial",
-    )
+    return BasisSet(l)
 
 
 @dataclass(frozen=True)
@@ -110,18 +85,6 @@ class HarxPlant:
 
 
 @dataclass(frozen=True)
-class Regressor:
-    """Stacked nonlinear regressor at one time step.
-
-    Layout: blocks i = 1..m, block i = [f_1(r(t-i)), ..., f_l(r(t-i))], so
-    element (i-1)*l + (k-1) is f_k(r(t-i)).
-    """
-
-    values: np.ndarray
-    time_index: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Aligned identification data from one simulated run.
 
@@ -148,71 +111,25 @@ def true_weight_vector(plant: HarxPlant) -> np.ndarray:
     return np.kron(plant.q, plant.c)
 
 
-def build_regressor(history: Sequence[float], t: int, basis: BasisSet, m: int) -> Regressor:
-    """Stack basis evaluations of r(t-1), ..., r(t-m) taken from ``history``.
-
-    ``history[j]`` is the input sample r(j), so the regressor at time ``t``
-    needs ``m <= t <= len(history)``.
-    """
-    history = np.asarray(history, dtype=np.float64)
-    if t < m or t > len(history):
-        raise InsufficientHistory(
-            f"regressor at t={t} needs samples r(t-1)..r(t-{m}), "
-            f"but history covers r(0)..r({len(history) - 1})"
-        )
-    values = np.concatenate([basis.evaluate(history[t - i]) for i in range(1, m + 1)])
-    values.setflags(write=False)
-    return Regressor(values=values, time_index=t)
-
-
-def plant_output(plant: HarxPlant, reg: Regressor | np.ndarray, rng: np.random.Generator | None = None) -> float:
-    """Plant response to one regressor: reg . w_true + N(0, noise_std**2).
-
-    With ``noise_std == 0`` the return is exact and ``rng`` is never touched.
-    """
-    values = reg.values if isinstance(reg, Regressor) else np.asarray(reg, dtype=np.float64)
-    if values.shape != (plant.n,):
-        raise DimensionMismatch(
-            f"regressor length {values.shape[0] if values.ndim == 1 else values.shape} != m*l = {plant.n}"
-        )
-    clean = float(values @ true_weight_vector(plant))
-    if plant.noise_std == 0.0:
-        return clean
-    if rng is None:
-        rng = np.random.default_rng(plant.seed)
-    return clean + plant.noise_std * float(rng.standard_normal())
-
-
 def generate_sequence(
-    plant: HarxPlant,
-    input_kind: str = "white_gaussian",
-    T: int | None = None,
-    samples: Sequence[float] | None = None,
-    rng: np.random.Generator | None = None,
+    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
 ) -> Dataset:
     """Simulate a length-``T`` run and return the T - m aligned pairs.
 
     The random stream draws the T input samples first and the T - m output
     noise samples second, so a fixed seed reproduces the dataset bit for bit.
-    ``input_kind`` is ``white_gaussian`` (standard normal), ``uniform`` (on
-    [-1, 1)), or ``custom`` with explicit ``samples``.
+    ``input_kind`` is ``white_gaussian`` (standard normal) or ``uniform`` (on
+    [-1, 1)).
     """
     if input_kind not in INPUT_KINDS:
         raise ValueError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
-    if input_kind == "custom":
-        if samples is None:
-            raise ValueError("input_kind 'custom' needs explicit samples")
-        inputs = np.asarray(samples, dtype=np.float64)
-        T = len(inputs)
-    elif T is None:
-        raise ValueError("T is required unless custom samples are given")
     if T <= plant.m:
         raise BadLength(f"T must exceed the plant memory m={plant.m}; got T={T}")
     if rng is None:
         rng = np.random.default_rng(plant.seed)
     if input_kind == "white_gaussian":
         inputs = rng.standard_normal(T)
-    elif input_kind == "uniform":
+    else:
         inputs = rng.uniform(-1.0, 1.0, T)
 
     F = plant.basis.evaluate_many(inputs)
@@ -272,9 +189,7 @@ def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
 
     basis_name, basis_line = entries["basis"]
     if basis_name != "polynomial":
-        raise ScenarioError(
-            f"basis must be 'polynomial' (custom bases are code-only), got {basis_name!r}", path, basis_line
-        )
+        raise ScenarioError(f"basis must be 'polynomial', got {basis_name!r}", path, basis_line)
     l = take("l", int, "an integer")
     m = take("m", int, "an integer")
     try:
@@ -306,16 +221,3 @@ def muscle_preset() -> HarxPlant:
     text = importlib.resources.files("harxlab").joinpath("scenarios/muscle.scenario").read_text("utf-8")
     return parse_scenario(text, path="builtin:muscle")
 
-
-def dataset_to_csv(dataset: Dataset) -> str:
-    """CSV with header ``t,input,output`` (%.17g cells, LF line endings).
-
-    The first m rows predate the first regressor, so their output cell is
-    empty.
-    """
-    m = len(dataset.inputs) - len(dataset.outputs)
-    lines = ["t,input,output"]
-    for t, u in enumerate(dataset.inputs):
-        out = _cell(dataset.outputs[t - m]) if t >= m else ""
-        lines.append(f"{t},{_cell(u)},{out}")
-    return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ParseError, UnboundSymbol
 
@@ -189,42 +188,6 @@ class ElemPow(Expr):
 @dataclass(frozen=True)
 class ElemAbs(Expr):
     a: Expr
-
-
-def children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, (Sym, ScalarLit)):
-        return ()
-    if isinstance(expr, (Add, Mul, ElemMul)):
-        return (expr.a, expr.b)
-    if isinstance(expr, ElemPow):
-        return (expr.a, expr.exponent)
-    return (expr.a,)
-
-
-def with_children(expr: Expr, kids: tuple[Expr, ...]) -> Expr:
-    if isinstance(expr, (Sym, ScalarLit)):
-        return expr
-    return type(expr)(*kids)
-
-
-def iter_paths(expr: Expr) -> Iterator[tuple[tuple[int, ...], Expr]]:
-    """Yield (path, node) pairs in preorder; paths are child-index tuples."""
-    stack = [((), expr)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        kids = children(node)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i]))
-
-
-def replace_at(expr: Expr, path: tuple[int, ...], new: Expr) -> Expr:
-    """Return a copy of ``expr`` with the node at ``path`` swapped for ``new``."""
-    if not path:
-        return new
-    kids = list(children(expr))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return with_children(expr, tuple(kids))
 
 
 # ---------------------------------------------------------------------------
@@ -632,25 +595,6 @@ def check_equation(lhs: Expr, rhs: Expr, env: ShapeEnv) -> ShapeVerdict:
 
 # ---------------------------------------------------------------------------
 # Audit corpus
-#
-# The audited equations, by id:
-#   eq8_original        summand of the output expansion with the faulty
-#                       per-delay regressor block (delay-indexed stack of one
-#                       basis function, length m) against the length-l
-#                       coefficient vector; encoded with l != m since the
-#                       defect is dimension-generic
-#   eq10star_corrected  the same summand with the corrected block (all basis
-#                       functions of one delayed sample, length l)
-#   eq23                last factor of the fractional weight-error recursion:
-#                       scalar 1 plus a component-wise vector power
-#   eq24                expanded recursion term: plain product of two vectors
-#   eq25                binomial expansion of a vector power, one generic
-#                       summand on the right
-#   eq27                fully expanded recursion whose final term mixes a
-#                       vector*vector product into a sum of vectors
-#   F                   the mean-update function: its product position forces
-#                       a scalar, its addition to the correlation matrix
-#                       forces an n-by-n matrix
 
 _MUSCLE_N = 9  # muscle preset weight dimension m * l
 

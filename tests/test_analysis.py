@@ -11,7 +11,7 @@ from harxlab.analysis import (
     run_experiment,
     run_record_csv,
     stability_probe,
-    sweep_cell,
+    sweep_cells,
     wiener_solution,
 )
 from harxlab.errors import DomainError, EmptyDataset, SingularCorrelation
@@ -179,7 +179,7 @@ def test_run_record_csv_format():
 
 def test_run_record_csv_matches_per_cell_format():
     from harxlab.filters import initial_state
-    from harxlab.plant import _cell
+    from harxlab.cli import _g as _cell
 
     def per_cell(rec):  # the one-format-call-per-cell rendering the bulk pass must reproduce
         lines = ["iter,mse,weight_error,imag_norm"]
@@ -308,11 +308,11 @@ def test_stability_probe_grid_validation():
 
 def test_sweep_cell_aggregates():
     plant = linear_plant()
-    cell = sweep_cell(plant, FilterConfig(variant="lms", eta=0.05, dim=plant.n), T=400, seeds=[0, 1, 2])
+    cell = sweep_cells(plant, [FilterConfig(variant="lms", eta=0.05, dim=plant.n)], T=400, seeds=[0, 1, 2])[0]
     assert cell.diverged_fraction == 0.0
     assert np.isfinite(cell.terminal_weight_error_mean)
     assert cell.leak_fraction_mean == 0.0
     # every seed diverges far beyond the bound: the weight-error mean is NaN
-    cell = sweep_cell(plant, FilterConfig(variant="lms", eta=50.0, dim=plant.n), T=400, seeds=[0, 1])
+    cell = sweep_cells(plant, [FilterConfig(variant="lms", eta=50.0, dim=plant.n)], T=400, seeds=[0, 1])[0]
     assert cell.diverged_fraction == 1.0
     assert np.isnan(cell.terminal_weight_error_mean)

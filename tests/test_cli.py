@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,41 @@ def test_spec_parse_errors(tmp_path, capsys):
     assert "--grid: v must lie in (0, 1]" in capsys.readouterr().err
 
 
+def test_too_few_samples_for_a_full_rank_r_exit_2_names_t_line(tmp_path, capsys):
+    # builtin:muscle has m = 3 and n = 9: T = 5 leaves 2 regressor rows for a 9 x 9 R
+    muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle")
+    spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 5"))
+    for argv in (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"]):
+        assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+        assert "run.spec:3: T must be >= m + n = 12" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 12"))
+    assert cli.main(["wiener", str(spec)]) == 0
+
+
+@pytest.mark.parametrize("variant,field,value", [
+    ("lms", "beta", "0.3"),
+    ("lms", "v", "0.5"),
+    ("momentum_lms", "power_interpretation", "euclidean_norm"),
+    ("flms_signed", "epsilon_guard", "0.1"),
+])
+def test_field_the_variant_ignores_exit_2_names_line(tmp_path, capsys, variant, field, value):
+    text = SPEC + f"\n[filter extra]\nvariant = {variant}\neta = 0.05\n{field} = {value}\n"
+    line = text.splitlines().index(f"{field} = {value}") + 1
+    spec = write_spec(tmp_path, text)
+    assert cli.main(["simulate", str(spec)]) == 2
+    assert f"run.spec:{line}: {field} is not read by variant {variant!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_of_a_field_the_variant_ignores_exit_2(tmp_path, capsys):
+    spec = write_spec(tmp_path)  # the first filter is lms, which reads only eta
+    for param in ("beta", "v"):
+        assert cli.main(["sweep", str(spec), "--param", param, "--grid", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --param: variant 'lms' of filter 'lms_small' does not read {param}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_exit_2_names_line(tmp_path, capsys):
     spec = write_spec(tmp_path, SPEC.replace("seeds = 1, 2, 3", "seeds = 1, -2"))
     for command in ("simulate", "wiener"):
@@ -191,6 +229,15 @@ def test_builtin_muscle_plant_reference(tmp_path):
 
 # ---------------------------------------------------------------------------
 # audit
+
+
+def test_python_m_cli_runs_the_command():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "harxlab.cli", "audit"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert any(line.startswith("eq23 ") for line in proc.stdout.splitlines())
+    assert proc.stderr == ""
 
 
 def test_audit_exit_zero_and_table(capsys):

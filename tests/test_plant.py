@@ -3,20 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harxlab.errors import BadLength, DimensionMismatch, InsufficientHistory, ScenarioError
+from harxlab.errors import BadLength, ScenarioError
 from harxlab.plant import (
-    BasisSet,
     HarxPlant,
-    Regressor,
-    build_regressor,
-    dataset_to_csv,
     generate_sequence,
     muscle_preset,
     parse_scenario,
-    plant_output,
     polynomial_basis,
     true_weight_vector,
 )
+
+
+def build_regressor(history, t, basis, m):
+    """Oracle for one row of ``generate_sequence``'s X: the basis evaluated on
+    r(t-1), ..., r(t-m) taken from ``history`` (``history[j]`` is r(j)), one
+    block per delay, so element (i-1)*l + (k-1) is f_k(r(t-i))."""
+    history = np.asarray(history, dtype=np.float64)
+    if t < m or t > len(history):
+        raise ValueError(
+            f"regressor at t={t} needs samples r(t-1)..r(t-{m}), "
+            f"but history covers r(0)..r({len(history) - 1})"
+        )
+    powers = np.arange(1, basis.l + 1, dtype=np.float64)
+    return np.concatenate([np.power(float(history[t - i]), powers) for i in range(1, m + 1)])
 
 
 def make_plant(m, l, q, c, noise_std=0.0, seed=0):
@@ -56,23 +65,23 @@ def test_scaling_ambiguity(alpha):
 def test_build_regressor_direct_substitution():
     # r(t-1)=2, r(t-2)=3 with monomials r, r^2
     reg = build_regressor([3.0, 2.0], t=2, basis=polynomial_basis(2), m=2)
-    np.testing.assert_array_equal(reg.values, [2.0, 4.0, 3.0, 9.0])
+    np.testing.assert_array_equal(reg, [2.0, 4.0, 3.0, 9.0])
 
 
 def test_build_regressor_powers_of_one():
     reg = build_regressor([1.0], t=1, basis=polynomial_basis(3), m=1)
-    np.testing.assert_array_equal(reg.values, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(reg, [1.0, 1.0, 1.0])
 
 
 def test_build_regressor_zero_input():
     reg = build_regressor([0.0], t=1, basis=polynomial_basis(2), m=1)
-    np.testing.assert_array_equal(reg.values, [0.0, 0.0])
+    np.testing.assert_array_equal(reg, [0.0, 0.0])
 
 
 def test_build_regressor_insufficient_history():
-    with pytest.raises(InsufficientHistory):
+    with pytest.raises(ValueError, match="needs samples"):
         build_regressor([1.0, 2.0], t=1, basis=polynomial_basis(2), m=2)
-    with pytest.raises(InsufficientHistory):
+    with pytest.raises(ValueError, match="needs samples"):
         build_regressor([1.0, 2.0], t=3, basis=polynomial_basis(2), m=2)
 
 
@@ -87,43 +96,10 @@ def test_regressor_layout_roundtrip(m, l, history):
     t = len(history)
     basis = polynomial_basis(l)
     reg = build_regressor(history, t=t, basis=basis, m=m)
-    assert reg.values.shape == (m * l,)
+    assert reg.shape == (m * l,)
     for i in range(1, m + 1):
         for k in range(1, l + 1):
-            assert reg.values[(i - 1) * l + (k - 1)] == pytest.approx(history[t - i] ** k)
-
-
-# ---------------------------------------------------------------------------
-# plant_output
-
-
-def test_plant_output_dot_product():
-    plant = make_plant(2, 2, [2.0, 3.0], [1.0, -1.0])
-    reg = Regressor(values=np.array([2.0, 4.0, 3.0, 9.0]), time_index=2)
-    assert plant_output(plant, reg) == pytest.approx(-22.0)
-
-
-def test_plant_output_zero_regressor():
-    plant = make_plant(2, 2, [2.0, 3.0], [1.0, -1.0])
-    assert plant_output(plant, np.zeros(4)) == 0.0
-
-
-def test_plant_output_dimension_mismatch():
-    plant = make_plant(2, 2, [2.0, 3.0], [1.0, -1.0])
-    with pytest.raises(DimensionMismatch):
-        plant_output(plant, np.zeros(3))
-
-
-def test_plant_output_noise_tail_monte_carlo():
-    # with sigma=0.1, |eps| < 1 is a 10-sigma event: expect >= 99.99% of seeds inside
-    plant = make_plant(2, 2, [2.0, 3.0], [1.0, -1.0], noise_std=0.1)
-    reg = np.array([2.0, 4.0, 3.0, 9.0])
-    inside = 0
-    trials = 10**5
-    for seed in range(trials):
-        eps = plant_output(plant, reg, rng=np.random.default_rng(seed)) - (-22.0)
-        inside += abs(eps) < 1.0
-    assert inside / trials >= 0.9999
+            assert reg[(i - 1) * l + (k - 1)] == pytest.approx(history[t - i] ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +126,7 @@ def test_generate_sequence_alignment_and_truth():
     # row k is the regressor at time m + k
     for k in (0, 37):
         reg = build_regressor(data.inputs, t=plant.m + k, basis=plant.basis, m=plant.m)
-        np.testing.assert_array_equal(data.X[k], reg.values)
+        np.testing.assert_array_equal(data.X[k], reg)
 
 
 def test_generate_sequence_least_squares_recovery():
@@ -177,28 +153,20 @@ def test_generate_sequence_deterministic():
     b = generate_sequence(plant, T=100)
     np.testing.assert_array_equal(a.inputs, b.inputs)
     np.testing.assert_array_equal(a.outputs, b.outputs)
-    assert dataset_to_csv(a) == dataset_to_csv(b)
+    np.testing.assert_array_equal(a.X, b.X)
 
 
 def test_generate_sequence_custom_samples_and_uniform():
+    # explicit samples are not an input kind: only the two random streams are
     plant = make_plant(1, 2, [1.0], [1.0, -1.0])
-    samples = [0.1, 0.2, 0.3, 0.4]
-    data = generate_sequence(plant, input_kind="custom", samples=samples)
-    np.testing.assert_array_equal(data.inputs, samples)
+    with pytest.raises(ValueError, match="input_kind must be one of"):
+        generate_sequence(plant, input_kind="custom", T=4)
     uni = generate_sequence(plant, input_kind="uniform", T=50, rng=np.random.default_rng(1))
     assert np.all(np.abs(uni.inputs) <= 1.0)
 
 
 # ---------------------------------------------------------------------------
-# basis / scenario / csv
-
-
-def test_custom_basis_evaluate():
-    basis = BasisSet(functions=(np.tanh, lambda r: r * r), kind="custom")
-    np.testing.assert_allclose(basis.evaluate(0.5), [np.tanh(0.5), 0.25])
-    out = basis.evaluate_many(np.array([0.5, -1.0]))
-    assert out.shape == (2, 2)
-    np.testing.assert_allclose(out[1], [np.tanh(-1.0), 1.0])
+# scenario
 
 
 def test_muscle_preset_values():
@@ -225,14 +193,3 @@ def test_scenario_roundtrip_and_errors():
     with pytest.raises(ScenarioError, match="polynomial"):
         parse_scenario("m = 1\nl = 1\nbasis = fourier\nq = 1\nc = 1\n")
 
-
-def test_dataset_csv_shape():
-    plant = make_plant(2, 2, [1.0, 0.5], [1.0, 0.2], seed=4)
-    data = generate_sequence(plant, T=10)
-    lines = dataset_to_csv(data).splitlines()
-    assert lines[0] == "t,input,output"
-    assert len(lines) == 11
-    # the first m rows predate the first regressor
-    assert lines[1].endswith(",") and lines[2].endswith(",")
-    assert not lines[3].endswith(",")
-    assert all(line.count(",") == 2 for line in lines[1:])

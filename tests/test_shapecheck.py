@@ -16,11 +16,8 @@ from harxlab.shapecheck import (
     audit_corpus,
     audit_report,
     check_equation,
-    children,
     infer_shape,
-    iter_paths,
     parse_expr,
-    replace_at,
     resolve_constraints,
     to_text,
 )
@@ -255,6 +252,36 @@ _GEN_SYMBOLS = {
     "B": M(3, 5),
 }
 _GEN_ENV = ShapeEnv(bindings=_GEN_SYMBOLS)
+
+
+def children(expr):
+    if isinstance(expr, (Sym, ScalarLit)):
+        return ()
+    if isinstance(expr, (Add, Mul, ElemMul)):
+        return (expr.a, expr.b)
+    if isinstance(expr, ElemPow):
+        return (expr.a, expr.exponent)
+    return (expr.a,)
+
+
+def iter_paths(expr):
+    """Yield (path, node) pairs in preorder; paths are child-index tuples."""
+    stack = [((), expr)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
+
+
+def replace_at(expr, path, new):
+    """Return a copy of ``expr`` with the node at ``path`` swapped for ``new``."""
+    if not path:
+        return new
+    kids = list(children(expr))
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
+    return type(expr)(*kids)
 
 
 def _gen_expr(rng, shape, depth):
