@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import shapecheck
-from .errors import DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
+from .errors import DimensionMismatch, DomainError, EmptyDataset, HarxlabError, SingularCorrelation
 from .filters import FilterConfig, FilterState
 from .plant import Dataset, HarxPlant, generate_sequence
 
@@ -72,9 +72,12 @@ def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
         raise EmptyDataset("cannot estimate correlations from zero samples")
     X = dataset.X
     N = X.shape[0]
-    R = X.T @ X / N
-    R = 0.5 * (R + R.T)  # exact symmetry despite BLAS rounding
-    p = X.T @ np.asarray(dataset.outputs, dtype=np.float64) / N
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        R = X.T @ X / N
+        R = 0.5 * (R + R.T)  # exact symmetry despite BLAS rounding
+        p = X.T @ np.asarray(dataset.outputs, dtype=np.float64) / N
+    if not (np.isfinite(R).all() and np.isfinite(p).all()):
+        raise HarxlabError("R or p is not finite: the data overflow float64")
     eig = np.linalg.eigvalsh(R)[::-1]
     return CorrelationEstimate(R=R, p=p, eigenvalues=eig, sample_count=N)
 
@@ -157,29 +160,33 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     return SeedData(X=np.stack(X), outputs=np.stack(outputs), omega=np.stack(omega), lambda_max=np.array(lam))
 
 
-def _batch_kind(cfg: FilterConfig) -> tuple[str, str | None]:
-    """What the configs of one time loop share: the variant and, for
-    ``mflms_modulus``, the power interpretation."""
-    return cfg.variant, (cfg.power_interpretation if cfg.variant == "mflms_modulus" else None)
+def _factor_groups(cfgs) -> list[tuple[str, float, np.ndarray | None]]:
+    """Each distinct (factor kind, exponent) of ``cfgs`` with its config mask,
+    or mask ``None`` when one group holds every config.  ``lms`` and
+    ``momentum_lms`` configs take no factor and belong to no group."""
+    keys = [
+        ("signed" if cfg.variant == "flms_signed" else cfg.power_interpretation, 1.0 - cfg.v)
+        if cfg.variant in ("flms_signed", "mflms_modulus")
+        else None
+        for cfg in cfgs
+    ]
+    groups = sorted(set(keys) - {None})
+    if len(groups) == 1 and None not in keys:
+        return [(*groups[0], None)]
+    return [(kind, e, np.array([key == (kind, e) for key in keys])) for kind, e in groups]
 
 
-def _exponent_groups(exponent: np.ndarray) -> list[tuple[float, np.ndarray | None]]:
-    values = sorted(set(exponent.tolist()))
-    if len(values) == 1:
-        return [(values[0], None)]
-    return [(e, exponent == e) for e in values]
-
-
-def _power(base: np.ndarray, groups) -> np.ndarray:
-    """``base ** exponent`` per config (axis 0), with one np.power call per
-    distinct exponent: a scalar exponent takes np.power's fast paths (sqrt
-    for 0.5), exactly as the single-step functions do."""
-    if groups[0][1] is None:
-        return np.power(base, groups[0][0])
-    out = np.empty_like(base)
-    for e, rows in groups:
-        out[rows] = np.power(base[rows], e)
-    return out
+def _factor(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
+    """The fractional factor of rows sharing one kind and exponent, computed as
+    :func:`harxlab.filters.fractional_factor` computes it: one np.power call
+    with a scalar exponent (so sqrt for 0.5), or for ``euclidean_norm`` a
+    Python float power per row, broadcast over the row's weights."""
+    if kind == "signed":
+        return np.power(re.astype(np.complex128), exponent)
+    if kind == "elementwise_abs":
+        return np.power(np.maximum(np.abs(re), guard), exponent)
+    base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[..., 0])
+    return np.reshape([b**exponent for b in base.ravel().tolist()], (*base.shape, 1))
 
 
 def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
@@ -188,28 +195,28 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     ``X`` (S, N, n), ``outputs`` (S, N) and ``omega`` (S, n) hold the seeds'
     regressor matrices, desired outputs and Wiener solutions; they are
     broadcast over the configs, never tiled.  The configs may be of any
-    variants: each kind (the variant, plus the power interpretation for
-    ``mflms_modulus``) runs its own time loop over its rows.  Row (c, s)
-    starts from zero weights and applies, element by element and in the same
-    order, the operations of the single-step functions in
-    :mod:`harxlab.filters`::
+    variants: the ``flms_signed`` rows step in one complex128 time loop, every
+    other row in one float64 time loop, so a real row's imaginary parts are
+    exactly 0.  Row (c, s) starts from zero weights and applies, element by
+    element and in the same order, the operations of the single-step
+    functions in :mod:`harxlab.filters`::
 
         w' = w + beta (w - w_prev) + eta e psi (1 + factor)
 
-    with beta = 0 for ``lms``.  Inner products and norms are one BLAS dot per
-    row (``np.vecdot``), so no row's sums depend on the other rows.
-    ``flms_signed`` rows run in complex128, every other row in float64, so
-    their imaginary parts are exactly 0.  The single-step functions hold a
-    real row's weights as the strided real part of a complex vector, where
-    this kernel holds them contiguous, so BLAS may sum a real row's
-    prediction error in another order (n >= 4): the only difference.
+    with beta = 0 for ``lms``; an ``lms`` or ``momentum_lms`` row multiplies
+    its gradient by exactly 1.0.  Inner products and norms are one BLAS dot
+    per row (``np.vecdot``), so no row's sums depend on the other rows.  The
+    single-step functions hold a real row's weights as the strided real part
+    of a complex vector, where this kernel holds them contiguous, so BLAS may
+    sum a real row's prediction error in another order (n >= 4): the only
+    difference.
 
     A row stops at its first curve entry that is non-finite or above 1e12:
     its curves end there, its final state is the state after that step, and
     it adds nothing more to ``complex_events`` or ``max_imag``.  Returns
     ``records[c][s]`` in the order of ``cfgs``.  The records' curves are
-    views into their kind's shared (C, S, N) buffers, so any record a caller
-    keeps holds all of its kind's curves alive.
+    views into their time loop's shared (C, S, N) buffers, so any record a
+    caller keeps holds all of that loop's curves alive.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -223,31 +230,26 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     for cfg in cfgs:
         if cfg.dim != n:
             raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
-    kinds: dict[tuple, list[int]] = {}
-    for c, cfg in enumerate(cfgs):
-        kinds.setdefault(_batch_kind(cfg), []).append(c)
     records: list = [None] * len(cfgs)
-    for (variant, interpretation), rows in kinds.items():
-        kind_records = _run_kind([cfgs[c] for c in rows], variant, interpretation, X, outputs, omega)
-        for c, per_seed in zip(rows, kind_records):
-            records[c] = per_seed
+    for signed in (False, True):
+        rows = [c for c, cfg in enumerate(cfgs) if (cfg.variant == "flms_signed") == signed]
+        if rows:
+            for c, per_seed in zip(rows, _run_rows([cfgs[c] for c in rows], signed, X, outputs, omega)):
+                records[c] = per_seed
     return records
 
 
-def _run_kind(cfgs, variant, interpretation, X, outputs, omega) -> list[list[RunRecord]]:
-    """The time loop of :func:`run_batch` for configs of one kind."""
+def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
+    """The time loop of :func:`run_batch`, in complex128 if ``signed`` else float64."""
     S, N, n = X.shape
-    signed = variant == "flms_signed"
     C = len(cfgs)
 
     # per-config parameters as columns over the (C, S) rows
     column = lambda values: np.array(values, dtype=np.float64)[:, None]  # noqa: E731
     eta = np.repeat(column([cfg.eta for cfg in cfgs]), S, axis=1)  # per row: zeroed when the row stops
-    beta = column([0.0 if variant == "lms" else cfg.beta for cfg in cfgs])[:, :, None]
-    exponent = column([1.0 - cfg.v for cfg in cfgs])
+    beta = column([0.0 if cfg.variant == "lms" else cfg.beta for cfg in cfgs])[:, :, None]
     guard = column([cfg.epsilon_guard for cfg in cfgs])[:, :, None]
-    groups = _exponent_groups(exponent[:, 0])
-    row_exponents = np.repeat(exponent, S, axis=1).ravel().tolist()
+    groups = _factor_groups(cfgs)
 
     W = np.zeros((C, S, n), dtype=np.complex128 if signed else np.float64)
     W_prev = W.copy()
@@ -272,15 +274,12 @@ def _run_kind(cfgs, variant, interpretation, X, outputs, omega) -> list[list[Run
             re = W.real
             err = outputs[:, t] - np.vecdot(psi, re)
             grad = (eta * err)[:, :, None] * psi
-            if signed:
-                grad = grad * (1.0 + _power(re.astype(np.complex128), groups))
-            elif interpretation == "elementwise_abs":
-                grad = grad * (1.0 + _power(np.maximum(np.abs(re), guard), groups))
-            elif interpretation == "euclidean_norm":
-                # a Python float power per row, as the single-step function takes it
-                base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[:, :, 0])
-                factor = [b**e for b, e in zip(base.ravel().tolist(), row_exponents)]
-                grad = grad * (1.0 + np.reshape(factor, (C, S, 1)))
+            if groups:
+                scale = np.ones_like(W)
+                for kind, e, rows in groups:
+                    at = slice(None) if rows is None else rows  # a view, not a copy, for the whole batch
+                    scale[at] += _factor(kind, re[at], guard[at], e)
+                grad = grad * scale
             W_new = W + beta * (W - W_prev) + grad
             W_prev, W = W, W_new
 

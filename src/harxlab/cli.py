@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 spec/parameter validation failure, 3 divergence
 when --fail-on-diverge is set, 4 audit regression.  All artifacts are pure
 functions of the spec file: UTF-8, LF line endings, %.17g float cells in
 CSVs, sorted keys in JSON.  Artifacts are staged and moved into the output
-directory only after the whole batch succeeded.
+directory only after the whole batch succeeded; ``simulate`` then removes
+the earlier files of its own family that this run did not write.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ SWEEP_PARAMS = ("eta", "beta", "v")
 _SWEEP_COLUMNS = ("param_value", "diverged_fraction", "terminal_weight_error_mean", "leak_fraction_mean")
 _FILTER_KEYS = ("variant", "eta", "beta", "v", "power_interpretation", "epsilon_guard")
 _TEXT_KEYS = ("variant", "power_interpretation")
+_NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
+# what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
+_SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
 
 # Frozen at the first verified build; `harxlab audit` exits 4 on any drift.
 GOLDEN_AUDIT: tuple[tuple[str, str], ...] = (
@@ -181,6 +185,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
         text = spec_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ExperimentSpecError(str(exc), str(spec_path)) from None
+    except UnicodeDecodeError as exc:
+        raise ExperimentSpecError(f"not valid UTF-8: {exc}", str(spec_path)) from None
     pstr = str(spec_path)
 
     experiment = None
@@ -192,7 +198,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
             experiment = (lineno, items)
         elif name.startswith("filter"):
             parts = name.split(None, 1)
-            if len(parts) != 2 or not re.fullmatch(r"[A-Za-z0-9_\-]+", parts[1]):
+            if len(parts) != 2 or not re.fullmatch(_NAME, parts[1]):
                 raise ExperimentSpecError("filter section must be named like [filter NAME]", pstr, lineno)
             if any(parts[1] == existing for existing, _, _ in filter_sections):
                 raise ExperimentSpecError(f"duplicate filter name {parts[1]!r}", pstr, lineno)
@@ -287,24 +293,34 @@ def _resolve_outdir(spec: ExperimentSpec) -> Path:
     return Path(override) if override else spec.outputs
 
 
-def _write_artifacts(outdir: Path, files: dict[str, str]) -> None:
+def _write_artifacts(outdir: Path, files: dict[str, str], owned: re.Pattern | None = None) -> None:
     """Write all artifacts to a staging directory, then move them over.
 
     Nothing lands in ``outdir`` unless every artifact was produced.  Each
     call stages in its own fresh directory, so concurrent runs into one
-    ``outdir`` never remove each other's files.
+    ``outdir`` never remove each other's staged files.  Once the artifacts
+    are in place, every other file in ``outdir`` whose whole name ``owned``
+    matches is removed: an earlier run's files of the same family.  An
+    ``outdir`` that cannot be written raises ExperimentSpecError naming it.
     """
     outdir = Path(outdir)
-    outdir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", suffix=".staging", dir=outdir.parent))
     try:
-        for name in sorted(files):
-            (staging / name).write_bytes(files[name].encode("utf-8"))
-        outdir.mkdir(exist_ok=True)
-        for name in sorted(files):
-            os.replace(staging / name, outdir / name)
-    finally:
-        shutil.rmtree(staging)
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", suffix=".staging", dir=outdir.parent))
+        try:
+            for name in sorted(files):
+                (staging / name).write_bytes(files[name].encode("utf-8"))
+            outdir.mkdir(exist_ok=True)
+            for name in sorted(files):
+                os.replace(staging / name, outdir / name)
+        finally:
+            shutil.rmtree(staging)
+        if owned:
+            for path in outdir.iterdir():
+                if path.name not in files and owned.fullmatch(path.name) and path.is_file():
+                    path.unlink()
+    except OSError as exc:
+        raise ExperimentSpecError(f"cannot write artifacts: {exc}", str(outdir)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def cmd_simulate(args) -> int:
     any_diverged = any(rec.diverged for records in runs.values() for rec in records)
     files: dict[str, str] = {}
     for name, cfg in spec.filters:
-        # popped: a kind's shared curve buffers are freed once its last filter is written
+        # popped: a time loop's shared curve buffers are freed once its last filter is written
         records = list(zip(spec.seeds, runs.pop(name)))
         if spec.emit in ("curves", "both"):
             for seed, rec in records:
@@ -363,7 +379,7 @@ def cmd_simulate(args) -> int:
         if spec.emit in ("summary", "both"):
             files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, records))
     outdir = _resolve_outdir(spec)
-    _write_artifacts(outdir, files)
+    _write_artifacts(outdir, files, owned=_SIMULATE_FILES)
     print(f"wrote {len(files)} artifact(s) to {outdir}")
     if any_diverged and args.fail_on_diverge:
         print("at least one run diverged", file=sys.stderr)

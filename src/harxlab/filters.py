@@ -115,10 +115,8 @@ class StepRecord:
     imag_norm: float
 
 
-def initial_state(cfg: FilterConfig, kind: str = "zeros") -> FilterState:
+def initial_state(cfg: FilterConfig) -> FilterState:
     """All-zero start, the usual LMS convention."""
-    if kind != "zeros":
-        raise ValueError(f"unknown init kind {kind!r}")
     w = np.zeros(cfg.dim, dtype=np.complex128)
     return FilterState(w=w, w_prev=w.copy())
 

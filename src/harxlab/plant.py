@@ -75,6 +75,9 @@ class HarxPlant:
         for name, arr in (("q", q), ("c", c)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.kron(q, c)).all():
+                raise ValueError("q times c overflows: every product q_i * c_k must be a finite float64")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
@@ -208,8 +211,12 @@ def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
 
 def load_scenario(path) -> HarxPlant:
     """Read and parse a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), path=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"not valid UTF-8: {exc}", str(path)) from None
+    return parse_scenario(text, path=str(path))
 
 
 def muscle_preset() -> HarxPlant:

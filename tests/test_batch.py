@@ -1,5 +1,7 @@
 """The batched update kernel against the single-step oracle in harxlab.filters."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from harxlab.analysis import (
     DIVERGENCE_THRESHOLD,
-    _exponent_groups,
-    _power,
+    _factor,
+    _factor_groups,
     complex_leak_report,
     run_batch,
     run_experiment,
@@ -120,6 +122,12 @@ def batches(draw):
     return [POOL[i] for i in chosen], seeds
 
 
+@functools.cache
+def batch_of_one(cfg, s):
+    """Row (cfg, seed s) run alone, computed once per pytest run."""
+    return run_batch([cfg], DATA.X[[s]], DATA.outputs[[s]], DATA.omega[[s]])[0][0]
+
+
 @given(batches())
 # every kind in one call, twice, interleaved: the records must come back in input order
 @example(([configs(*kind)[k % 3] for k, kind in enumerate(KINDS + KINDS[::-1])], [3, 0]))
@@ -130,9 +138,11 @@ def test_batch_composition_invariance(batch_spec):
     batch = run_batch(cfgs, X, d, omega)
     for c, cfg in enumerate(cfgs):
         for j, s in enumerate(seeds):
-            alone = run_batch([cfg], DATA.X[[s]], DATA.outputs[[s]], DATA.omega[[s]])[0][0]
+            alone = batch_of_one(cfg, s)
             inside = batch[c][j]
-            assert run_record_csv(inside) == run_record_csv(alone)
+            # a bool, not the assert's own ==: pytest would diff two long CSVs for every shrink step
+            same_csv = run_record_csv(inside) == run_record_csv(alone)
+            assert same_csv, f"row ({c}, seed {s}): CSV differs from the row run alone"
             assert run_summary(inside) == run_summary(alone)
             np.testing.assert_array_equal(inside.final_state.w, alone.final_state.w)
             np.testing.assert_array_equal(inside.final_state.w_prev, alone.final_state.w_prev)
@@ -175,10 +185,14 @@ def test_power_takes_each_rows_exponent_as_a_scalar():
     # array skips; every row must get what the single-step function computes
     base = np.abs(np.random.default_rng(3).standard_normal((3, 4, 9)))
     exponent = np.array([0.5, 0.25, 0.5])
-    got = _power(base, _exponent_groups(exponent))
+    cfgs = [FilterConfig(variant="mflms_modulus", eta=0.01, dim=9, v=1.0 - e) for e in exponent]
+    got = np.empty_like(base)
+    for kind, e, rows in _factor_groups(cfgs):
+        got[rows] = _factor(kind, base[rows], np.zeros((len(base[rows]), 1, 1)), e)
     for c, e in enumerate(exponent):
         np.testing.assert_array_equal(got[c], np.power(base[c], float(e)))
     assert np.any(np.power(base, 0.5) != np.power(base, np.full((3, 1, 1), 0.5)))  # the fast path exists
+    assert _factor_groups(cfgs[::2]) == [("elementwise_abs", 0.5, None)]  # one group: no mask
 
 
 def test_run_batch_rejects_bad_shapes():

@@ -182,6 +182,7 @@ def test_non_finite_scenario_taps_exit_2_names_line(tmp_path, capsys):
     for old, new, needle in (
         ("q = 0.6, 0.3, 0.1", "q = nan, 0.3, 0.1", "lin.scenario:4: q must be finite"),
         ("c = 1.0", "c = inf", "lin.scenario:5: c must be finite"),
+        ("q = 0.6, 0.3, 0.1\nc = 1.0", "q = 1e300, 0.3, 0.1\nc = 1e300", "lin.scenario:4: q times c overflows"),
     ):
         spec = write_spec(tmp_path, scenario_text=SCENARIO.replace(old, new))
         assert cli.main(["simulate", str(spec)]) == 2
@@ -217,6 +218,58 @@ def test_staging_never_removes_another_runs_files(tmp_path):
     assert (foreign / "lms_small_seed1.csv").read_text() == "another run's file"
     assert sorted(p.name for p in tmp_path.iterdir()) == [".out.staging", "lin.scenario", "out", "run.spec"]
     assert len(list((tmp_path / "out").iterdir())) == 8
+
+
+def test_simulate_removes_its_own_stale_files(tmp_path):
+    spec = write_spec(tmp_path)
+    assert cli.main(["simulate", str(spec)]) == 0
+    renamed = SPEC.replace("[filter lms_small]", "[filter lms_big]").replace("emit = both", "emit = curves")
+    assert cli.main(["simulate", str(write_spec(tmp_path, renamed))]) == 0
+    expected = [f"{name}_seed{seed}.csv" for name in ("lms_big", "mom") for seed in (1, 2, 3)]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(expected)
+
+
+def test_simulate_keeps_files_outside_its_family(tmp_path):
+    spec = write_spec(tmp_path)
+    assert cli.main(["sweep", str(spec), "--param", "eta", "--grid", "0.01,0.02"]) == 0
+    outdir = tmp_path / "out"
+    (outdir / "notes.txt").write_text("mine")
+    (outdir / "gone_seed9.csv").write_text("an earlier run's curve")
+    assert cli.main(["simulate", str(spec)]) == 0
+    names = {p.name for p in outdir.iterdir()}
+    assert {"sweep_eta.csv", "sweep_eta.json", "notes.txt"} <= names and "gone_seed9.csv" not in names
+    assert len(names) == 3 + 8 and (outdir / "notes.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("broken", ["run.spec", "lin.scenario"])
+def test_file_that_is_not_utf8_exit_2_names_it(tmp_path, capsys, broken):
+    spec = write_spec(tmp_path)
+    (tmp_path / broken).write_bytes(b"# caf\xe9\n" + (tmp_path / broken).read_bytes())
+    assert cli.main(["simulate", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert f"{broken}: not valid UTF-8" in err and "Traceback" not in err
+
+
+# "out" is a regular file, or "notes.txt" is where a parent directory must be (no permission bits involved)
+@pytest.mark.parametrize("outputs", ["out", "notes.txt/out"])
+def test_outputs_that_cannot_be_written_exit_2_names_it(tmp_path, capsys, outputs):
+    spec = write_spec(tmp_path, SPEC.replace("outputs = out", f"outputs = {outputs}"))
+    blocker = tmp_path / outputs.split("/")[0]
+    blocker.write_text("mine")
+    for argv in (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"]):
+        assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+        assert f"error: {tmp_path / outputs}: cannot write artifacts" in capsys.readouterr().err
+    assert blocker.read_text() == "mine"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["lin.scenario", "run.spec", blocker.name])
+
+
+def test_overflowing_correlations_never_exit_0(tmp_path, capsys):
+    # q_1 * c = 1e307 is finite, but p, a mean of ~1e307 * r(t-1)**2 over 297 rows, overflows float64
+    spec = write_spec(tmp_path, scenario_text=SCENARIO.replace("q = 0.6, 0.3, 0.1", "q = 1e307, 0.3, 0.1"))
+    for argv in (["wiener"], ["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"]):
+        assert cli.main([argv[0], str(spec), *argv[1:]]) == 1
+        assert "R or p is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_builtin_muscle_plant_reference(tmp_path):

@@ -360,8 +360,6 @@ def test_initial_state_kinds():
     z = initial_state(cfg)
     np.testing.assert_array_equal(z.w, np.zeros(3))
     np.testing.assert_array_equal(z.w_prev, np.zeros(3))
-    with pytest.raises(ValueError):
-        initial_state(cfg, kind="bogus")
 
 
 def test_config_validation():
