@@ -28,6 +28,8 @@ LEAK_EPS = 1e-15
 _SYMMETRY_RTOL = 1e-12
 _PSD_RTOL = 1e-10
 _SINGULAR_RTOL = 1e-12
+# the size of the weight history of one time block of run_batch
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -211,12 +213,17 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     sum a real row's prediction error in another order (n >= 4): the only
     difference.
 
-    A row stops at its first curve entry that is non-finite or above 1e12:
-    its curves end there, its final state is the state after that step, and
-    it adds nothing more to ``complex_events`` or ``max_imag``.  Returns
-    ``records[c][s]`` in the order of ``cfgs``.  The records' curves are
-    views into their time loop's shared (C, S, N) buffers, so any record a
-    caller keeps holds all of that loop's curves alive.
+    Time runs in blocks of B steps, B sized so that a block's weight history
+    takes about 256 KB.  Within a block every live row steps the recurrence
+    alone; the curves and the stop check are computed once per block from
+    the block's history.  A row stops at its first curve entry that is
+    non-finite or above 1e12: its curves end there, its final state is the
+    state after that step, it adds nothing more to ``complex_events`` or
+    ``max_imag``, and it leaves the batch at the end of the block, so a
+    stopped row costs at most B - 1 extra steps.  Returns ``records[c][s]``
+    in the order of ``cfgs``.  The records' curves are views into their time
+    loop's shared (C S, N) buffers, so any record a caller keeps holds all of
+    that loop's curves alive.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -240,76 +247,116 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
 
 
 def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
-    """The time loop of :func:`run_batch`, in complex128 if ``signed`` else float64."""
+    """The time loop of :func:`run_batch`, in complex128 if ``signed`` else float64.
+
+    The (config, seed) rows are flattened, ordered by factor group so that a
+    group's live rows are one slice, and each carries its seed index.  They
+    step B steps at a time, B fixed so that the first block's weight history
+    takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs:
+    each step writes the weights of the L live rows into a (B + 2, L, n)
+    history and their errors into a (B, L) buffer.  After the block the
+    curves, ``complex_events`` and ``max_imag`` are computed from the history
+    in bulk, each row's first non-finite or > 1e12 curve entry is found, and
+    a row that stopped takes its final state from the history and leaves the
+    batch.  A stopped row thus runs on for at most B - 1 steps whose results
+    nothing reads; every sum is per row, so they touch no other row.
+    """
     S, N, n = X.shape
     C = len(cfgs)
+    R = C * S
+    dtype = np.complex128 if signed else np.float64
 
-    # per-config parameters as columns over the (C, S) rows
-    column = lambda values: np.array(values, dtype=np.float64)[:, None]  # noqa: E731
-    eta = np.repeat(column([cfg.eta for cfg in cfgs]), S, axis=1)  # per row: zeroed when the row stops
-    beta = column([0.0 if cfg.variant == "lms" else cfg.beta for cfg in cfgs])[:, :, None]
-    guard = column([cfg.epsilon_guard for cfg in cfgs])[:, :, None]
+    # rows ordered by factor group, so each group's live rows are one slice
     groups = _factor_groups(cfgs)
+    group_of = np.full(C, len(groups))  # past the last group: no factor
+    for g, (_, _, mask) in enumerate(groups):
+        group_of[slice(None) if mask is None else mask] = g
+    order = np.argsort(group_of, kind="stable")
+    cfg_of, seed_of = np.repeat(order, S), np.tile(np.arange(S), C)
+    group_of = group_of[cfg_of]
+    row_of = np.empty(C, dtype=np.int64)
+    row_of[order] = np.arange(0, R, S)  # config c's seeds are rows row_of[c] + s
 
-    W = np.zeros((C, S, n), dtype=np.complex128 if signed else np.float64)
-    W_prev = W.copy()
-    events = np.zeros((C, S), dtype=np.int64)
-    peak_imag = np.zeros((C, S))
-    cap = np.full((C, S), np.inf)  # 0 for stopped rows, so their entries never count again
+    # per-config parameters, one entry per row
+    column = lambda values: np.array(values, dtype=np.float64)[cfg_of]  # noqa: E731
+    eta = column([cfg.eta for cfg in cfgs])
+    beta = column([0.0 if cfg.variant == "lms" else cfg.beta for cfg in cfgs])[:, None]
+    guard = column([cfg.epsilon_guard for cfg in cfgs])[:, None]
+    B = max(1, _BLOCK_BYTES // (R * n * np.dtype(dtype).itemsize))
 
-    mse = np.empty((C, S, N))
-    werr = np.empty((C, S, N))
-    imag = np.empty((C, S, N)) if signed else np.zeros(N)  # real rows share one all-zero curve
-    iterations = np.full((C, S), N)
-    diverged = np.zeros((C, S), dtype=bool)
-    final_w = np.empty_like(W)
-    final_w_prev = np.empty_like(W)
-    final_events = np.zeros((C, S), dtype=np.int64)
-    final_peak = np.zeros((C, S))
+    mse = np.empty((R, N))
+    werr = np.empty((R, N))
+    imag = np.empty((R, N)) if signed else np.zeros(N)  # real rows share one all-zero curve
+    iterations = np.zeros(R, dtype=np.int64)
+    diverged = np.zeros(R, dtype=bool)
+    final_w = np.zeros((R, n), dtype=dtype)
+    final_w_prev = np.zeros((R, n), dtype=dtype)
+    events = np.zeros(R, dtype=np.int64)
+    peak_imag = np.zeros(R)
 
-    running = C * S
+    live = np.arange(R)
+    start = np.zeros((2, R, n), dtype=dtype)  # the live rows' w_prev and w
+    X_by_time, outputs_by_time = X.transpose(1, 0, 2), outputs.T
+    t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(N):
-            psi = X[:, t]
-            re = W.real
-            err = outputs[:, t] - np.vecdot(psi, re)
-            grad = (eta * err)[:, :, None] * psi
-            if groups:
-                scale = np.ones_like(W)
-                for kind, e, rows in groups:
-                    at = slice(None) if rows is None else rows  # a view, not a copy, for the whole batch
-                    scale[at] += _factor(kind, re[at], guard[at], e)
-                grad = grad * scale
-            W_new = W + beta * (W - W_prev) + grad
-            W_prev, W = W, W_new
+        while live.size and t0 < N:
+            b, L = min(B, N - t0), live.size
+            seeds, span = seed_of[live], slice(t0, t0 + b)
+            Xb = np.take(X_by_time[span], seeds, axis=1)  # (b, L, n): each psi a contiguous (L, n)
+            db = np.take(outputs_by_time[span], seeds, axis=1)
+            eta_b, beta_b, guard_b = eta[live], beta[live], guard[live]
+            bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
+            block_groups = [
+                (kind, e, slice(lo, hi), guard_b[lo:hi])
+                for (kind, e, _), lo, hi in zip(groups, bounds, bounds[1:])
+                if lo < hi
+            ]
 
-            diff = W.real - omega
-            m_t = np.multiply(err, err, out=mse[:, :, t])
-            e_t = np.sqrt(np.vecdot(diff, diff), out=werr[:, :, t])
-            worst = np.maximum(m_t, e_t)  # NaN propagates
+            H = np.empty((b + 2, L, n), dtype=dtype)
+            H[:2] = start
+            E = np.empty((b, L))
+            W_prev, W = H[0], H[1]
+            for j in range(b):
+                psi = Xb[j]
+                re = W.real
+                err = np.subtract(db[j], np.vecdot(psi, re), out=E[j])
+                grad = (eta_b * err)[:, None] * psi
+                if block_groups:
+                    scale = np.ones_like(W)
+                    for kind, e, at, g in block_groups:
+                        scale[at] += _factor(kind, re[at], g, e)
+                    grad = grad * scale
+                W_prev, W = W, np.add(W + beta_b * (W - W_prev), grad, out=H[j + 2])
+
+            # the block's diagnostics, from its history; Xb's buffer holds the temporaries
+            m_b = np.multiply(E, E)
+            diff = np.subtract(H[2:].real, omega[seeds], out=Xb)
+            e_b = np.sqrt(np.vecdot(diff, diff))
+            worst = np.maximum(m_b, e_b)  # NaN propagates
             if signed:
-                im = np.ascontiguousarray(W.imag)  # the norm of a contiguous copy, as np.linalg.norm takes it
-                i_t = np.sqrt(np.vecdot(im, im), out=imag[:, :, t])
-                step_peak = np.maximum.reduce(np.abs(im), axis=-1)
-                events += step_peak > 0.0
-                np.fmax(peak_imag, step_peak, out=peak_imag)
-                worst = np.maximum(worst, i_t)
-            worst = np.fmin(worst, cap)  # NaN becomes inf on running rows, anything 0 on stopped ones
-            if worst.max() <= DIVERGENCE_THRESHOLD:
-                continue
-            stop = worst > DIVERGENCE_THRESHOLD
-            iterations[stop] = t + 1
-            diverged[stop] = True
-            final_w[stop], final_w_prev[stop] = W[stop], W_prev[stop]
-            final_events[stop], final_peak[stop] = events[stop], peak_imag[stop]
-            # park the row at zero weights and step size: it stays finite and never counts again
-            W[stop], W_prev[stop], eta[stop], cap[stop] = 0.0, 0.0, 0.0, 0.0
-            running -= int(stop.sum())
-            if running == 0:
-                break
-    live = ~diverged
-    final_w[live], final_w_prev[live] = W[live], W_prev[live]
-    final_events[live], final_peak[live] = events[live], peak_imag[live]
+                im = Xb
+                im[...] = H[2:].imag  # the norm of a contiguous copy, as np.linalg.norm takes it
+                i_b = np.sqrt(np.vecdot(im, im))
+                worst = np.maximum(worst, i_b)
+            bad = ~(worst <= DIVERGENCE_THRESHOLD)
+            stopped = bad.any(axis=0)
+            last = np.where(stopped, bad.argmax(axis=0), b - 1)  # each row's last step that counts
+            mse[live, span] = m_b.T
+            werr[live, span] = e_b.T
+            if signed:
+                imag[live, span] = i_b.T
+                counts = np.arange(b)[:, None] <= last
+                step_peak = np.where(counts, np.maximum.reduce(np.abs(im, out=im), axis=-1), 0.0)
+                events[live] += np.count_nonzero(step_peak > 0.0, axis=0)
+                peak_imag[live] = np.fmax(peak_imag[live], np.fmax.reduce(step_peak, axis=0))
+            rows = np.arange(L)
+            iterations[live] = t0 + last + 1
+            diverged[live] = stopped
+            final_w[live], final_w_prev[live] = H[last + 2, rows], H[last + 1, rows]
+
+            keep = ~stopped
+            start, live = H[b:, keep], live[keep]
+            t0 += b
 
     for arr in (mse, werr, imag):
         arr.setflags(write=False)
@@ -317,20 +364,21 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     for c in range(C):
         per_seed = []
         for s in range(S):
-            k = int(iterations[c, s])
+            r = row_of[c] + s
+            k = int(iterations[r])
             state = FilterState(
-                w=final_w[c, s],
-                w_prev=final_w_prev[c, s],
+                w=final_w[r],
+                w_prev=final_w_prev[r],
                 iteration=k,
-                complex_events=int(final_events[c, s]),
-                max_imag=float(final_peak[c, s]),
+                complex_events=int(events[r]),
+                max_imag=float(peak_imag[r]),
             )
             per_seed.append(
                 RunRecord(
-                    mse_curve=mse[c, s, :k],
-                    weight_error_curve=werr[c, s, :k],
-                    imag_curve=imag[c, s, :k] if signed else imag[:k],
-                    diverged=bool(diverged[c, s]),
+                    mse_curve=mse[r, :k],
+                    weight_error_curve=werr[r, :k],
+                    imag_curve=imag[r, :k] if signed else imag[:k],
+                    diverged=bool(diverged[r]),
                     final_state=state,
                     omega_opt=omega[s].copy(),
                 )

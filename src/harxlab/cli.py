@@ -323,6 +323,24 @@ def _write_artifacts(outdir: Path, files: dict[str, str], owned: re.Pattern | No
         raise ExperimentSpecError(f"cannot write artifacts: {exc}", str(outdir)) from None
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to an ``--out`` path all or nothing: into a fresh file in
+    the same directory, then moved over with os.replace.  A path that cannot
+    be written raises ExperimentSpecError naming it."""
+    target = Path(path)
+    if not target.name:  # "/" or "."
+        raise ExperimentSpecError("--out: cannot write: not a file name", path)
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            tmp.write_bytes(text.encode("utf-8"))
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ExperimentSpecError(f"--out: cannot write: {exc}", path) from None
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -402,7 +420,7 @@ def cmd_audit(args) -> int:
         for eq_id, described in got:
             print(f"{eq_id:<{width}}  {described}")
     if args.out:
-        Path(args.out).write_text(_dumps(shapecheck.audit_report()), encoding="utf-8")
+        _write_out(args.out, _dumps(shapecheck.audit_report()))
     expected = list(GOLDEN_AUDIT)
     if got != expected:
         print("audit regression against the golden verdict table:", file=sys.stderr)
@@ -488,7 +506,7 @@ def cmd_wiener(args) -> int:
     text = _dumps(doc)
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     return 0
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harxlab import analysis
 from harxlab.analysis import (
     DIVERGENCE_THRESHOLD,
     _factor,
@@ -169,6 +170,28 @@ def test_diverged_row_freezes_at_its_stopping_step(variant, interp):
         assert rec.final_state.complex_events == state.complex_events
         # the steady row beside it runs to the end
         assert not records[0][s].diverged and len(records[0][s].mse_curve) == T - PLANT.m
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["float64", "complex128"])
+def test_block_boundaries_change_nothing(monkeypatch, signed):
+    # every pool config of one time loop, under blocks of 1, 3 and 4 steps and of the whole run
+    cfgs = [cfg for cfg in POOL if (cfg.variant == "flms_signed") == signed]
+    default = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+    stops = [rec.final_state.iteration - 1 for records in default for rec in records if rec.diverged]
+    step_bytes = len(cfgs) * len(SEEDS) * PLANT.n * (16 if signed else 8)  # one step of every row
+    for steps in (1, 3, 4, T):
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", steps * step_bytes)
+        if 1 < steps < T:  # some row stops on the first step of a block, and some row on the last
+            assert any(t % steps == 0 for t in stops) and any(t % steps == steps - 1 for t in stops)
+        for records, expected in zip(run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega), default):
+            for rec, want in zip(records, expected):
+                same_csv = run_record_csv(rec) == run_record_csv(want)
+                assert same_csv, f"{steps}-step blocks: CSV differs"
+                assert run_summary(rec) == run_summary(want)
+                np.testing.assert_array_equal(rec.final_state.w, want.final_state.w)
+                np.testing.assert_array_equal(rec.final_state.w_prev, want.final_state.w_prev)
+                for field in ("iteration", "complex_events", "max_imag"):
+                    assert getattr(rec.final_state, field) == getattr(want.final_state, field)
 
 
 @pytest.mark.parametrize("variant,interp", [k for k in KINDS if k[0] != "flms_signed"])
