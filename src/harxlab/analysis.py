@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import shapecheck
-from .errors import DimensionMismatch, DomainError, EmptyDataset, HarxlabError, SingularCorrelation
+from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from .filters import FilterConfig, FilterState
 from .plant import Dataset, HarxPlant, generate_sequence
 
@@ -79,7 +79,7 @@ def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
         R = 0.5 * (R + R.T)  # exact symmetry despite BLAS rounding
         p = X.T @ np.asarray(dataset.outputs, dtype=np.float64) / N
     if not (np.isfinite(R).all() and np.isfinite(p).all()):
-        raise HarxlabError("R or p is not finite: the data overflow float64")
+        raise DataOverflow("R or p is not finite: the data overflow float64")
     eig = np.linalg.eigvalsh(R)[::-1]
     return CorrelationEstimate(R=R, p=p, eigenvalues=eig, sample_count=N)
 
@@ -162,10 +162,10 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     return SeedData(X=np.stack(X), outputs=np.stack(outputs), omega=np.stack(omega), lambda_max=np.array(lam))
 
 
-def _factor_groups(cfgs) -> list[tuple[str, float, np.ndarray | None]]:
-    """Each distinct (factor kind, exponent) of ``cfgs`` with its config mask,
-    or mask ``None`` when one group holds every config.  ``lms`` and
-    ``momentum_lms`` configs take no factor and belong to no group."""
+def _factor_groups(cfgs) -> tuple[list[tuple[str, float]], np.ndarray]:
+    """The distinct (factor kind, exponent) pairs of ``cfgs``, sorted, and each
+    config's index into them.  ``lms`` and ``momentum_lms`` configs take no
+    factor: their index is one past the last group."""
     keys = [
         ("signed" if cfg.variant == "flms_signed" else cfg.power_interpretation, 1.0 - cfg.v)
         if cfg.variant in ("flms_signed", "mflms_modulus")
@@ -173,9 +173,7 @@ def _factor_groups(cfgs) -> list[tuple[str, float, np.ndarray | None]]:
         for cfg in cfgs
     ]
     groups = sorted(set(keys) - {None})
-    if len(groups) == 1 and None not in keys:
-        return [(*groups[0], None)]
-    return [(kind, e, np.array([key == (kind, e) for key in keys])) for kind, e in groups]
+    return groups, np.array([len(groups) if key is None else groups.index(key) for key in keys], dtype=np.int64)
 
 
 def _factor(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
@@ -218,12 +216,12 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     alone; the curves and the stop check are computed once per block from
     the block's history.  A row stops at its first curve entry that is
     non-finite or above 1e12: its curves end there, its final state is the
-    state after that step, it adds nothing more to ``complex_events`` or
-    ``max_imag``, and it leaves the batch at the end of the block, so a
-    stopped row costs at most B - 1 extra steps.  Returns ``records[c][s]``
-    in the order of ``cfgs``.  The records' curves are views into their time
-    loop's shared (C S, N) buffers, so any record a caller keeps holds all of
-    that loop's curves alive.
+    state after that step, it adds nothing more to ``complex_events``, and
+    it leaves the batch at the end of the block, so a stopped row costs at
+    most B - 1 extra steps.  Returns ``records[c][s]`` in the order of
+    ``cfgs``.  The records' curves are views into their time loop's shared
+    (C S, N) buffers, so any record a caller keeps holds all of that loop's
+    curves alive.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -255,9 +253,9 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs:
     each step writes the weights of the L live rows into a (B + 2, L, n)
     history and their errors into a (B, L) buffer.  After the block the
-    curves, ``complex_events`` and ``max_imag`` are computed from the history
-    in bulk, each row's first non-finite or > 1e12 curve entry is found, and
-    a row that stopped takes its final state from the history and leaves the
+    curves and ``complex_events`` are computed from the history in bulk,
+    each row's first non-finite or > 1e12 curve entry is found, and a row
+    that stopped takes its final state from the history and leaves the
     batch.  A stopped row thus runs on for at most B - 1 steps whose results
     nothing reads; every sum is per row, so they touch no other row.
     """
@@ -267,10 +265,7 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     dtype = np.complex128 if signed else np.float64
 
     # rows ordered by factor group, so each group's live rows are one slice
-    groups = _factor_groups(cfgs)
-    group_of = np.full(C, len(groups))  # past the last group: no factor
-    for g, (_, _, mask) in enumerate(groups):
-        group_of[slice(None) if mask is None else mask] = g
+    groups, group_of = _factor_groups(cfgs)
     order = np.argsort(group_of, kind="stable")
     cfg_of, seed_of = np.repeat(order, S), np.tile(np.arange(S), C)
     group_of = group_of[cfg_of]
@@ -292,7 +287,6 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     final_w = np.zeros((R, n), dtype=dtype)
     final_w_prev = np.zeros((R, n), dtype=dtype)
     events = np.zeros(R, dtype=np.int64)
-    peak_imag = np.zeros(R)
 
     live = np.arange(R)
     start = np.zeros((2, R, n), dtype=dtype)  # the live rows' w_prev and w
@@ -308,7 +302,7 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
             bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
             block_groups = [
                 (kind, e, slice(lo, hi), guard_b[lo:hi])
-                for (kind, e, _), lo, hi in zip(groups, bounds, bounds[1:])
+                for (kind, e), lo, hi in zip(groups, bounds, bounds[1:])
                 if lo < hi
             ]
 
@@ -348,7 +342,6 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
                 counts = np.arange(b)[:, None] <= last
                 step_peak = np.where(counts, np.maximum.reduce(np.abs(im, out=im), axis=-1), 0.0)
                 events[live] += np.count_nonzero(step_peak > 0.0, axis=0)
-                peak_imag[live] = np.fmax(peak_imag[live], np.fmax.reduce(step_peak, axis=0))
             rows = np.arange(L)
             iterations[live] = t0 + last + 1
             diverged[live] = stopped
@@ -366,13 +359,7 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
         for s in range(S):
             r = row_of[c] + s
             k = int(iterations[r])
-            state = FilterState(
-                w=final_w[r],
-                w_prev=final_w_prev[r],
-                iteration=k,
-                complex_events=int(events[r]),
-                max_imag=float(peak_imag[r]),
-            )
+            state = FilterState(w=final_w[r], w_prev=final_w_prev[r], iteration=k, complex_events=int(events[r]))
             per_seed.append(
                 RunRecord(
                     mse_curve=mse[r, :k],

@@ -12,6 +12,7 @@ the earlier files of its own family that this run did not write.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, shapecheck
-from .errors import ExperimentSpecError, HarxlabError, ScenarioError
+from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError
 from .filters import VARIANT_FIELDS, FilterConfig
 from .plant import INPUT_KINDS, HarxPlant, generate_sequence, load_scenario, muscle_preset
 
@@ -38,6 +39,8 @@ _TEXT_KEYS = ("variant", "power_interpretation")
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
+# the most a spec's stacked regressors (seeds x (T - m) x n float64) may take
+MAX_REGRESSOR_BYTES = 2**30
 
 # Frozen at the first verified build; `harxlab audit` exits 4 on any drift.
 GOLDEN_AUDIT: tuple[tuple[str, str], ...] = (
@@ -101,6 +104,7 @@ class ExperimentSpec:
     path: Path
     plant: HarxPlant
     plant_ref: str
+    plant_line: int
     filters: tuple[tuple[str, FilterConfig], ...]
     T: int
     seeds: tuple[int, ...]
@@ -222,14 +226,14 @@ def load_experiment_spec(path) -> ExperimentSpec:
         except OSError as exc:
             raise ExperimentSpecError(f"plant: {exc}", pstr, plant_line) from None
 
-    value, line = _pop_value(items, "T", pstr, exp_line)
-    T = _as_int(value, "T", pstr, line)
+    value, t_line = _pop_value(items, "T", pstr, exp_line)
+    T = _as_int(value, "T", pstr, t_line)
     if T - plant.m < plant.n:
         raise ExperimentSpecError(
             f"T must be >= m + n = {plant.m + plant.n}: after the plant memory m={plant.m}, a full-rank "
             f"correlation matrix needs n={plant.n} regressor rows; got T={T}",
             pstr,
-            line,
+            t_line,
         )
 
     value, line = _pop_value(items, "seeds", pstr, exp_line)
@@ -241,6 +245,14 @@ def load_experiment_spec(path) -> ExperimentSpec:
         raise ExperimentSpecError("seeds must be distinct", pstr, line)
     if min(seeds) < 0:
         raise ExperimentSpecError(f"seeds must be >= 0, got {min(seeds)}", pstr, line)
+    size = len(seeds) * (T - plant.m) * plant.n * 8
+    if size > MAX_REGRESSOR_BYTES:
+        raise ExperimentSpecError(
+            f"T={T} is too large: the regressors of {len(seeds)} seed(s), (T - m) x n = {T - plant.m} x "
+            f"{plant.n} float64 each, would take {size} bytes, more than {MAX_REGRESSOR_BYTES}",
+            pstr,
+            t_line,
+        )
 
     value, _ = _pop_value(items, "outputs", pstr, exp_line, required=False, default="harxlab_out")
     outputs = spec_path.parent / value
@@ -275,6 +287,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
         path=spec_path,
         plant=plant,
         plant_ref=plant_ref,
+        plant_line=plant_line,
         filters=tuple(filters),
         T=T,
         seeds=seeds,
@@ -341,6 +354,15 @@ def _write_out(path: str, text: str) -> None:
         raise ExperimentSpecError(f"--out: cannot write: {exc}", path) from None
 
 
+@contextlib.contextmanager
+def _plant_data(spec: ExperimentSpec):
+    """Report data that overflow float64 as a fault of the spec's plant line."""
+    try:
+        yield
+    except DataOverflow as exc:
+        raise ExperimentSpecError(f"plant: {exc}", str(spec.path), spec.plant_line) from None
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -378,7 +400,8 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
 def _run_filters(spec: ExperimentSpec) -> dict[str, list]:
     """Every filter's records, one per seed, from one batch on datasets
     simulated once."""
-    data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
+    with _plant_data(spec):
+        data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
     batch = analysis.run_batch([cfg for _, cfg in spec.filters], data.X, data.outputs, data.omega)
     return {name: records for (name, _), records in zip(spec.filters, batch)}
 
@@ -454,7 +477,8 @@ def cmd_sweep(args) -> int:
     eta_reference = None
     if param == "eta":
         try:
-            probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
+            with _plant_data(spec):
+                probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
         except ValueError as exc:
             raise ExperimentSpecError(str(exc), "--grid") from None
         lambda_max = probe.lambda_max
@@ -464,7 +488,8 @@ def cmd_sweep(args) -> int:
         )
         rows.append(("2/lambda_max", *astuple(probe.reference)))
     else:
-        cells = analysis.sweep_cells(spec.plant, configs, spec.T, spec.seeds, spec.input_kind)
+        with _plant_data(spec):
+            cells = analysis.sweep_cells(spec.plant, configs, spec.T, spec.seeds, spec.input_kind)
         rows += [(_g(value), *astuple(cell)) for value, cell in zip(grid, cells)]
 
     lines = [",".join(_SWEEP_COLUMNS)]
@@ -495,7 +520,8 @@ def cmd_sweep(args) -> int:
 def cmd_wiener(args) -> int:
     spec = load_experiment_spec(args.spec)
     data = generate_sequence(spec.plant, input_kind=spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0]))
-    est = analysis.estimate_correlations(data)
+    with _plant_data(spec):
+        est = analysis.estimate_correlations(data)
     try:
         omega = analysis.wiener_solution(est, ridge=args.ridge)
     except ValueError as exc:

@@ -27,6 +27,10 @@ class SingularCorrelation(HarxlabError):
     """The (ridge-adjusted) correlation matrix is numerically singular."""
 
 
+class DataOverflow(HarxlabError):
+    """Simulated data overflow float64, so no estimate built from them is finite."""
+
+
 class DomainError(HarxlabError):
     """Inputs leave the real domain of the requested computation."""
 

@@ -80,16 +80,14 @@ class FilterState:
     Weights are stored complex so the signed fractional variant can
     accumulate imaginary parts; the real-only variants keep every imaginary
     component at exactly zero.  ``complex_events`` counts steps whose
-    post-update weights carry any imaginary part, ``max_imag`` is the largest
-    imaginary magnitude seen so far.  The state owns its arrays and freezes
-    them.
+    post-update weights carry any imaginary part.  The state owns its arrays
+    and freezes them.
     """
 
     w: np.ndarray
     w_prev: np.ndarray
     iteration: int = 0
     complex_events: int = 0
-    max_imag: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.complex128)
@@ -179,8 +177,8 @@ def _update(
 ) -> tuple[FilterState, StepRecord]:
     """The one update rule: w' = w + beta (w - w_prev) + eta e psi (1 + factor).
 
-    Updates ``complex_events`` and ``max_imag`` whenever the post-update
-    weights carry any imaginary part; only ``flms_signed`` may produce one.
+    Counts a ``complex_events`` step whenever the post-update weights carry
+    any imaginary part; only ``flms_signed`` may produce one.
     """
     _check_dims(state, cfg)
     psi = _psi(reg, cfg.dim)
@@ -193,7 +191,6 @@ def _update(
         w_prev=state.w,
         iteration=state.iteration + 1,
         complex_events=state.complex_events + (1 if imag_peak > 0.0 else 0),
-        max_imag=max(state.max_imag, imag_peak),
     )
     return new, StepRecord(error=err, imag_norm=float(np.linalg.norm(w_new.imag)))
 
@@ -234,8 +231,8 @@ def flms_signed_step(state: FilterState, cfg: FilterConfig, reg, desired: float)
     w' = w + beta (w - w_prev) + eta e psi (.) (1 + Re(w)^(1-v)), where (.) is
     the component-wise product and the power follows the principal complex
     branch.  Negative weight components therefore leak imaginary mass into
-    the state; ``complex_events`` and ``max_imag`` are updated whenever the
-    post-update weights carry any imaginary part.
+    the state; ``complex_events`` counts the steps whose post-update weights
+    carry any imaginary part.
     """
     _require(cfg, "flms_signed")
     return _update(state, cfg, reg, desired, beta=cfg.beta, factor=fractional_factor(state, cfg))

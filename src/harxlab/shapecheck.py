@@ -18,9 +18,9 @@ Grammar (whitespace-insensitive)::
     atom    := IDENT | NUMBER | "(" expr ")" | "|" expr "|"
 
 "-" is surface syntax only: ``a - b`` parses to
-``Add(a, Mul(ScalarLit(-1), b))`` and ``-x`` to ``Mul(ScalarLit(-1), x)``;
-the pretty-printer re-sugars both.  Division is deliberately absent from the
-grammar: no such operator exists for vectors or matrices.
+``Add(a, Mul(ScalarLit(-1), b))`` and ``-x`` to ``Mul(ScalarLit(-1), x)``.
+Division is deliberately absent from the grammar: no such operator exists for
+vectors or matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import ParseError, UnboundSymbol
 
 @dataclass(frozen=True)
 class Shape:
-    """Dimension tag: scalar, vector(n), matrix(r, c), or complexvector(n).
+    """Dimension tag: scalar, vector(n), or matrix(r, c).
 
     vector(n) is distinct from matrix(n, 1) at the surface; transposition
     views a vector as a one-row matrix, which is what lets the dyad
@@ -46,7 +46,7 @@ class Shape:
     kind: str
     dims: tuple[int, ...] = ()
 
-    _ARITY = {"scalar": 0, "vector": 1, "matrix": 2, "complexvector": 1}
+    _ARITY = {"scalar": 0, "vector": 1, "matrix": 2}
 
     def __post_init__(self):
         arity = self._ARITY.get(self.kind)
@@ -67,13 +67,9 @@ class Shape:
     def matrix(cls, rows: int, cols: int) -> "Shape":
         return cls("matrix", (int(rows), int(cols)))
 
-    @classmethod
-    def complexvector(cls, n: int) -> "Shape":
-        return cls("complexvector", (int(n),))
-
     @property
     def is_vector(self) -> bool:
-        return self.kind in ("vector", "complexvector")
+        return self.kind == "vector"
 
     def __str__(self) -> str:
         if self.kind == "scalar":
@@ -87,15 +83,11 @@ class ShapeEnv:
 
     ``bindings`` maps symbol names to known shapes.  Symbols in ``unknown``
     have no declared shape; the checker collects the shapes their positions
-    force instead.  Symbols in ``may_be_negative`` are treated as possibly
-    containing negative components, which makes their non-integer
-    component-wise powers complex; everything else is treated as sign-safe so
-    structural shape defects are not conflated with complex promotion.
+    force instead.
     """
 
     bindings: dict[str, Shape]
     unknown: frozenset[str] = frozenset()
-    may_be_negative: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -308,66 +300,6 @@ def parse_expr(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printer
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POSTFIX, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _is_neg_wrapper(e: Expr) -> bool:
-    return isinstance(e, Mul) and isinstance(e.a, ScalarLit) and e.a.value == -1.0
-
-
-def _lit_text(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
-def _atomish(e: Expr) -> bool:
-    return isinstance(e, (Sym, ElemAbs)) or (isinstance(e, ScalarLit) and e.value >= 0)
-
-
-def _fmt_operand(e: Expr) -> str:
-    """Format a postfix base or ^. exponent, which must parse as an atom."""
-    return _fmt(e, 0) if _atomish(e) else f"({_fmt(e, 0)})"
-
-
-def _fmt(e: Expr, min_prec: int) -> str:
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, ScalarLit):
-        text = _lit_text(e.value)
-        prec = _PREC_ATOM if e.value >= 0 else _PREC_UNARY
-    elif isinstance(e, Add):
-        if _is_neg_wrapper(e.b):
-            text = f"{_fmt(e.a, _PREC_ADD)} - {_fmt(e.b.b, _PREC_ADD + 1)}"
-        else:
-            text = f"{_fmt(e.a, _PREC_ADD)} + {_fmt(e.b, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(e, Mul) and _is_neg_wrapper(e):
-        text = f"-{_fmt(e.b, _PREC_UNARY)}"
-        prec = _PREC_UNARY
-    elif isinstance(e, (Mul, ElemMul)):
-        op = "*" if isinstance(e, Mul) else ".*"
-        text = f"{_fmt(e.a, _PREC_MUL)} {op} {_fmt(e.b, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
-    elif isinstance(e, Transpose):
-        text = f"{_fmt_operand(e.a)}'"
-        prec = _PREC_POSTFIX
-    elif isinstance(e, ElemPow):
-        text = f"{_fmt_operand(e.a)} ^. {_fmt_operand(e.exponent)}"
-        prec = _PREC_POSTFIX
-    elif isinstance(e, ElemAbs):
-        return f"|{_fmt(e.a, 0)}|"
-    else:  # pragma: no cover - exhaustive over node types
-        raise TypeError(f"not an expression node: {e!r}")
-    return text if prec >= min_prec else f"({text})"
-
-
-def to_text(expr: Expr) -> str:
-    """Render an AST in the surface grammar (re-sugaring unary/binary minus)."""
-    return _fmt(expr, 0)
-
-
-# ---------------------------------------------------------------------------
 # Inference
 
 
@@ -381,28 +313,12 @@ class _Mismatch(Exception):
 
 @dataclass(frozen=True)
 class _Ty:
-    """Internal inference result: structural shape plus complex/sign flags.
-
-    ``shape`` never uses the complexvector kind internally; complexness rides
-    on the flag and is materialized when a verdict is produced.  ``unknown``
-    names the audited symbol when the subtree is an (optionally scalar-scaled)
-    occurrence of it.
+    """Internal inference result: a shape, or the name of the audited unknown
+    symbol when the subtree is an (optionally scalar-scaled) occurrence of it.
     """
 
     shape: Shape | None
-    complex: bool = False
-    nonneg: bool = False
     unknown: str | None = None
-
-
-def _finalize(ty: _Ty) -> Shape:
-    if ty.shape is not None and ty.shape.kind == "vector" and ty.complex:
-        return Shape.complexvector(ty.shape.dims[0])
-    return ty.shape
-
-
-def _show(ty: _Ty) -> str:
-    return str(_finalize(ty))
 
 
 def _constrain(cons: dict[str, list[Shape]], name: str, shape: Shape) -> None:
@@ -415,20 +331,12 @@ def _as_matrix(shape: Shape) -> tuple[int, int]:
     return shape.dims
 
 
-def _collapse(rows: int, cols: int, complex_: bool, nonneg: bool) -> _Ty:
+def _collapse(rows: int, cols: int) -> _Ty:
     if rows == 1 and cols == 1:
-        return _Ty(Shape.scalar(), complex=complex_, nonneg=nonneg)
+        return _Ty(Shape.scalar())
     if cols == 1:
-        return _Ty(Shape.vector(rows), complex=complex_, nonneg=nonneg)
-    return _Ty(Shape.matrix(rows, cols), complex=complex_, nonneg=nonneg)
-
-
-def _addable(a: Shape, b: Shape) -> bool:
-    if a.kind == "scalar" or b.kind == "scalar":
-        return a.kind == b.kind
-    if a.is_vector and b.is_vector:
-        return a.dims == b.dims
-    return a.kind == "matrix" and b.kind == "matrix" and a.dims == b.dims
+        return _Ty(Shape.vector(rows))
+    return _Ty(Shape.matrix(rows, cols))
 
 
 def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[Shape]]) -> _Ty:
@@ -436,15 +344,12 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
         if e.name in env.unknown:
             return _Ty(None, unknown=e.name)
         try:
-            shape = env.bindings[e.name]
+            return _Ty(env.bindings[e.name])
         except KeyError:
             raise UnboundSymbol(f"symbol {e.name!r} has no declared shape") from None
-        if shape.kind == "complexvector":
-            return _Ty(Shape.vector(shape.dims[0]), complex=True, nonneg=False)
-        return _Ty(shape, nonneg=e.name not in env.may_be_negative)
 
     if isinstance(e, ScalarLit):
-        return _Ty(Shape.scalar(), nonneg=e.value >= 0)
+        return _Ty(Shape.scalar())
 
     if isinstance(e, Add):
         ta = _infer(e.a, env, path + (0,), cons)
@@ -454,10 +359,10 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
                 raise _Mismatch(path, "unknown-position", "cannot relate two unknown symbols")
             known, unk = (ta, tb) if tb.unknown is not None else (tb, ta)
             _constrain(cons, unk.unknown, known.shape)
-            return _Ty(known.shape, complex=known.complex, nonneg=False)
-        if not _addable(ta.shape, tb.shape):
-            raise _Mismatch(path, "add-shape", f"cannot add {_show(ta)} and {_show(tb)}")
-        return _Ty(ta.shape, complex=ta.complex or tb.complex, nonneg=ta.nonneg and tb.nonneg)
+            return known
+        if ta.shape != tb.shape:
+            raise _Mismatch(path, "add-shape", f"cannot add {ta.shape} and {tb.shape}")
+        return ta
 
     if isinstance(e, Mul):
         ta = _infer(e.a, env, path + (0,), cons)
@@ -471,21 +376,19 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
             if known.shape.is_vector:
                 # a product with a column vector only works for a scalar factor
                 _constrain(cons, unk.unknown, Shape.scalar())
-                return _Ty(known.shape, complex=known.complex, nonneg=False)
+                return known
             raise _Mismatch(
-                path, "unknown-position", f"cannot pin the shape of {unk.unknown} multiplied with {_show(known)}"
+                path, "unknown-position", f"cannot pin the shape of {unk.unknown} multiplied with {known.shape}"
             )
-        complex_ = ta.complex or tb.complex
-        nonneg = ta.nonneg and tb.nonneg
         if ta.shape.kind == "scalar":
-            return _Ty(tb.shape, complex=complex_, nonneg=nonneg)
+            return tb
         if tb.shape.kind == "scalar":
-            return _Ty(ta.shape, complex=complex_, nonneg=nonneg)
+            return ta
         if ta.shape.is_vector and tb.shape.is_vector and (ta.shape.dims[0] > 1 or tb.shape.dims[0] > 1):
             raise _Mismatch(
                 path,
                 "mul-vector-vector",
-                f"cannot multiply {_show(ta)} and {_show(tb)}: the plain product of two vectors is "
+                f"cannot multiply {ta.shape} and {tb.shape}: the plain product of two vectors is "
                 "undefined (transpose one side for a dyad or an inner product)",
             )
         (ra, ca), (rb, cb) = _as_matrix(ta.shape), _as_matrix(tb.shape)
@@ -493,9 +396,9 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
             raise _Mismatch(
                 path,
                 "mul-inner-dim",
-                f"cannot multiply {_show(ta)} and {_show(tb)}: inner dimensions {ca} and {rb} differ",
+                f"cannot multiply {ta.shape} and {tb.shape}: inner dimensions {ca} and {rb} differ",
             )
-        return _collapse(ra, cb, complex_, nonneg)
+        return _collapse(ra, cb)
 
     if isinstance(e, Transpose):
         ta = _infer(e.a, env, path + (0,), cons)
@@ -503,10 +406,8 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
             raise _Mismatch(path, "unknown-position", f"cannot transpose unknown symbol {ta.unknown}")
         if ta.shape.kind == "scalar":
             return ta
-        if ta.shape.is_vector:
-            return _Ty(Shape.matrix(1, ta.shape.dims[0]), complex=ta.complex, nonneg=ta.nonneg)
-        rows, cols = ta.shape.dims
-        return _Ty(Shape.matrix(cols, rows), complex=ta.complex, nonneg=ta.nonneg)
+        rows, cols = _as_matrix(ta.shape)
+        return _Ty(Shape.matrix(cols, rows))
 
     if isinstance(e, ElemMul):
         ta = _infer(e.a, env, path + (0,), cons)
@@ -517,9 +418,9 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
             raise _Mismatch(
                 path,
                 "elemmul-operands",
-                f"component-wise product needs two vectors of equal length, got {_show(ta)} and {_show(tb)}",
+                f"component-wise product needs two vectors of equal length, got {ta.shape} and {tb.shape}",
             )
-        return _Ty(ta.shape, complex=ta.complex or tb.complex, nonneg=ta.nonneg and tb.nonneg)
+        return ta
 
     if isinstance(e, ElemPow):
         ta = _infer(e.a, env, path + (0,), cons)
@@ -528,17 +429,15 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
             raise _Mismatch(path, "unknown-position", "component-wise power cannot involve an unknown symbol")
         if te.shape.kind != "scalar":
             raise _Mismatch(
-                path, "elempow-exponent", f"component-wise power needs a scalar exponent, got {_show(te)}"
+                path, "elempow-exponent", f"component-wise power needs a scalar exponent, got {te.shape}"
             )
-        integer_exp = isinstance(e.exponent, ScalarLit) and float(e.exponent.value).is_integer()
-        promote = (not ta.nonneg) and not integer_exp
-        return _Ty(ta.shape, complex=ta.complex or promote, nonneg=ta.nonneg)
+        return ta
 
     if isinstance(e, ElemAbs):
         ta = _infer(e.a, env, path + (0,), cons)
         if ta.unknown is not None:
             raise _Mismatch(path, "unknown-position", f"cannot take the modulus of unknown symbol {ta.unknown}")
-        return _Ty(ta.shape, complex=False, nonneg=True)
+        return ta
 
     raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
 
@@ -577,7 +476,7 @@ def infer_shape(expr: Expr, env: ShapeEnv, constraints: dict[str, list[Shape]] |
         if pinned:
             return ShapeVerdict.well_formed(pinned[0])
         return ShapeVerdict.mismatch((), "unknown-unresolved", f"no constraint determines the shape of {ty.unknown}")
-    return ShapeVerdict.well_formed(_finalize(ty))
+    return ShapeVerdict.well_formed(ty.shape)
 
 
 def check_equation(lhs: Expr, rhs: Expr, env: ShapeEnv) -> ShapeVerdict:

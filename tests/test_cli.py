@@ -154,6 +154,20 @@ def test_too_few_samples_for_a_full_rank_r_exit_2_names_t_line(tmp_path, capsys)
     assert cli.main(["wiener", str(spec)]) == 0
 
 
+def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
+    # 3 seeds of builtin:muscle (m = 3, n = 9): T - 3 regressor rows of 9 float64 per seed
+    muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle")
+    largest = cli.MAX_REGRESSOR_BYTES // (3 * 9 * 8) + 3
+    spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {largest}"))
+    assert cli.load_experiment_spec(spec).T == largest  # parsing allocates no regressors
+    for T in (largest + 1, 10**12):
+        spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}"))
+        for argv in (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"]):
+            assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+            assert f"run.spec:3: T={T} is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("variant,field,value", [
     ("lms", "beta", "0.3"),
     ("lms", "v", "0.5"),
@@ -271,10 +285,12 @@ def test_outputs_that_cannot_be_written_exit_2_names_it(tmp_path, capsys, output
 
 def test_overflowing_correlations_never_exit_0(tmp_path, capsys):
     # q_1 * c = 1e307 is finite, but p, a mean of ~1e307 * r(t-1)**2 over 297 rows, overflows float64
-    spec = write_spec(tmp_path, scenario_text=SCENARIO.replace("q = 0.6, 0.3, 0.1", "q = 1e307, 0.3, 0.1"))
-    for argv in (["wiener"], ["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"]):
-        assert cli.main([argv[0], str(spec), *argv[1:]]) == 1
-        assert "R or p is not finite" in capsys.readouterr().err
+    scenario = SCENARIO.replace("q = 0.6, 0.3, 0.1", "q = 1e307, 0.3, 0.1")
+    spec = write_spec(tmp_path, SPEC.replace("variant = lms", "variant = momentum_lms"), scenario)  # sweeps beta
+    sweeps = [["sweep", "--param", param, "--grid", "0.01"] for param in ("eta", "beta")]
+    for argv in (["wiener"], ["simulate"], *sweeps):
+        assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+        assert "run.spec:2: plant: R or p is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -582,6 +598,4 @@ def test_any_input_ends_in_exit_0_or_2(inputs):
                 code = cli.main([command[0], str(home / "run.spec"), *command[1:]])
             except SystemExit as exc:  # argparse rejects a --ridge that is not a number
                 code = exc.code
-    # exit 1 is kept for data whose correlations overflow float64
-    overflow = code == 1 and "R or p is not finite: the data overflow float64" in err.getvalue()
-    assert code in (0, 2) or overflow, err.getvalue()
+    assert code in (0, 2), err.getvalue()
