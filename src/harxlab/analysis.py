@@ -151,15 +151,18 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
-    X, outputs, omega, lam = [], [], [], []
-    for seed in seeds:
+    omega, lam = [], []
+    for s, seed in enumerate(seeds):
         data = generate_sequence(plant, input_kind=input_kind, T=T, rng=np.random.default_rng(seed))
+        if s == 0:  # one copy of every seed's regressors, filled in place
+            X = np.empty((len(seeds), *data.X.shape))
+            outputs = np.empty((len(seeds), len(data)))
+        X[s], outputs[s] = data.X, data.outputs
         est = estimate_correlations(data)
-        X.append(data.X)
-        outputs.append(data.outputs)
         omega.append(wiener_solution(est, ridge=0.0))
         lam.append(est.lambda_max)
-    return SeedData(X=np.stack(X), outputs=np.stack(outputs), omega=np.stack(omega), lambda_max=np.array(lam))
+        del data  # freed before the next seed is simulated
+    return SeedData(X=X, outputs=outputs, omega=np.stack(omega), lambda_max=np.array(lam))
 
 
 def _factor_groups(cfgs) -> tuple[list[tuple[str, float]], np.ndarray]:

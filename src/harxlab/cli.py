@@ -2,7 +2,9 @@
 shape audit, and Wiener-solution export.
 
 Exit codes: 0 success, 2 spec/parameter validation failure, 3 divergence
-when --fail-on-diverge is set, 4 audit regression.  All artifacts are pure
+when --fail-on-diverge is set, 4 audit regression.  Specs and the scenarios
+they name are read by one reader (``plant.read_sections``), so a fault in
+either file exits 2 naming its file and line.  All artifacts are pure
 functions of the spec file: UTF-8, LF line endings, %.17g float cells in
 CSVs, sorted keys in JSON.  Artifacts are staged and moved into the output
 directory only after the whole batch succeeded; ``simulate`` then removes
@@ -28,7 +30,7 @@ import numpy as np
 from . import analysis, shapecheck
 from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError
 from .filters import VARIANT_FIELDS, FilterConfig
-from .plant import INPUT_KINDS, HarxPlant, generate_sequence, load_scenario, muscle_preset
+from .plant import INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections
 
 OUTDIR_ENV = "HARXLAB_OUTDIR"
 EMIT_MODES = ("curves", "summary", "both")
@@ -93,7 +95,8 @@ def _dumps(doc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment spec files: sectioned "key = value" text.
+# Experiment spec files: the "key = value" text of plant.read_sections, every
+# key inside one of these sections.
 #
 # [experiment]       plant, T, seeds, outputs, emit, input
 # [filter NAME]      variant, eta, beta, v, power_interpretation, epsilon_guard
@@ -113,72 +116,16 @@ class ExperimentSpec:
     input_kind: str
 
 
-def _parse_sections(text: str, path: str) -> list[tuple[str, int, dict[str, tuple[str, int]]]]:
-    sections: list[tuple[str, int, dict[str, tuple[str, int]]]] = []
-    current: dict[str, tuple[str, int]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ExperimentSpecError("unterminated section header", path, lineno)
-            current = {}
-            sections.append((line[1:-1].strip(), lineno, current))
-            continue
-        if current is None:
-            raise ExperimentSpecError("key outside any [section]", path, lineno)
-        if "=" not in line:
-            raise ExperimentSpecError("expected 'key = value'", path, lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current:
-            raise ExperimentSpecError(f"duplicate key {key!r}", path, lineno)
-        current[key] = (value.strip(), lineno)
-    return sections
-
-
-def _pop_value(items, key, path, section_line, required=True, default=None):
-    if key in items:
-        return items.pop(key)
-    if required:
-        raise ExperimentSpecError(f"missing required key {key!r}", path, section_line)
-    return default, section_line
-
-
-def _as_int(value: str, key: str, path: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ExperimentSpecError(f"{key} must be an integer, got {value!r}", path, line) from None
-
-
-def _as_float(value: str, key: str, path: str, line: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ExperimentSpecError(f"{key} must be a number, got {value!r}", path, line) from None
-
-
-def _reject_unknown(items, path: str) -> None:
-    for key, (_, lineno) in items.items():
-        raise ExperimentSpecError(f"unknown key {key!r}", path, lineno)
-
-
-def _filter_config(fields: dict, where: str, lines: dict[str, int]) -> FilterConfig:
+def _filter_config(fields: dict, section: Section) -> FilterConfig:
     """Build a FilterConfig from ``fields``; FilterConfig states every range.
 
-    The CLI adds one rule of its own, eta > 0.  A ValueError becomes an
-    ExperimentSpecError at ``where``: its message starts with the field it
-    names, and ``lines`` maps that field to its line.
+    The CLI adds one rule of its own, eta > 0.  A ValueError becomes a fault
+    of ``section`` on the line of the field it names.
     """
-    try:
+    with section.located():
         if not fields["eta"] > 0.0:
             raise ValueError(f"eta must be > 0, got {fields['eta']}")
         return FilterConfig(**fields)
-    except ValueError as exc:
-        field = str(exc).split(None, 1)[0]
-        raise ExperimentSpecError(str(exc), where, lines.get(field)) from None
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -193,30 +140,32 @@ def load_experiment_spec(path) -> ExperimentSpec:
         raise ExperimentSpecError(f"not valid UTF-8: {exc}", str(spec_path)) from None
     pstr = str(spec_path)
 
-    experiment = None
-    filter_sections: list[tuple[str, int, dict]] = []
-    for name, lineno, items in _parse_sections(text, pstr):
-        if name == "experiment":
-            if experiment is not None:
-                raise ExperimentSpecError("duplicate [experiment] section", pstr, lineno)
-            experiment = (lineno, items)
-        elif name.startswith("filter"):
-            parts = name.split(None, 1)
+    loose, *sections = read_sections(text, pstr, ExperimentSpecError)
+    if loose.lines:
+        raise loose.fail("key outside any [section]", next(iter(loose.lines)))
+    exp = None
+    filter_sections: dict[str, Section] = {}
+    for section in sections:
+        if section.name == "experiment":
+            if exp is not None:
+                raise section.fail("duplicate [experiment] section")
+            exp = section
+        elif section.name.startswith("filter"):
+            parts = section.name.split(None, 1)
             if len(parts) != 2 or not re.fullmatch(_NAME, parts[1]):
-                raise ExperimentSpecError("filter section must be named like [filter NAME]", pstr, lineno)
-            if any(parts[1] == existing for existing, _, _ in filter_sections):
-                raise ExperimentSpecError(f"duplicate filter name {parts[1]!r}", pstr, lineno)
-            filter_sections.append((parts[1], lineno, items))
+                raise section.fail("filter section must be named like [filter NAME]")
+            if parts[1] in filter_sections:
+                raise section.fail(f"duplicate filter name {parts[1]!r}")
+            filter_sections[parts[1]] = section
         else:
-            raise ExperimentSpecError(f"unknown section [{name}]", pstr, lineno)
+            raise section.fail(f"unknown section [{section.name}]")
 
-    if experiment is None:
+    if exp is None:
         raise ExperimentSpecError("missing [experiment] section", pstr)
     if not filter_sections:
         raise ExperimentSpecError("at least one [filter NAME] section is required", pstr)
 
-    exp_line, items = experiment
-    plant_ref, plant_line = _pop_value(items, "plant", pstr, exp_line)
+    plant_ref = exp.take("plant")
     if plant_ref == "builtin:muscle":
         plant = muscle_preset()
     else:
@@ -224,70 +173,57 @@ def load_experiment_spec(path) -> ExperimentSpec:
         try:
             plant = load_scenario(scenario_path)
         except OSError as exc:
-            raise ExperimentSpecError(f"plant: {exc}", pstr, plant_line) from None
+            raise exp.fail(f"plant: {exc}", "plant") from None
 
-    value, t_line = _pop_value(items, "T", pstr, exp_line)
-    T = _as_int(value, "T", pstr, t_line)
+    T = exp.take("T", int, "an integer")
     if T - plant.m < plant.n:
-        raise ExperimentSpecError(
+        raise exp.fail(
             f"T must be >= m + n = {plant.m + plant.n}: after the plant memory m={plant.m}, a full-rank "
             f"correlation matrix needs n={plant.n} regressor rows; got T={T}",
-            pstr,
-            t_line,
+            "T",
         )
 
-    value, line = _pop_value(items, "seeds", pstr, exp_line)
-    try:
-        seeds = tuple(int(s) for s in value.split(","))
-    except ValueError:
-        raise ExperimentSpecError(f"seeds must be comma-separated integers, got {value!r}", pstr, line) from None
+    seeds = exp.take("seeds", lambda value: tuple(int(s) for s in value.split(",")), "comma-separated integers")
     if len(set(seeds)) != len(seeds):
-        raise ExperimentSpecError("seeds must be distinct", pstr, line)
+        raise exp.fail("seeds must be distinct", "seeds")
     if min(seeds) < 0:
-        raise ExperimentSpecError(f"seeds must be >= 0, got {min(seeds)}", pstr, line)
+        raise exp.fail(f"seeds must be >= 0, got {min(seeds)}", "seeds")
     size = len(seeds) * (T - plant.m) * plant.n * 8
     if size > MAX_REGRESSOR_BYTES:
-        raise ExperimentSpecError(
+        raise exp.fail(
             f"T={T} is too large: the regressors of {len(seeds)} seed(s), (T - m) x n = {T - plant.m} x "
             f"{plant.n} float64 each, would take {size} bytes, more than {MAX_REGRESSOR_BYTES}",
-            pstr,
-            t_line,
+            "T",
         )
 
-    value, _ = _pop_value(items, "outputs", pstr, exp_line, required=False, default="harxlab_out")
-    outputs = spec_path.parent / value
-
-    emit, line = _pop_value(items, "emit", pstr, exp_line, required=False, default="both")
+    outputs = spec_path.parent / exp.take("outputs", default="harxlab_out")
+    emit = exp.take("emit", default="both")
     if emit not in EMIT_MODES:
-        raise ExperimentSpecError(f"emit must be one of {EMIT_MODES}, got {emit!r}", pstr, line)
-
-    input_kind, line = _pop_value(items, "input", pstr, exp_line, required=False, default="white_gaussian")
+        raise exp.fail(f"emit must be one of {EMIT_MODES}, got {emit!r}", "emit")
+    input_kind = exp.take("input", default="white_gaussian")
     if input_kind not in INPUT_KINDS:
-        raise ExperimentSpecError(f"input must be one of {INPUT_KINDS}, got {input_kind!r}", pstr, line)
-    _reject_unknown(items, pstr)
+        raise exp.fail(f"input must be one of {INPUT_KINDS}, got {input_kind!r}", "input")
+    exp.reject_unknown()
 
     filters = []
-    for name, sec_line, fitems in filter_sections:
-        fields, lines = {"dim": plant.n}, {}
+    for name, section in filter_sections.items():
+        fields = {"dim": plant.n}
         for key in _FILTER_KEYS:
-            if key in fitems or key in ("variant", "eta"):
-                value, lines[key] = _pop_value(fitems, key, pstr, sec_line)
-                fields[key] = value if key in _TEXT_KEYS else _as_float(value, key, pstr, lines[key])
-        _reject_unknown(fitems, pstr)
+            if key in section.values or key in ("variant", "eta"):
+                fields[key] = section.take(key, str if key in _TEXT_KEYS else float, "a number")
+        section.reject_unknown()
         read = VARIANT_FIELDS.get(fields["variant"], _FILTER_KEYS)  # FilterConfig names an unknown variant
-        ignored = sorted((line, key) for key, line in lines.items() if key not in ("variant", *read))
+        ignored = [key for key in section.lines if key not in ("variant", *read)]  # in line order
         if ignored:
-            line, key = ignored[0]
-            raise ExperimentSpecError(
-                f"{key} is not read by variant {fields['variant']!r}, which reads {', '.join(read)}", pstr, line
-            )
-        filters.append((name, _filter_config(fields, pstr, lines)))
+            message = f"{ignored[0]} is not read by variant {fields['variant']!r}, which reads {', '.join(read)}"
+            raise section.fail(message, ignored[0])
+        filters.append((name, _filter_config(fields, section)))
 
     return ExperimentSpec(
         path=spec_path,
         plant=plant,
         plant_ref=plant_ref,
-        plant_line=plant_line,
+        plant_line=exp.lines["plant"],
         filters=tuple(filters),
         T=T,
         seeds=seeds,
@@ -467,7 +403,8 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ExperimentSpecError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
     name, cfg = spec.filters[0]
-    configs = [_filter_config({**asdict(cfg), param: value}, "--grid", {}) for value in grid]
+    grid_fault = Section(ExperimentSpecError, "--grid")
+    configs = [_filter_config({**asdict(cfg), param: value}, grid_fault) for value in grid]
     if param not in VARIANT_FIELDS[cfg.variant]:
         raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
 
@@ -476,11 +413,8 @@ def cmd_sweep(args) -> int:
     lambda_max = None
     eta_reference = None
     if param == "eta":
-        try:
-            with _plant_data(spec):
-                probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
-        except ValueError as exc:
-            raise ExperimentSpecError(str(exc), "--grid") from None
+        with grid_fault.located(), _plant_data(spec):
+            probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
         lambda_max = probe.lambda_max
         eta_reference = probe.eta_reference
         rows += zip(

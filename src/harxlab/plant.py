@@ -11,12 +11,13 @@ coefficients ``c``.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, ScenarioError
+from .errors import BadLength, HarxlabError, ScenarioError
 
 INPUT_KINDS = ("white_gaussian", "uniform")
 
@@ -149,64 +150,101 @@ def generate_sequence(
 
 
 # ---------------------------------------------------------------------------
-# Scenario files: flat "key = value" text with keys
-# m, l, basis, q, c, noise_std, seed.
+# The text format of scenario and experiment-spec files: "key = value" lines,
+# "#" comments and blank lines, grouped by "[section]" headers.  Keys before
+# any header form an unnamed section, which is all a scenario has.
 
-_REQUIRED_KEYS = ("m", "l", "basis", "q", "c")
-_ALL_KEYS = _REQUIRED_KEYS + ("noise_std", "seed")
+_REQUIRED = object()
 
 
-def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
-    """Parse scenario text into a plant; errors carry the offending line."""
-    entries: dict[str, tuple[str, int]] = {}
+class Section:
+    """One section's keys, each with its value and line.
+
+    Every fault is raised as ``error`` (ScenarioError or ExperimentSpecError)
+    at ``path``, on the line of the key it names, else on the header's line
+    (None for the unnamed section).
+    """
+
+    def __init__(self, error: type[HarxlabError], path: str | None, name: str | None = None, line: int | None = None):
+        self.error, self.path, self.name, self.line = error, path, name, line
+        self.values: dict[str, str] = {}  # the keys not taken yet
+        self.lines: dict[str, int] = {}  # every key's line
+
+    def fail(self, message: str, key: str | None = None) -> HarxlabError:
+        return self.error(message, self.path, self.lines.get(key, self.line))
+
+    def take(self, key: str, convert=str, what: str = "", default=_REQUIRED):
+        """Remove ``key`` and return its value through ``convert``; an absent key
+        gives ``default`` or, with none given, fails as missing."""
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise self.fail(f"missing required key {key!r}")
+            return default
+        value = self.values.pop(key)
+        try:
+            return convert(value)
+        except ValueError:
+            raise self.fail(f"{key} must be {what}, got {value!r}", key) from None
+
+    def reject_unknown(self) -> None:
+        for key in self.values:
+            raise self.fail(f"unknown key {key!r}", key)
+
+    @contextlib.contextmanager
+    def located(self):
+        """Raise a ValueError as a fault on the line of the field its message starts with."""
+        try:
+            yield
+        except ValueError as exc:
+            raise self.fail(str(exc), str(exc).split(None, 1)[0]) from None
+
+
+def read_sections(text: str, path: str | None, error: type[HarxlabError]) -> list[Section]:
+    """Split ``text`` into sections, the unnamed one (maybe empty) first."""
+    sections = [Section(error, path)]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise error("unterminated section header", path, lineno)
+            sections.append(Section(error, path, line[1:-1].strip(), lineno))
+            continue
         if "=" not in line:
-            raise ScenarioError("expected 'key = value'", path, lineno)
+            raise error("expected 'key = value'", path, lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _ALL_KEYS:
-            raise ScenarioError(f"unknown key {key!r}", path, lineno)
-        if key in entries:
-            raise ScenarioError(f"duplicate key {key!r}", path, lineno)
-        entries[key] = (value, lineno)
+        key, section = key.strip(), sections[-1]
+        if key in section.lines:
+            raise error(f"duplicate key {key!r}", path, lineno)
+        section.values[key], section.lines[key] = value.strip(), lineno
+    return sections
 
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
-            raise ScenarioError(f"missing required key {key!r}", path)
 
-    def take(key: str, convert, what: str, default=None):
-        if key not in entries:
-            return default
-        value, lineno = entries[key]
-        try:
-            return convert(value)
-        except ValueError:
-            raise ScenarioError(f"{key} must be {what}, got {value!r}", path, lineno) from None
+def _floats(value: str) -> np.ndarray:
+    return np.array([float(x) for x in value.split(",")])
 
-    def floats(value: str) -> np.ndarray:
-        return np.array([float(x) for x in value.split(",")])
 
-    basis_name, basis_line = entries["basis"]
-    if basis_name != "polynomial":
-        raise ScenarioError(f"basis must be 'polynomial', got {basis_name!r}", path, basis_line)
-    l = take("l", int, "an integer")
-    m = take("m", int, "an integer")
-    try:
-        return HarxPlant(
+def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
+    """Parse scenario text (keys m, l, basis, q, c, noise_std, seed) into a
+    plant; errors carry the offending line."""
+    scenario, *headed = read_sections(text, path, ScenarioError)
+    if headed:
+        raise headed[0].fail(f"unknown section [{headed[0].name}]")
+    m, l, basis = scenario.take("m", int, "an integer"), scenario.take("l", int, "an integer"), scenario.take("basis")
+    if basis != "polynomial":
+        raise scenario.fail(f"basis must be 'polynomial', got {basis!r}", "basis")
+    with scenario.located():
+        plant = HarxPlant(
             m=m,
             basis=polynomial_basis(l),
-            q=take("q", floats, "comma-separated numbers"),
-            c=take("c", floats, "comma-separated numbers"),
-            noise_std=take("noise_std", float, "a number", 0.0),
-            seed=take("seed", int, "an integer", 0),
+            q=scenario.take("q", _floats, "comma-separated numbers"),
+            c=scenario.take("c", _floats, "comma-separated numbers"),
+            noise_std=scenario.take("noise_std", float, "a number", 0.0),
+            seed=scenario.take("seed", int, "an integer", 0),
         )
-    except ValueError as exc:
-        field = str(exc).split(None, 1)[0]  # every message starts with the key it names
-        raise ScenarioError(str(exc), path, entries[field][1] if field in entries else None) from None
+    scenario.reject_unknown()
+    return plant
 
 
 def load_scenario(path) -> HarxPlant:

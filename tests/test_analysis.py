@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,14 @@ from harxlab.analysis import (
     estimate_correlations,
     run_experiment,
     run_record_csv,
+    simulate_seeds,
     stability_probe,
     sweep_cells,
     wiener_solution,
 )
 from harxlab.errors import DomainError, EmptyDataset, SingularCorrelation
 from harxlab.filters import FilterConfig
-from harxlab.plant import Dataset, HarxPlant, generate_sequence, polynomial_basis, true_weight_vector
+from harxlab.plant import Dataset, HarxPlant, generate_sequence, muscle_preset, polynomial_basis, true_weight_vector
 
 
 def synthetic_dataset(X, outputs):
@@ -123,6 +126,26 @@ def test_correlation_checks_scale_with_the_data():
         est = estimate_correlations(synthetic_dataset(rank_one * scale, np.ones(300)))
         with pytest.raises(SingularCorrelation):
             wiener_solution(est)
+
+
+# ---------------------------------------------------------------------------
+# simulate_seeds
+
+
+def test_simulate_seeds_holds_one_copy_of_the_regressors():
+    plant, seeds = muscle_preset(), range(4)
+    simulate_seeds(plant, 200, seeds)  # first-call allocations stay outside the trace
+    tracemalloc.start()
+    try:
+        data = simulate_seeds(plant, 20000, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stacked X, plus one seed's dataset and its temporaries at a time
+    assert peak < 1.75 * data.X.nbytes
+    for s, seed in enumerate(seeds):
+        alone = generate_sequence(plant, T=20000, rng=np.random.default_rng(seed))
+        assert np.array_equal(data.X[s], alone.X) and np.array_equal(data.outputs[s], alone.outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,31 @@ def test_spec_parse_errors(tmp_path, capsys):
     assert "--grid: v must lie in (0, 1]" in capsys.readouterr().err
 
 
+# faults of the "key = value" reader that specs and scenarios share, each written in place of the
+# line of an integer field {key}, with the fault on the edit's last line
+READER_FAULTS = {
+    "duplicate_key": ("{line}\n{line}", "duplicate key '{key}'"),
+    "unknown_key": ("{line}\nbogus = 1", "unknown key 'bogus'"),
+    "no_equals_sign": ("{line}\nbogus", "expected 'key = value'"),
+    "not_an_integer": ("{key} = 3.5", "{key} must be an integer, got '3.5'"),
+    "unterminated_header": ("{line}\n[bogus", "unterminated section header"),
+    "unknown_section": ("{line}\n[bogus]", "unknown section [bogus]"),
+}
+
+
+@pytest.mark.parametrize("edit,message", READER_FAULTS.values(), ids=READER_FAULTS)
+@pytest.mark.parametrize("faulty,key", [("run.spec", "T"), ("lin.scenario", "m")])
+def test_spec_and_scenario_report_a_fault_alike(tmp_path, capsys, edit, message, faulty, key):
+    texts = {"run.spec": SPEC, "lin.scenario": SCENARIO}
+    line = next(line for line in texts[faulty].splitlines() if line.startswith(f"{key} = "))
+    lineno = texts[faulty].splitlines().index(line) + 1 + edit.count("\n")
+    texts[faulty] = texts[faulty].replace(line, edit.format(line=line, key=key))
+    spec = write_spec(tmp_path, texts["run.spec"], texts["lin.scenario"])
+    assert cli.main(["simulate", str(spec)]) == 2
+    assert capsys.readouterr().err.endswith(f"{faulty}:{lineno}: {message.format(key=key)}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_too_few_samples_for_a_full_rank_r_exit_2_names_t_line(tmp_path, capsys):
     # builtin:muscle has m = 3 and n = 9: T = 5 leaves 2 regressor rows for a 9 x 9 R
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle")
@@ -506,15 +531,17 @@ def joined(values, size):
 @st.composite
 def with_faults(draw, lines, faulty):
     """``lines`` as text; if ``faulty``, with one to three faults: a value turned to junk,
-    a line dropped, or a line of junk added."""
+    a line dropped, a line repeated, or a line of junk added."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3)) if faulty else 0):
         i = draw(st.integers(0, len(lines) - 1))
-        fault = draw(st.sampled_from(["value", "value", "drop", "line"]))
+        fault = draw(st.sampled_from(["value", "value", "drop", "repeat", "line"]))
         if fault == "value" and "=" in lines[i]:
             lines[i] = lines[i].split("=")[0] + "= " + draw(JUNK)
         elif fault == "drop":
             del lines[i]
+        elif fault == "repeat":
+            lines.insert(i, lines[i])
         else:
             lines.insert(i, draw(JUNK))
     return "\n".join(lines) + "\n"
