@@ -206,8 +206,8 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
 
         w' = w + beta (w - w_prev) + eta e psi (1 + factor)
 
-    with beta = 0 for ``lms``; an ``lms`` or ``momentum_lms`` row multiplies
-    its gradient by exactly 1.0.  Inner products and norms are one BLAS dot
+    with beta = 0 for ``lms``; an ``lms`` or ``momentum_lms`` row leaves its
+    gradient unscaled (factor 0).  Inner products and norms are one BLAS dot
     per row (``np.vecdot``), so no row's sums depend on the other rows.  The
     single-step functions hold a real row's weights as the strided real part
     of a complex vector, where this kernel holds them contiguous, so BLAS may
@@ -317,12 +317,9 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
                 psi = Xb[j]
                 re = W.real
                 err = np.subtract(db[j], np.vecdot(psi, re), out=E[j])
-                grad = (eta_b * err)[:, None] * psi
-                if block_groups:
-                    scale = np.ones_like(W)
-                    for kind, e, at, g in block_groups:
-                        scale[at] += _factor(kind, re[at], g, e)
-                    grad = grad * scale
+                grad = ((eta_b * err)[:, None] * psi).astype(dtype, copy=False)
+                for kind, e, at, g in block_groups:
+                    grad[at] *= 1.0 + _factor(kind, re[at], g, e)
                 W_prev, W = W, np.add(W + beta_b * (W - W_prev), grad, out=H[j + 2])
 
             # the block's diagnostics, from its history; Xb's buffer holds the temporaries
@@ -526,17 +523,17 @@ def sweep_cells(
 
 @dataclass(frozen=True)
 class StabilityProbe:
-    """Per-step-size divergence fractions plus the classical reference point
-    2 / lambda_max measured from the first seed's dataset, and the cell
-    measured at that step size."""
+    """One cell per grid step size, then the cell at the classical reference
+    point 2 / lambda_max, with lambda_max measured from the first seed's
+    dataset."""
 
-    etas: np.ndarray
-    diverged_fraction: np.ndarray
-    terminal_weight_error_mean: np.ndarray
-    leak_fraction_mean: np.ndarray
+    cells: tuple[SweepCell, ...]
     lambda_max: float
-    eta_reference: float
-    reference: SweepCell
+
+    @property
+    def diverged_fraction(self) -> np.ndarray:
+        """The divergence fraction of each grid cell, the reference left out."""
+        return np.array([cell.diverged_fraction for cell in self.cells[:-1]])
 
 
 def stability_probe(
@@ -552,25 +549,16 @@ def stability_probe(
     Each seed's dataset is simulated once; the template config then runs at
     every grid eta and at the classical mean-stability reference
     2 / lambda_max (from the first seed's correlations) over all seeds, in
-    one batch, and each eta's divergence fraction is recorded.
+    one batch, and each eta's cell is recorded, the reference last.
     """
     grid = np.asarray(eta_grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("eta grid must be positive and strictly ascending")
     data = simulate_seeds(plant, T, seeds, input_kind)
     lam = float(data.lambda_max[0])
-    etas = [*grid.tolist(), 2.0 / lam]
-    cfgs = [replace(cfg_template, eta=eta) for eta in etas]
-    *cells, reference = [_aggregate(r) for r in run_batch(cfgs, data.X, data.outputs, data.omega)]
-    return StabilityProbe(
-        etas=grid,
-        diverged_fraction=np.array([c.diverged_fraction for c in cells]),
-        terminal_weight_error_mean=np.array([c.terminal_weight_error_mean for c in cells]),
-        leak_fraction_mean=np.array([c.leak_fraction_mean for c in cells]),
-        lambda_max=lam,
-        eta_reference=2.0 / lam,
-        reference=reference,
-    )
+    cfgs = [replace(cfg_template, eta=eta) for eta in [*grid.tolist(), 2.0 / lam]]
+    cells = tuple(_aggregate(r) for r in run_batch(cfgs, data.X, data.outputs, data.omega))
+    return StabilityProbe(cells=cells, lambda_max=lam)
 
 
 def run_record_csv(record: RunRecord) -> str:

@@ -6,9 +6,9 @@ when --fail-on-diverge is set, 4 audit regression.  Specs and the scenarios
 they name are read by one reader (``plant.read_sections``), so a fault in
 either file exits 2 naming its file and line.  All artifacts are pure
 functions of the spec file: UTF-8, LF line endings, %.17g float cells in
-CSVs, sorted keys in JSON.  Artifacts are staged and moved into the output
-directory only after the whole batch succeeded; ``simulate`` then removes
-the earlier files of its own family that this run did not write.
+CSVs, sorted keys in JSON.  Every file written, artifact or ``--out``, goes
+through one writer that moves a set into place only once all of it was
+written; ``simulate`` then removes the stale files of its own family.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ import json
 import math
 import os
 import re
-import shutil
 import sys
-import tempfile
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, shapecheck
-from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError
+from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation
 from .filters import VARIANT_FIELDS, FilterConfig
 from .plant import INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections
 
@@ -242,60 +240,49 @@ def _resolve_outdir(spec: ExperimentSpec) -> Path:
     return Path(override) if override else spec.outputs
 
 
-def _write_artifacts(outdir: Path, files: dict[str, str], owned: re.Pattern | None = None) -> None:
-    """Write all artifacts to a staging directory, then move them over.
-
-    Nothing lands in ``outdir`` unless every artifact was produced.  Each
-    call stages in its own fresh directory, so concurrent runs into one
-    ``outdir`` never remove each other's staged files.  Once the artifacts
-    are in place, every other file in ``outdir`` whose whole name ``owned``
-    matches is removed: an earlier run's files of the same family.  An
-    ``outdir`` that cannot be written raises ExperimentSpecError naming it.
-    """
-    outdir = Path(outdir)
+def _write_artifacts(
+    directory: Path, files: dict[str, str], fault: str, path: str, owned: re.Pattern | None = None
+) -> None:
+    """Write ``files`` into ``directory``, each first to a fresh hidden name
+    ``.{name}.{random hex}.tmp`` beside its target, which ``owned`` never
+    matches, so concurrent runs never remove each other's files.  Once all
+    are written, each is moved over its target with os.replace, and then the
+    other files whose whole name ``owned`` matches, an earlier run's files
+    of the same family, are removed.  An OSError raises
+    ExperimentSpecError(f"{fault}: {exc}") naming ``path``."""
+    temps = {name: directory / f".{name}.{os.urandom(8).hex()}.tmp" for name in sorted(files)}
     try:
-        outdir.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", suffix=".staging", dir=outdir.parent))
+        directory.mkdir(parents=True, exist_ok=True)
         try:
-            for name in sorted(files):
-                (staging / name).write_bytes(files[name].encode("utf-8"))
-            outdir.mkdir(exist_ok=True)
-            for name in sorted(files):
-                os.replace(staging / name, outdir / name)
+            for name, tmp in temps.items():
+                tmp.write_bytes(files[name].encode("utf-8"))
+            for name, tmp in temps.items():
+                os.replace(tmp, directory / name)
         finally:
-            shutil.rmtree(staging)
+            for tmp in temps.values():
+                tmp.unlink(missing_ok=True)
         if owned:
-            for path in outdir.iterdir():
-                if path.name not in files and owned.fullmatch(path.name) and path.is_file():
-                    path.unlink()
+            for stale in directory.iterdir():
+                if stale.name not in files and owned.fullmatch(stale.name) and stale.is_file():
+                    stale.unlink()
     except OSError as exc:
-        raise ExperimentSpecError(f"cannot write artifacts: {exc}", str(outdir)) from None
+        raise ExperimentSpecError(f"{fault}: {exc}", path) from None
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write ``text`` to an ``--out`` path all or nothing: into a fresh file in
-    the same directory, then moved over with os.replace.  A path that cannot
-    be written raises ExperimentSpecError naming it."""
+    """Write ``text`` to an ``--out`` path, all or nothing."""
     target = Path(path)
     if not target.name:  # "/" or "."
         raise ExperimentSpecError("--out: cannot write: not a file name", path)
-    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        try:
-            tmp.write_bytes(text.encode("utf-8"))
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except OSError as exc:
-        raise ExperimentSpecError(f"--out: cannot write: {exc}", path) from None
+    _write_artifacts(target.parent, {target.name: text}, "--out: cannot write", path)
 
 
 @contextlib.contextmanager
 def _plant_data(spec: ExperimentSpec):
-    """Report data that overflow float64 as a fault of the spec's plant line."""
+    """Report overflowing data or a singular correlation as a fault of the spec's plant line."""
     try:
         yield
-    except DataOverflow as exc:
+    except (DataOverflow, SingularCorrelation) as exc:
         raise ExperimentSpecError(f"plant: {exc}", str(spec.path), spec.plant_line) from None
 
 
@@ -356,7 +343,7 @@ def cmd_simulate(args) -> int:
         if spec.emit in ("summary", "both"):
             files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, records))
     outdir = _resolve_outdir(spec)
-    _write_artifacts(outdir, files, owned=_SIMULATE_FILES)
+    _write_artifacts(outdir, files, "cannot write artifacts", str(outdir), owned=_SIMULATE_FILES)
     print(f"wrote {len(files)} artifact(s) to {outdir}")
     if any_diverged and args.fail_on_diverge:
         print("at least one run diverged", file=sys.stderr)
@@ -408,23 +395,18 @@ def cmd_sweep(args) -> int:
     if param not in VARIANT_FIELDS[cfg.variant]:
         raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
 
-    # one row per grid value: (param_value label, diverged, terminal weight error, leak fraction)
-    rows: list[tuple] = []
+    labels = [_g(value) for value in grid]
     lambda_max = None
-    eta_reference = None
     if param == "eta":
         with grid_fault.located(), _plant_data(spec):
             probe = analysis.stability_probe(spec.plant, cfg, grid, spec.T, spec.seeds, spec.input_kind)
-        lambda_max = probe.lambda_max
-        eta_reference = probe.eta_reference
-        rows += zip(
-            map(_g, grid), probe.diverged_fraction, probe.terminal_weight_error_mean, probe.leak_fraction_mean
-        )
-        rows.append(("2/lambda_max", *astuple(probe.reference)))
+        cells, lambda_max = probe.cells, probe.lambda_max
+        labels.append("2/lambda_max")
     else:
         with _plant_data(spec):
             cells = analysis.sweep_cells(spec.plant, configs, spec.T, spec.seeds, spec.input_kind)
-        rows += [(_g(value), *astuple(cell)) for value, cell in zip(grid, cells)]
+    # one row per cell: (param_value label, diverged, terminal weight error, leak fraction)
+    rows = [(label, *astuple(cell)) for label, cell in zip(labels, cells)]
 
     lines = [",".join(_SWEEP_COLUMNS)]
     lines += [",".join([label, *map(_g, metrics)]) for label, *metrics in rows]
@@ -435,14 +417,12 @@ def cmd_sweep(args) -> int:
         "T": spec.T,
         "seeds": list(spec.seeds),
         "lambda_max": lambda_max,
-        "eta_reference_2_over_lambda_max": eta_reference,
+        "eta_reference_2_over_lambda_max": 2.0 / lambda_max if lambda_max else None,
         "cells": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
     }
     outdir = _resolve_outdir(spec)
-    _write_artifacts(
-        outdir,
-        {f"sweep_{param}.csv": "\n".join(lines) + "\n", f"sweep_{param}.json": _dumps(summary)},
-    )
+    files = {f"sweep_{param}.csv": "\n".join(lines) + "\n", f"sweep_{param}.json": _dumps(summary)}
+    _write_artifacts(outdir, files, "cannot write artifacts", str(outdir))
     print(f"wrote sweep_{param}.csv and sweep_{param}.json to {outdir}")
     return 0
 
@@ -456,10 +436,10 @@ def cmd_wiener(args) -> int:
     data = generate_sequence(spec.plant, input_kind=spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0]))
     with _plant_data(spec):
         est = analysis.estimate_correlations(data)
-    try:
-        omega = analysis.wiener_solution(est, ridge=args.ridge)
-    except ValueError as exc:
-        raise ExperimentSpecError(str(exc), "--ridge") from None
+        try:
+            omega = analysis.wiener_solution(est, ridge=args.ridge)
+        except ValueError as exc:
+            raise ExperimentSpecError(str(exc), "--ridge") from None
     doc = analysis.correlation_summary(est, omega_opt=omega)
     doc["ridge"] = args.ridge
     doc["true_weight_vector"] = data.plant_truth.tolist()

@@ -316,8 +316,8 @@ def test_stability_probe_brackets_classical_bound():
     assert probe.diverged_fraction[0] == 0.0
     assert probe.diverged_fraction[-1] == 1.0
     assert np.all(np.diff(probe.diverged_fraction) >= 0.0)
-    assert probe.eta_reference == pytest.approx(2.0 / probe.lambda_max)
-    assert 1.5 < probe.eta_reference < 2.6  # R ~= I for this plant
+    assert len(probe.cells) == len(probe.diverged_fraction) + 1  # the 2 / lambda_max cell last
+    assert 1.5 < 2.0 / probe.lambda_max < 2.6  # R ~= I for this plant
 
 
 def test_stability_probe_grid_validation():

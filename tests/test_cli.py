@@ -254,15 +254,20 @@ def test_non_finite_noise_std_exit_2_names_line(tmp_path, capsys):
 
 
 def test_staging_never_removes_another_runs_files(tmp_path):
-    # another run's staging directory next to the same outdir, under the name it used to share
+    # another run's staging directory next to the same outdir, under the name it used to share,
+    # and another run's temp file inside it, under the name the writer gives its own
     spec = write_spec(tmp_path)
     foreign = tmp_path / ".out.staging"
     foreign.mkdir()
     (foreign / "lms_small_seed1.csv").write_text("another run's file")
+    (tmp_path / "out").mkdir()
+    pending = tmp_path / "out" / ".lms_small_seed1.csv.0123456789abcdef.tmp"
+    pending.write_text("another run's file")
     assert cli.main(["simulate", str(spec)]) == 0
     assert (foreign / "lms_small_seed1.csv").read_text() == "another run's file"
+    assert pending.read_text() == "another run's file"
     assert sorted(p.name for p in tmp_path.iterdir()) == [".out.staging", "lin.scenario", "out", "run.spec"]
-    assert len(list((tmp_path / "out").iterdir())) == 8
+    assert len(list((tmp_path / "out").iterdir())) == 8 + 1
 
 
 def test_simulate_removes_its_own_stale_files(tmp_path):
@@ -284,6 +289,28 @@ def test_simulate_keeps_files_outside_its_family(tmp_path):
     names = {p.name for p in outdir.iterdir()}
     assert {"sweep_eta.csv", "sweep_eta.json", "notes.txt"} <= names and "gone_seed9.csv" not in names
     assert len(names) == 3 + 8 and (outdir / "notes.txt").read_text() == "mine"
+
+
+def test_failed_write_leaves_the_outdir_as_it_was(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path)
+    assert cli.main(["simulate", str(spec)]) == 0
+    outdir = tmp_path / "out"
+    before = read_artifacts(outdir)
+    write_spec(tmp_path, SPEC.replace("eta = 0.05", "eta = 0.04"))  # every artifact would change
+    written = []
+    real_write_bytes = Path.write_bytes
+
+    def full_on_the_second_file(self, data):
+        written.append(self.name)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return real_write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", full_on_the_second_file)
+    assert cli.main(["simulate", str(spec)]) == 2
+    assert f"error: {outdir}: cannot write artifacts: disk full" in capsys.readouterr().err
+    assert len(written) == 2 and read_artifacts(outdir) == before
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("broken", ["run.spec", "lin.scenario"])
@@ -316,6 +343,42 @@ def test_overflowing_correlations_never_exit_0(tmp_path, capsys):
     for argv in (["wiener"], ["simulate"], *sweeps):
         assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
         assert "run.spec:2: plant: R or p is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_singular_correlation_exit_2_names_plant_line(tmp_path, capsys):
+    # r, r^2, ..., r^12 of one Gaussian input: R's eigenvalues span far more than 12 decades
+    scenario = f"m = 1\nl = 12\nbasis = polynomial\nq = 1.0\nc = {', '.join(['1.0'] * 12)}\n"
+    for T in (40, 400):
+        spec = write_spec(tmp_path, SPEC.replace("T = 300", f"T = {T}"), scenario)
+        for argv in (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"]):
+            assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+            assert f"error: {spec}:2: plant: smallest eigenvalue" in capsys.readouterr().err
+        assert cli.main(["wiener", str(spec), "--ridge", "1"]) == 0
+    assert not (tmp_path / "out").exists()
+
+
+# branches of the spec reader and the command line that no other test reaches:
+# (spec text, or None for no spec file; command after the spec path; the error message)
+SPEC_FAULTS = {
+    "missing_scenario": (SPEC.replace("lin.scenario", "gone.scenario"), ["simulate"], "{spec}:2: plant: [Errno 2]"),
+    "second_experiment": (SPEC + "[experiment]\n", ["simulate"], "{spec}:16: duplicate [experiment] section"),
+    "bare_filter": (SPEC + "[filter]\n", ["simulate"], "{spec}:16: filter section must be named like [filter NAME]"),
+    "no_experiment": (SPEC[SPEC.index("[filter"):], ["simulate"], "{spec}: missing [experiment] section"),
+    "no_filter": (
+        SPEC[: SPEC.index("[filter")], ["simulate"], "{spec}: at least one [filter NAME] section is required"
+    ),
+    "unknown_input": (SPEC.replace("emit = both", "emit = both\ninput = pink"), ["simulate"], "{spec}:7: input must"),
+    "grid_not_numbers": (SPEC, ["sweep", "--param", "eta", "--grid", "0.1,abc"], "--grid must be comma-separated"),
+    "no_spec_file": (None, ["simulate"], "{spec}: [Errno 2] No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("text,argv,message", SPEC_FAULTS.values(), ids=SPEC_FAULTS)
+def test_spec_and_command_faults_exit_2_naming_where(tmp_path, capsys, text, argv, message):
+    spec = write_spec(tmp_path, text) if text is not None else tmp_path / "run.spec"
+    assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+    assert f"error: {message.format(spec=spec)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -500,6 +563,13 @@ def test_wiener_out_is_all_or_nothing(tmp_path, capsys, monkeypatch):
     check_out_is_all_or_nothing(["wiener", str(write_spec(tmp_path))], tmp_path, capsys, monkeypatch)
 
 
+def test_out_creates_missing_parent_directories(tmp_path, capsys):
+    doc = tmp_path / "new" / "dir" / "doc.json"
+    assert cli.main(["wiener", str(write_spec(tmp_path)), "--out", str(doc)]) == 0
+    assert doc.read_bytes() == capsys.readouterr().out.encode("utf-8")
+    assert [p.name for p in doc.parent.iterdir()] == ["doc.json"]  # no temp file left over
+
+
 # ---------------------------------------------------------------------------
 # any input: exit 0 or 2
 
@@ -576,7 +646,7 @@ def spec_texts(draw, faulty):
 
 @st.composite
 def scenario_texts(draw, faulty):
-    m, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m, l = draw(st.integers(1, 3)), draw(st.integers(1, 12))
     lines = [
         f"m = {m}",
         f"l = {l}",
