@@ -12,20 +12,19 @@ from . import analysis, errors, filters, plant, shapecheck
 from .analysis import (
     BinomialReport,
     CorrelationEstimate,
-    LeakReport,
     RunRecord,
     SeedData,
     StabilityProbe,
     binomial_report,
     binomial_residual,
     binomial_vector_verdict,
-    complex_leak_report,
     correlation_summary,
     estimate_correlations,
     run_batch,
     run_experiment,
     run_record_csv,
     run_summary,
+    seed_aggregate,
     simulate_seeds,
     stability_probe,
     sweep_cells,
@@ -72,7 +71,6 @@ __all__ = [
     "FilterConfig",
     "FilterState",
     "HarxPlant",
-    "LeakReport",
     "RunRecord",
     "SeedData",
     "StabilityProbe",
@@ -80,7 +78,6 @@ __all__ = [
     "binomial_report",
     "binomial_residual",
     "binomial_vector_verdict",
-    "complex_leak_report",
     "correlation_summary",
     "estimate_correlations",
     "flms_signed_step",
@@ -99,6 +96,7 @@ __all__ = [
     "run_experiment",
     "run_record_csv",
     "run_summary",
+    "seed_aggregate",
     "simulate_seeds",
     "stability_probe",
     "step",

@@ -2,10 +2,13 @@
 
 Empirical correlations and the Wiener solution they induce, learning-curve
 runs with divergence detection (every config and seed of a command stepping
-together in one batched kernel), complex-leak summaries for the signed
-fractional variant, a truncated-binomial residual checked against the direct
-power, and an empirical step-size stability probe that replaces any analytic
-bound with measured divergence fractions.
+together in one batched kernel), a truncated-binomial residual checked
+against the direct power, and an empirical step-size stability probe that
+replaces any analytic bound with measured divergence fractions.
+
+Every number a command reports about a run, complex leakage included, comes
+from :func:`run_summary`, and every number about a config's seeds from
+:func:`seed_aggregate` over those summaries.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ class RunRecord:
     empirical Wiener solution of the run's own dataset (stored in
     ``omega_opt``).  A run is flagged diverged as soon as any curve entry is
     non-finite or exceeds 1e12, and stops there; all three curves always
-    share one length.  The curves are read-only.
+    share one length of at least 1.  The curves are read-only; only
+    :func:`run_record_csv` and :func:`run_summary` read them.
     """
 
     mse_curve: np.ndarray
@@ -391,26 +395,6 @@ def run_experiment(
     return run_batch([cfg], data.X, data.outputs, data.omega)[0][0]
 
 
-@dataclass(frozen=True)
-class LeakReport:
-    """Summary of imaginary-mass leakage over a run."""
-
-    first_leak_iter: int | None
-    max_imag: float
-    leak_fraction: float
-
-
-def complex_leak_report(record: RunRecord | np.ndarray) -> LeakReport:
-    """Scan an imaginary-norm curve for leakage above 1e-15."""
-    curve = record.imag_curve if isinstance(record, RunRecord) else np.asarray(record, dtype=np.float64)
-    if curve.size == 0:
-        return LeakReport(first_leak_iter=None, max_imag=0.0, leak_fraction=0.0)
-    hot = curve > LEAK_EPS
-    count = int(np.count_nonzero(hot))
-    first = int(hot.argmax()) if count else None
-    return LeakReport(first_leak_iter=first, max_imag=float(curve.max()), leak_fraction=count / curve.size)
-
-
 def binomial_residual(omega_opt: float, delta: float, exponent: float, k_max: int) -> np.ndarray:
     """|direct power - truncated generalized-binomial partial sum| per K.
 
@@ -486,26 +470,30 @@ def binomial_report(omega_opt: float, delta: float, exponent: float, k_max: int,
     return BinomialReport(scalar_residuals=residuals, vector_verdict=tag, notes=notes)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """Seed-aggregated metrics at one parameter value.
+def seed_aggregate(summaries) -> dict:
+    """Aggregate the :func:`run_summary` dicts of one config's seeds.
 
-    ``terminal_weight_error_mean`` averages the non-diverged runs and is NaN
-    when every seed diverged; ``leak_fraction_mean`` averages all runs.
+    The terminal means and maximum cover the seeds that did not diverge and
+    are NaN when every seed diverged; ``leak_fraction_mean`` and
+    ``max_imag`` cover every seed.
     """
+    ok = [s for s in summaries if not s["diverged"]]
+    over_ok = lambda reduce, key: float(reduce([s[key] for s in ok])) if ok else float("nan")  # noqa: E731
+    return {
+        "diverged_count": len(summaries) - len(ok),
+        "diverged_fraction": (len(summaries) - len(ok)) / len(summaries),
+        "terminal_mse_mean": over_ok(np.mean, "terminal_mse"),
+        "terminal_weight_error_mean": over_ok(np.mean, "terminal_weight_error"),
+        "terminal_weight_error_max": over_ok(np.max, "terminal_weight_error"),
+        "leak_fraction_mean": float(np.mean([s["leak_fraction"] for s in summaries])),
+        "max_imag": float(np.max([s["max_imag"] for s in summaries])),
+    }
 
-    diverged_fraction: float
-    terminal_weight_error_mean: float
-    leak_fraction_mean: float
 
-
-def _aggregate(records) -> SweepCell:
-    finite = [float(r.weight_error_curve[-1]) for r in records if not r.diverged]
-    return SweepCell(
-        diverged_fraction=float(np.mean([r.diverged for r in records])),
-        terminal_weight_error_mean=float(np.mean(finite)) if finite else float("nan"),
-        leak_fraction_mean=float(np.mean([complex_leak_report(r).leak_fraction for r in records])),
-    )
+def _cells(cfgs, data: SeedData) -> list[dict]:
+    """One :func:`seed_aggregate` per config, all configs run in one batch."""
+    batch = run_batch(cfgs, data.X, data.outputs, data.omega)
+    return [seed_aggregate([run_summary(r) for r in records]) for records in batch]
 
 
 def sweep_cells(
@@ -514,26 +502,25 @@ def sweep_cells(
     T: int,
     seeds,
     input_kind: str = "white_gaussian",
-) -> list[SweepCell]:
-    """One cell per config; every config runs over every seed in one batch,
-    on datasets simulated once."""
-    data = simulate_seeds(plant, T, seeds, input_kind)
-    return [_aggregate(records) for records in run_batch(cfgs, data.X, data.outputs, data.omega)]
+) -> list[dict]:
+    """One :func:`seed_aggregate` cell per config; every config runs over
+    every seed in one batch, on datasets simulated once."""
+    return _cells(cfgs, simulate_seeds(plant, T, seeds, input_kind))
 
 
 @dataclass(frozen=True)
 class StabilityProbe:
-    """One cell per grid step size, then the cell at the classical reference
-    point 2 / lambda_max, with lambda_max measured from the first seed's
-    dataset."""
+    """One :func:`seed_aggregate` cell per grid step size, then the cell at
+    the classical reference point 2 / lambda_max, with lambda_max measured
+    from the first seed's dataset."""
 
-    cells: tuple[SweepCell, ...]
+    cells: tuple[dict, ...]
     lambda_max: float
 
     @property
     def diverged_fraction(self) -> np.ndarray:
         """The divergence fraction of each grid cell, the reference left out."""
-        return np.array([cell.diverged_fraction for cell in self.cells[:-1]])
+        return np.array([cell["diverged_fraction"] for cell in self.cells[:-1]])
 
 
 def stability_probe(
@@ -557,8 +544,7 @@ def stability_probe(
     data = simulate_seeds(plant, T, seeds, input_kind)
     lam = float(data.lambda_max[0])
     cfgs = [replace(cfg_template, eta=eta) for eta in [*grid.tolist(), 2.0 / lam]]
-    cells = tuple(_aggregate(r) for r in run_batch(cfgs, data.X, data.outputs, data.omega))
-    return StabilityProbe(cells=cells, lambda_max=lam)
+    return StabilityProbe(cells=tuple(_cells(cfgs, data)), lambda_max=lam)
 
 
 def run_record_csv(record: RunRecord) -> str:
@@ -570,31 +556,32 @@ def run_record_csv(record: RunRecord) -> str:
 
 
 def run_summary(record: RunRecord) -> dict:
-    """Scalar summary of one run (JSON-ready apart from non-finite floats)."""
-    leak = complex_leak_report(record)
+    """Scalar summary of one run (JSON-ready apart from non-finite floats),
+    the one reader of a record's curves for every number a command reports.
+    The run leaks where its imaginary-norm curve exceeds 1e-15."""
+    hot = record.imag_curve > LEAK_EPS
+    leaks = int(np.count_nonzero(hot))
     return {
-        "iterations": int(len(record.mse_curve)),
+        "iterations": int(hot.size),
         "diverged": bool(record.diverged),
         "terminal_mse": float(record.mse_curve[-1]),
         "terminal_weight_error": float(record.weight_error_curve[-1]),
         "complex_events": int(record.final_state.complex_events),
-        "max_imag": leak.max_imag,
-        "first_leak_iter": leak.first_leak_iter,
-        "leak_fraction": leak.leak_fraction,
+        "max_imag": float(record.imag_curve.max()),
+        "first_leak_iter": int(hot.argmax()) if leaks else None,
+        "leak_fraction": leaks / hot.size,
     }
 
 
-def correlation_summary(est: CorrelationEstimate, omega_opt: np.ndarray | None = None) -> dict:
-    """JSON-ready document for a correlation estimate and, optionally, the
-    Wiener solution computed from it."""
-    doc = {
+def correlation_summary(est: CorrelationEstimate, omega_opt: np.ndarray) -> dict:
+    """JSON-ready document for a correlation estimate and the Wiener solution
+    computed from it."""
+    return {
         "sample_count": est.sample_count,
         "R": est.R.tolist(),
         "p": est.p.tolist(),
         "eigenvalues": est.eigenvalues.tolist(),
         "lambda_max": est.lambda_max,
         "eta_stability_reference": 2.0 / est.lambda_max,
+        "omega_opt": np.asarray(omega_opt).tolist(),
     }
-    if omega_opt is not None:
-        doc["omega_opt"] = np.asarray(omega_opt).tolist()
-    return doc

@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -291,18 +291,9 @@ def _plant_data(spec: ExperimentSpec):
 
 
 def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) -> dict:
-    per_seed = []
-    for seed, rec in records:
-        per_seed.append({"seed": seed, **analysis.run_summary(rec)})
-    ok = [rec for _, rec in records if not rec.diverged]
-    aggregate = {
-        "diverged_count": sum(1 for _, rec in records if rec.diverged),
-        "terminal_mse_mean": float(np.mean([r.mse_curve[-1] for r in ok])) if ok else None,
-        "terminal_weight_error_mean": float(np.mean([r.weight_error_curve[-1] for r in ok])) if ok else None,
-        "terminal_weight_error_max": float(np.max([r.weight_error_curve[-1] for r in ok])) if ok else None,
-        "leak_fraction_mean": float(np.mean([s["leak_fraction"] for s in per_seed])),
-        "max_imag": float(np.max([s["max_imag"] for s in per_seed])),
-    }
+    per_seed = [{"seed": seed, **analysis.run_summary(rec)} for seed, rec in records]
+    aggregate = analysis.seed_aggregate(per_seed)
+    del aggregate["diverged_fraction"]  # the summary reports the count
     return {
         "config": {"name": name, **asdict(cfg)},
         "plant": {
@@ -385,15 +376,15 @@ def cmd_audit(args) -> int:
 def cmd_sweep(args) -> int:
     spec = load_experiment_spec(args.spec)
     param = args.param
+    name, cfg = spec.filters[0]
+    if param not in VARIANT_FIELDS[cfg.variant]:
+        raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
+    grid_fault = Section(ExperimentSpecError, "--grid")
     try:
         grid = [float(x) for x in args.grid.split(",")]
     except ValueError:
-        raise ExperimentSpecError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
-    name, cfg = spec.filters[0]
-    grid_fault = Section(ExperimentSpecError, "--grid")
+        raise grid_fault.fail(f"{param} values must be comma-separated numbers, got {args.grid!r}") from None
     configs = [_filter_config({**asdict(cfg), param: value}, grid_fault) for value in grid]
-    if param not in VARIANT_FIELDS[cfg.variant]:
-        raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
 
     labels = [_g(value) for value in grid]
     lambda_max = None
@@ -405,8 +396,7 @@ def cmd_sweep(args) -> int:
     else:
         with _plant_data(spec):
             cells = analysis.sweep_cells(spec.plant, configs, spec.T, spec.seeds, spec.input_kind)
-    # one row per cell: (param_value label, diverged, terminal weight error, leak fraction)
-    rows = [(label, *astuple(cell)) for label, cell in zip(labels, cells)]
+    rows = [(label, *(cell[column] for column in _SWEEP_COLUMNS[1:])) for label, cell in zip(labels, cells)]
 
     lines = [",".join(_SWEEP_COLUMNS)]
     lines += [",".join([label, *map(_g, metrics)]) for label, *metrics in rows]

@@ -8,17 +8,17 @@ from harxlab.analysis import (
     binomial_report,
     binomial_residual,
     binomial_vector_verdict,
-    complex_leak_report,
     estimate_correlations,
     run_experiment,
     run_record_csv,
+    run_summary,
     simulate_seeds,
     stability_probe,
     sweep_cells,
     wiener_solution,
 )
 from harxlab.errors import DomainError, EmptyDataset, SingularCorrelation
-from harxlab.filters import FilterConfig
+from harxlab.filters import FilterConfig, initial_state
 from harxlab.plant import Dataset, HarxPlant, generate_sequence, muscle_preset, polynomial_basis, true_weight_vector
 
 
@@ -31,6 +31,12 @@ def synthetic_dataset(X, outputs):
 def muscle_structure(noise_std=0.01, seed=7):
     return HarxPlant(m=3, basis=polynomial_basis(3), q=np.array([0.6, 0.3, 0.1]),
                      c=np.array([1.0, 0.5, 0.25]), noise_std=noise_std, seed=seed)
+
+
+def make_record(mse, werr, imag):
+    return RunRecord(mse_curve=np.array(mse, dtype=float), weight_error_curve=np.array(werr, dtype=float),
+                     imag_curve=np.array(imag, dtype=float), diverged=False,
+                     final_state=initial_state(FilterConfig(variant="lms", eta=0.1, dim=1)), omega_opt=np.zeros(1))
 
 
 def linear_plant(noise_std=0.01, seed=3):
@@ -201,7 +207,6 @@ def test_run_record_csv_format():
 
 
 def test_run_record_csv_matches_per_cell_format():
-    from harxlab.filters import initial_state
     from harxlab.cli import _g as _cell
 
     def per_cell(rec):  # the one-format-call-per-cell rendering the bulk pass must reproduce
@@ -210,35 +215,35 @@ def test_run_record_csv_matches_per_cell_format():
             lines.append(f"{i},{_cell(rec.mse_curve[i])},{_cell(rec.weight_error_curve[i])},{_cell(rec.imag_curve[i])}")
         return "\n".join(lines) + "\n"
 
-    def record(mse, werr, imag):
-        return RunRecord(mse_curve=np.array(mse, dtype=float), weight_error_curve=np.array(werr, dtype=float),
-                         imag_curve=np.array(imag, dtype=float), diverged=False,
-                         final_state=initial_state(FilterConfig(variant="lms", eta=0.1, dim=1)), omega_opt=np.zeros(1))
-
     odd = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, -123456789.0]
-    rec = record(odd, odd[::-1], [1e-17] * len(odd))
+    rec = make_record(odd, odd[::-1], [1e-17] * len(odd))
     assert run_record_csv(rec) == per_cell(rec)
-    assert run_record_csv(record([], [], [])) == per_cell(record([], [], [])) == "iter,mse,weight_error,imag_norm\n"
+    empty = make_record([], [], [])
+    assert run_record_csv(empty) == per_cell(empty) == "iter,mse,weight_error,imag_norm\n"
     plant = linear_plant()
     rec = run_experiment(plant, FilterConfig(variant="lms", eta=0.05, dim=plant.n), 300, seed=4)
     assert run_record_csv(rec) == per_cell(rec)
 
 
 # ---------------------------------------------------------------------------
-# complex_leak_report
+# the leak scan of run_summary
+
+
+def leak_summary(imag):
+    return run_summary(make_record(np.zeros(len(imag)), np.zeros(len(imag)), imag))
 
 
 def test_leak_report_all_real():
-    report = complex_leak_report(np.zeros(10))
-    assert report.first_leak_iter is None
-    assert report.max_imag == 0.0 and report.leak_fraction == 0.0
+    summary = leak_summary(np.zeros(10))
+    assert summary["first_leak_iter"] is None
+    assert summary["max_imag"] == 0.0 and summary["leak_fraction"] == 0.0
 
 
 def test_leak_report_direct_scan():
-    report = complex_leak_report(np.array([0.0, 0.0, 0.5, 0.2]))
-    assert report.first_leak_iter == 2
-    assert report.max_imag == 0.5
-    assert report.leak_fraction == 0.5
+    summary = leak_summary([0.0, 0.0, 0.5, 0.2])
+    assert summary["first_leak_iter"] == 2
+    assert summary["max_imag"] == 0.5
+    assert summary["leak_fraction"] == 0.5
 
 
 def test_leak_report_monte_carlo_batch():
@@ -246,9 +251,9 @@ def test_leak_report_monte_carlo_batch():
                       c=np.array([1.0, -1.0]), noise_std=0.01, seed=0)
     cfg = FilterConfig(variant="flms_signed", eta=0.01, dim=2, beta=0.2, v=0.5)
     for seed in range(20):
-        report = complex_leak_report(run_experiment(plant, cfg, 500, seed))
-        assert report.leak_fraction > 0.0
-        assert report.first_leak_iter is not None
+        summary = run_summary(run_experiment(plant, cfg, 500, seed))
+        assert summary["leak_fraction"] > 0.0
+        assert summary["first_leak_iter"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +337,11 @@ def test_stability_probe_grid_validation():
 def test_sweep_cell_aggregates():
     plant = linear_plant()
     cell = sweep_cells(plant, [FilterConfig(variant="lms", eta=0.05, dim=plant.n)], T=400, seeds=[0, 1, 2])[0]
-    assert cell.diverged_fraction == 0.0
-    assert np.isfinite(cell.terminal_weight_error_mean)
-    assert cell.leak_fraction_mean == 0.0
-    # every seed diverges far beyond the bound: the weight-error mean is NaN
+    assert cell["diverged_count"] == 0 and cell["diverged_fraction"] == 0.0
+    assert np.isfinite(cell["terminal_weight_error_mean"])
+    assert cell["leak_fraction_mean"] == 0.0 and cell["max_imag"] == 0.0
+    # every seed diverges far beyond the bound: the terminal statistics are NaN
     cell = sweep_cells(plant, [FilterConfig(variant="lms", eta=50.0, dim=plant.n)], T=400, seeds=[0, 1])[0]
-    assert cell.diverged_fraction == 1.0
-    assert np.isnan(cell.terminal_weight_error_mean)
+    assert cell["diverged_count"] == 2 and cell["diverged_fraction"] == 1.0
+    for key in ("terminal_mse_mean", "terminal_weight_error_mean", "terminal_weight_error_max"):
+        assert np.isnan(cell[key])

@@ -75,6 +75,19 @@ def test_simulate_artifact_counts(tmp_path, capsys):
     assert doc["config"]["variant"] == "lms"
 
 
+def test_simulate_all_seeds_diverged_aggregate(tmp_path):
+    spec = write_spec(tmp_path, SPEC.replace("eta = 0.05\n\n", "eta = 50.0\n\n"))  # lms_small diverges
+    assert cli.main(["simulate", str(spec)]) == 0
+    aggregate = json.loads((tmp_path / "out" / "lms_small_summary.json").read_text())["aggregate"]
+    assert aggregate["diverged_count"] == 3
+    for key in ("terminal_mse_mean", "terminal_weight_error_mean", "terminal_weight_error_max"):
+        assert aggregate[key] is None
+    assert sorted(aggregate) == sorted(
+        ("diverged_count", "terminal_mse_mean", "terminal_weight_error_mean", "terminal_weight_error_max",
+         "leak_fraction_mean", "max_imag")
+    )
+
+
 def test_simulate_validation_exit_2_names_field(tmp_path, capsys):
     spec = write_spec(tmp_path, SPEC.replace("T = 300", "T = 3"))
     assert cli.main(["simulate", str(spec)]) == 2
@@ -137,7 +150,7 @@ def test_spec_parse_errors(tmp_path, capsys):
         assert cli.main(["simulate", str(spec)]) == 2, text
         assert needle in capsys.readouterr().err
 
-    spec = write_spec(tmp_path)
+    spec = write_spec(tmp_path, SPEC.replace("variant = lms\n", "variant = mflms_modulus\nv = 0.5\n"))  # reads v
     assert cli.main(["sweep", str(spec), "--param", "v", "--grid", "0.5,0"]) == 2
     assert "--grid: v must lie in (0, 1]" in capsys.readouterr().err
 
@@ -210,8 +223,8 @@ def test_field_the_variant_ignores_exit_2_names_line(tmp_path, capsys, variant, 
 
 def test_sweep_of_a_field_the_variant_ignores_exit_2(tmp_path, capsys):
     spec = write_spec(tmp_path)  # the first filter is lms, which reads only eta
-    for param in ("beta", "v"):
-        assert cli.main(["sweep", str(spec), "--param", param, "--grid", "0.5"]) == 2
+    for param, grid in (("beta", "0.5"), ("v", "0.5"), ("v", "2")):  # v = 2 is out of range too
+        assert cli.main(["sweep", str(spec), "--param", param, "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith(f"error: --param: variant 'lms' of filter 'lms_small' does not read {param}")
     assert not (tmp_path / "out").exists()
 
@@ -369,7 +382,9 @@ SPEC_FAULTS = {
         SPEC[: SPEC.index("[filter")], ["simulate"], "{spec}: at least one [filter NAME] section is required"
     ),
     "unknown_input": (SPEC.replace("emit = both", "emit = both\ninput = pink"), ["simulate"], "{spec}:7: input must"),
-    "grid_not_numbers": (SPEC, ["sweep", "--param", "eta", "--grid", "0.1,abc"], "--grid must be comma-separated"),
+    "grid_not_numbers": (
+        SPEC, ["sweep", "--param", "eta", "--grid", "0.1,abc"], "--grid: eta values must be comma-separated numbers"
+    ),
     "no_spec_file": (None, ["simulate"], "{spec}: [Errno 2] No such file or directory"),
 }
 
@@ -496,7 +511,10 @@ def test_sweep_eta_includes_reference_row(tmp_path):
     fractions = [float(line.split(",")[1]) for line in lines[1:4]]
     assert fractions == sorted(fractions)
     assert fractions[0] == 0.0 and fractions[-1] == 1.0
+    assert lines[3].split(",")[2] == "nan"  # eta = 8 diverges on every seed
     doc = json.loads((tmp_path / "out" / "sweep_eta.json").read_text())
+    assert doc["cells"][2]["terminal_weight_error_mean"] is None
+    assert doc["cells"][0]["terminal_weight_error_mean"] > 0.0
     assert doc["eta_reference_2_over_lambda_max"] == pytest.approx(2.0 / doc["lambda_max"])
 
 
