@@ -34,12 +34,8 @@ from .filters import (
     FilterConfig,
     FilterState,
     StepRecord,
-    flms_signed_step,
     fractional_factor,
     initial_state,
-    lms_step,
-    mflms_step,
-    momentum_lms_step,
     predict_error,
     step,
 )
@@ -80,14 +76,10 @@ __all__ = [
     "binomial_vector_verdict",
     "correlation_summary",
     "estimate_correlations",
-    "flms_signed_step",
     "fractional_factor",
     "generate_sequence",
     "initial_state",
-    "lms_step",
     "load_scenario",
-    "mflms_step",
-    "momentum_lms_step",
     "muscle_preset",
     "parse_scenario",
     "polynomial_basis",

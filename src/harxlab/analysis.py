@@ -20,7 +20,7 @@ import numpy as np
 
 from . import shapecheck
 from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
-from .filters import FilterConfig, FilterState
+from .filters import FilterConfig, FilterState, fractional_power
 from .plant import Dataset, HarxPlant, generate_sequence
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -170,53 +170,35 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
 
 
 def _factor_groups(cfgs) -> tuple[list[tuple[str, float]], np.ndarray]:
-    """The distinct (factor kind, exponent) pairs of ``cfgs``, sorted, and each
-    config's index into them.  ``lms`` and ``momentum_lms`` configs take no
-    factor: their index is one past the last group."""
-    keys = [
-        ("signed" if cfg.variant == "flms_signed" else cfg.power_interpretation, 1.0 - cfg.v)
-        if cfg.variant in ("flms_signed", "mflms_modulus")
-        else None
-        for cfg in cfgs
-    ]
+    """The distinct ``cfg.factor`` values of ``cfgs``, sorted, and each config's
+    index into them; a config without a factor indexes one past the last group."""
+    keys = [cfg.factor for cfg in cfgs]
     groups = sorted(set(keys) - {None})
     return groups, np.array([len(groups) if key is None else groups.index(key) for key in keys], dtype=np.int64)
-
-
-def _factor(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
-    """The fractional factor of rows sharing one kind and exponent, computed as
-    :func:`harxlab.filters.fractional_factor` computes it: one np.power call
-    with a scalar exponent (so sqrt for 0.5), or for ``euclidean_norm`` a
-    Python float power per row, broadcast over the row's weights."""
-    if kind == "signed":
-        return np.power(re.astype(np.complex128), exponent)
-    if kind == "elementwise_abs":
-        return np.power(np.maximum(np.abs(re), guard), exponent)
-    base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[..., 0])
-    return np.reshape([b**exponent for b in base.ravel().tolist()], (*base.shape, 1))
 
 
 def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     """Run every config on every seed's data, all (config, seed) rows stepping together.
 
-    ``X`` (S, N, n), ``outputs`` (S, N) and ``omega`` (S, n) hold the seeds'
-    regressor matrices, desired outputs and Wiener solutions; they are
-    broadcast over the configs, never tiled.  The configs may be of any
-    variants: the ``flms_signed`` rows step in one complex128 time loop, every
-    other row in one float64 time loop, so a real row's imaginary parts are
-    exactly 0.  Row (c, s) starts from zero weights and applies, element by
-    element and in the same order, the operations of the single-step
-    functions in :mod:`harxlab.filters`::
+    ``X`` (S, N, n) with S, N, n >= 1, ``outputs`` (S, N) and ``omega`` (S, n)
+    hold the seeds' regressor matrices, desired outputs and Wiener solutions;
+    they are broadcast over the configs, never tiled.  The configs may be of
+    any variants; each is read through its ``momentum`` and ``factor``
+    properties only.  The rows whose factor kind is ``signed`` step in one
+    complex128 time loop, every other row in one float64 time loop, so a real
+    row's imaginary parts are exactly 0.  Row (c, s) starts from zero weights
+    and applies, element by element and in the same order, the operations of
+    :func:`harxlab.filters.step`::
 
-        w' = w + beta (w - w_prev) + eta e psi (1 + factor)
+        w' = w + momentum (w - w_prev) + eta e psi (1 + factor)
 
-    with beta = 0 for ``lms``; an ``lms`` or ``momentum_lms`` row leaves its
-    gradient unscaled (factor 0).  Inner products and norms are one BLAS dot
-    per row (``np.vecdot``), so no row's sums depend on the other rows.  The
-    single-step functions hold a real row's weights as the strided real part
-    of a complex vector, where this kernel holds them contiguous, so BLAS may
-    sum a real row's prediction error in another order (n >= 4): the only
-    difference.
+    with the factor from :func:`harxlab.filters.fractional_power`, the code
+    ``step`` calls too, and no factor (0) for a config without one.  Inner
+    products and norms are one BLAS dot per row (``np.vecdot``), so no row's
+    sums depend on the other rows.  ``step`` holds a real row's weights as
+    the strided real part of a complex vector, where this kernel holds them
+    contiguous, so BLAS may sum a real row's prediction error and Euclidean
+    norm in another order (n >= 4): the only difference.
 
     Time runs in blocks of B steps, B sized so that a block's weight history
     takes about 256 KB.  Within a block every live row steps the recurrence
@@ -234,17 +216,19 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     X = np.asarray(X, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    if X.ndim != 3 or outputs.shape != X.shape[:2] or omega.shape != (X.shape[0], X.shape[2]):
+    if X.ndim != 3 or 0 in X.shape or outputs.shape != X.shape[:2] or omega.shape != (X.shape[0], X.shape[2]):
         raise DimensionMismatch(
-            f"expected X (S, N, n), outputs (S, N), omega (S, n); got {X.shape}, {outputs.shape}, {omega.shape}"
+            f"expected X (S, N, n) with S, N, n >= 1, outputs (S, N), omega (S, n); "
+            f"got {X.shape}, {outputs.shape}, {omega.shape}"
         )
     n = X.shape[2]
     for cfg in cfgs:
         if cfg.dim != n:
             raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
     records: list = [None] * len(cfgs)
+    kinds = [cfg.factor and cfg.factor[0] for cfg in cfgs]
     for signed in (False, True):
-        rows = [c for c, cfg in enumerate(cfgs) if (cfg.variant == "flms_signed") == signed]
+        rows = [c for c, kind in enumerate(kinds) if (kind == "signed") == signed]
         if rows:
             for c, per_seed in zip(rows, _run_rows([cfgs[c] for c in rows], signed, X, outputs, omega)):
                 records[c] = per_seed
@@ -282,7 +266,7 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     # per-config parameters, one entry per row
     column = lambda values: np.array(values, dtype=np.float64)[cfg_of]  # noqa: E731
     eta = column([cfg.eta for cfg in cfgs])
-    beta = column([0.0 if cfg.variant == "lms" else cfg.beta for cfg in cfgs])[:, None]
+    beta = column([cfg.momentum for cfg in cfgs])[:, None]
     guard = column([cfg.epsilon_guard for cfg in cfgs])[:, None]
     B = max(1, _BLOCK_BYTES // (R * n * np.dtype(dtype).itemsize))
 
@@ -323,7 +307,7 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
                 err = np.subtract(db[j], np.vecdot(psi, re), out=E[j])
                 grad = ((eta_b * err)[:, None] * psi).astype(dtype, copy=False)
                 for kind, e, at, g in block_groups:
-                    grad[at] *= 1.0 + _factor(kind, re[at], g, e)
+                    grad[at] *= 1.0 + fractional_power(kind, re[at], g, e)
                 W_prev, W = W, np.add(W + beta_b * (W - W_prev), grad, out=H[j + 2])
 
             # the block's diagnostics, from its history; Xb's buffer holds the temporaries

@@ -194,7 +194,9 @@ def load_experiment_spec(path) -> ExperimentSpec:
             "T",
         )
 
-    outputs = spec_path.parent / exp.take("outputs", default="harxlab_out")
+    outputs = exp.take("outputs", default="harxlab_out")
+    if not outputs:  # the spec's own directory, whose files simulate would clear
+        raise exp.fail("outputs must name a directory, got ''", "outputs")
     emit = exp.take("emit", default="both")
     if emit not in EMIT_MODES:
         raise exp.fail(f"emit must be one of {EMIT_MODES}, got {emit!r}", "emit")
@@ -225,7 +227,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
         filters=tuple(filters),
         T=T,
         seeds=seeds,
-        outputs=outputs,
+        outputs=spec_path.parent / outputs,
         emit=emit,
         input_kind=input_kind,
     )

@@ -15,10 +15,6 @@ class BadLength(HarxlabError):
     """A requested sequence length is too short to produce any data."""
 
 
-class UnsupportedVariant(HarxlabError):
-    """An operation was invoked with a filter variant it does not support."""
-
-
 class EmptyDataset(HarxlabError):
     """Correlation estimation needs at least one (regressor, output) pair."""
 

@@ -1,8 +1,11 @@
-"""Adaptive update rules for the LMS family.
+"""The one adaptive update rule of the LMS family.
 
-Four variants share one state shape:
+Four variants read one recursion, w' = w + momentum (w - w_prev) + eta e psi
+(1 + factor), and differ only in what they put in it
+(:attr:`FilterConfig.momentum` and :attr:`FilterConfig.factor`):
 
-* ``lms`` — plain stochastic gradient on the squared prediction error,
+* ``lms`` — plain stochastic gradient on the squared prediction error: no
+  momentum, no factor,
 * ``momentum_lms`` — adds the heavy-ball term beta * (w - w_prev),
 * ``flms_signed`` — scales the gradient term by component-wise signed
   fractional powers of the weights, taken on the principal complex branch, so
@@ -11,9 +14,11 @@ Four variants share one state shape:
   stays real by construction under either reading of the magnitude factor
   (component-wise absolute values, or one Euclidean-norm scalar).
 
-Every step is a pure transition ``(state, config, regressor, desired) ->
+:func:`step` is the pure transition ``(state, config, regressor, desired) ->
 (new_state, record)``: inputs are never mutated, so a recorded sequence
-replays bit-identically.
+replays bit-identically.  :func:`fractional_power` is the one implementation
+of the factor, shared by :func:`step` and the batched kernel
+:func:`harxlab.analysis.run_batch`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedVariant
+from .errors import DimensionMismatch
 
 VARIANTS = ("lms", "momentum_lms", "flms_signed", "mflms_modulus")
 POWER_INTERPRETATIONS = ("elementwise_abs", "euclidean_norm")
@@ -71,6 +76,20 @@ class FilterConfig:
             raise ValueError(f"epsilon_guard must be finite and >= 0, got {self.epsilon_guard}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+
+    @property
+    def momentum(self) -> float:
+        """The coefficient of (w - w_prev) in the update: ``beta``, or 0.0 for ``lms``."""
+        return 0.0 if self.variant == "lms" else self.beta
+
+    @property
+    def factor(self) -> tuple[str, float] | None:
+        """The factor on the gradient as ``(kind, 1 - v)``, kind ``signed``,
+        ``elementwise_abs`` or ``euclidean_norm``; None for ``lms`` and
+        ``momentum_lms``, whose gradient stays unscaled."""
+        if self.variant in ("lms", "momentum_lms"):
+            return None
+        return ("signed" if self.variant == "flms_signed" else self.power_interpretation, 1.0 - self.v)
 
 
 @dataclass(frozen=True)
@@ -128,16 +147,6 @@ def _psi(reg, n: int) -> np.ndarray:
     return values
 
 
-def _check_dims(state: FilterState, cfg: FilterConfig) -> None:
-    if state.dim != cfg.dim:
-        raise DimensionMismatch(f"state dim {state.dim} != config dim {cfg.dim}")
-
-
-def _require(cfg: FilterConfig, variant: str) -> None:
-    if cfg.variant != variant:
-        raise UnsupportedVariant(f"step requires variant {variant!r}, got {cfg.variant!r}")
-
-
 def predict_error(state: FilterState, reg, desired: float) -> float:
     """Instantaneous prediction error e(t) = desired - reg . Re(w).
 
@@ -149,41 +158,52 @@ def predict_error(state: FilterState, reg, desired: float) -> float:
     return float(desired - psi @ state.w.real)
 
 
-def fractional_factor(state: FilterState, cfg: FilterConfig) -> np.ndarray | float:
-    """The (1 - v)-power factor the fractional variants put on the gradient.
+def fractional_power(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
+    """The factor of a (..., n) block of real weight rows sharing one kind and
+    exponent; ``guard`` (..., 1) holds each row's ``epsilon_guard``.
 
-    * ``flms_signed``: component-wise principal-branch power of Re(w), which
-      is complex wherever the weight is negative.  0**(1-v) is 0 for v < 1
-      and 1 for v = 1, so the integer-order reduction is exact.
-    * ``mflms_modulus`` + ``elementwise_abs``: the real vector
-      max(|Re(w_j)|, epsilon_guard)**(1-v).
-    * ``mflms_modulus`` + ``euclidean_norm``: the single real scalar
-      max(||Re(w)||, epsilon_guard)**(1-v).
+    * ``signed``: component-wise principal-branch power of the weights, which
+      is complex wherever a weight is negative.  0**(1-v) is 0 for v < 1 and
+      1 for v = 1, so the integer-order reduction is exact.
+    * ``elementwise_abs``: the real max(|w_j|, guard)**(1-v) per component.
+    * ``euclidean_norm``: one real max(||w||, guard)**(1-v) per row, shaped
+      (..., 1) to broadcast over the row's weights.
+
+    The exponent is one scalar for the whole block, so np.power keeps its
+    scalar fast paths (sqrt for 0.5); a row's Euclidean power is a Python
+    float power.
     """
-    if cfg.variant not in ("flms_signed", "mflms_modulus"):
-        raise UnsupportedVariant(f"fractional factor undefined for variant {cfg.variant!r}")
-    _check_dims(state, cfg)
-    exponent = 1.0 - cfg.v
-    re = state.w.real
-    if cfg.variant == "flms_signed":
+    if kind == "signed":
         return np.power(re.astype(np.complex128), exponent)
-    if cfg.power_interpretation == "elementwise_abs":
-        return np.power(np.maximum(np.abs(re), cfg.epsilon_guard), exponent)
-    return float(max(float(np.linalg.norm(re)), cfg.epsilon_guard) ** exponent)
+    if kind == "elementwise_abs":
+        return np.power(np.maximum(np.abs(re), guard), exponent)
+    base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[..., 0])
+    return np.reshape([b**exponent for b in base.ravel().tolist()], (*base.shape, 1))
 
 
-def _update(
-    state: FilterState, cfg: FilterConfig, reg, desired: float, beta: float, factor: np.ndarray | float = 0.0
-) -> tuple[FilterState, StepRecord]:
-    """The one update rule: w' = w + beta (w - w_prev) + eta e psi (1 + factor).
+def fractional_factor(state: FilterState, cfg: FilterConfig) -> np.ndarray | float:
+    """The factor ``cfg.factor`` puts on the gradient at ``state``: the
+    :func:`fractional_power` of Re(w), or 0.0 for a variant without one."""
+    if state.dim != cfg.dim:
+        raise DimensionMismatch(f"state dim {state.dim} != config dim {cfg.dim}")
+    if cfg.factor is None:
+        return 0.0
+    kind, exponent = cfg.factor
+    return fractional_power(kind, state.w.real, np.array([cfg.epsilon_guard]), exponent)
 
-    Counts a ``complex_events`` step whenever the post-update weights carry
-    any imaginary part; only ``flms_signed`` may produce one.
+
+def step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
+    """The one update rule: w' = w + momentum (w - w_prev) + eta e psi (1 + factor).
+
+    ``momentum`` is :attr:`FilterConfig.momentum` and ``factor`` is
+    :func:`fractional_factor`; the products are component-wise.  Counts a
+    ``complex_events`` step whenever the post-update weights carry any
+    imaginary part; only ``flms_signed`` may produce one.
     """
-    _check_dims(state, cfg)
+    factor = fractional_factor(state, cfg)  # checks the state against cfg.dim
     psi = _psi(reg, cfg.dim)
     err = predict_error(state, psi, desired)
-    w_new = state.w + beta * (state.w - state.w_prev) + cfg.eta * err * psi * (1.0 + factor)
+    w_new = state.w + cfg.momentum * (state.w - state.w_prev) + cfg.eta * err * psi * (1.0 + factor)
     imag_peak = float(np.max(np.abs(w_new.imag)))
     assert imag_peak == 0.0 or cfg.variant == "flms_signed", f"{cfg.variant} must stay real"
     new = FilterState(
@@ -195,57 +215,5 @@ def _update(
     return new, StepRecord(error=err, imag_norm=float(np.linalg.norm(w_new.imag)))
 
 
-def lms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
-    """w' = w + eta * e * psi; ``cfg.beta`` is ignored."""
-    _require(cfg, "lms")
-    return _update(state, cfg, reg, desired, beta=0.0)
-
-
-def momentum_lms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
-    """w' = w + beta * (w - w_prev) + eta * e * psi."""
-    _require(cfg, "momentum_lms")
-    return _update(state, cfg, reg, desired, beta=cfg.beta)
-
-
-def mflms_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
-    """Modulus-guarded momentum-fractional update.
-
-    elementwise_abs::
-
-        w'_j = w_j + beta (w_j - w_prev_j) + eta e psi_j (1 + |w_j|^(1-v))
-
-    euclidean_norm::
-
-        w' = w + beta (w - w_prev) + eta e psi (1 + ||w||^(1-v))
-
-    With v = 1 the factor is identically 2, i.e. momentum LMS at twice the
-    step size.  Weights stay real by construction.
-    """
-    _require(cfg, "mflms_modulus")
-    return _update(state, cfg, reg, desired, beta=cfg.beta, factor=fractional_factor(state, cfg))
-
-
-def flms_signed_step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
-    """Signed fractional update with principal-branch component powers.
-
-    w' = w + beta (w - w_prev) + eta e psi (.) (1 + Re(w)^(1-v)), where (.) is
-    the component-wise product and the power follows the principal complex
-    branch.  Negative weight components therefore leak imaginary mass into
-    the state; ``complex_events`` counts the steps whose post-update weights
-    carry any imaginary part.
-    """
-    _require(cfg, "flms_signed")
-    return _update(state, cfg, reg, desired, beta=cfg.beta, factor=fractional_factor(state, cfg))
-
-
-_STEPS = {
-    "lms": lms_step,
-    "momentum_lms": momentum_lms_step,
-    "mflms_modulus": mflms_step,
-    "flms_signed": flms_signed_step,
-}
-
-
-def step(state: FilterState, cfg: FilterConfig, reg, desired: float) -> tuple[FilterState, StepRecord]:
-    """Dispatch to the configured variant's update rule."""
-    return _STEPS[cfg.variant](state, cfg, reg, desired)
+# the names the acceptance gate steps through
+momentum_lms_step = mflms_step = step

@@ -11,7 +11,6 @@ from harxlab import analysis
 from harxlab.analysis import (
     DIVERGENCE_THRESHOLD,
     LEAK_EPS,
-    _factor,
     _factor_groups,
     run_batch,
     run_experiment,
@@ -20,7 +19,7 @@ from harxlab.analysis import (
     simulate_seeds,
 )
 from harxlab.errors import DimensionMismatch
-from harxlab.filters import FilterConfig, initial_state, step
+from harxlab.filters import FilterConfig, fractional_power, initial_state, step
 from harxlab.plant import HarxPlant, polynomial_basis
 
 # n = 4 with negative true weights: flms_signed leaks, and BLAS sums the
@@ -204,19 +203,27 @@ def test_real_rows_stay_real(variant, interp):
 
 def test_power_takes_each_rows_exponent_as_a_scalar():
     # np.power has scalar-exponent fast paths (sqrt for 0.5) that an exponent
-    # array skips; every row must get what the single-step function computes
-    base = np.abs(np.random.default_rng(3).standard_normal((3, 4, 9)))
+    # array skips; every row of a group must get what it gets computed alone
+    base = np.random.default_rng(3).standard_normal((3, 4, 9))
     exponent = np.array([0.5, 0.25, 0.5])
-    cfgs = [FilterConfig(variant="mflms_modulus", eta=0.01, dim=9, v=1.0 - e) for e in exponent]
-    got = np.empty_like(base)
-    groups, group_of = _factor_groups(cfgs)
-    for g, (kind, e) in enumerate(groups):
-        rows = group_of == g
-        got[rows] = _factor(kind, base[rows], np.zeros((len(base[rows]), 1, 1)), e)
-    for c, e in enumerate(exponent):
-        np.testing.assert_array_equal(got[c], np.power(base[c], float(e)))
+    guard = np.zeros((3, 4, 1))
+    for interp in ("elementwise_abs", "euclidean_norm"):
+        cfgs = [FilterConfig(variant="mflms_modulus", eta=0.01, dim=9, v=1.0 - e, power_interpretation=interp)
+                for e in exponent]
+        got = np.empty((3, 4, 9 if interp == "elementwise_abs" else 1))
+        groups, group_of = _factor_groups(cfgs)
+        for g, (kind, e) in enumerate(groups):
+            rows = group_of == g
+            got[rows] = fractional_power(kind, base[rows], guard[rows], e)
+        for c, e in enumerate(exponent):
+            for r in range(4):
+                alone = fractional_power(interp, base[c, r], guard[c, r], float(e))
+                assert np.array_equal(got[c, r], alone), (interp, c, r)
+            if interp == "elementwise_abs":  # np.power with the scalar exponent itself
+                np.testing.assert_array_equal(got[c], np.power(np.abs(base[c]), float(e)))
+        assert groups == [(interp, 0.25), (interp, 0.5)] and group_of.tolist() == [1, 0, 1]
+    base = np.abs(base)
     assert np.any(np.power(base, 0.5) != np.power(base, np.full((3, 1, 1), 0.5)))  # the fast path exists
-    assert groups == [("elementwise_abs", 0.25), ("elementwise_abs", 0.5)] and group_of.tolist() == [1, 0, 1]
 
 
 def test_run_batch_rejects_bad_shapes():
@@ -225,4 +232,7 @@ def test_run_batch_rejects_bad_shapes():
         run_batch([FilterConfig(variant="lms", eta=0.01, dim=3)], DATA.X, DATA.outputs, DATA.omega)
     with pytest.raises(DimensionMismatch):
         run_batch([lms], DATA.X, DATA.outputs[:, :-1], DATA.omega)
+    for S, N in ((0, T - PLANT.m), (len(SEEDS), 0)):  # no seeds, no samples
+        with pytest.raises(DimensionMismatch):
+            run_batch([lms], DATA.X[:S, :N], DATA.outputs[:S, :N], DATA.omega[:S])
     assert run_batch([], DATA.X, DATA.outputs, DATA.omega) == []
