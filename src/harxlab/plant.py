@@ -33,9 +33,20 @@ class BasisSet:
             raise ValueError(f"l must be >= 1 (polynomial basis order), got {self.l}")
 
     def evaluate_many(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate the basis on a sample vector; returns shape (len(r), l)."""
+        """Evaluate the basis on a sample vector; returns shape (len(r), l).
+
+        Column k is column k - 1 times r (r, r*r, (r*r)*r, ...), so the result
+        depends on the samples and IEEE multiplication alone.  Powers that
+        overflow become inf without a warning; the caller's finiteness checks
+        report them.
+        """
         r = np.asarray(r, dtype=np.float64)
-        return np.power(r[:, None], np.arange(1, self.l + 1, dtype=np.float64)[None, :])
+        F = np.empty((r.shape[0], self.l))
+        F[:, 0] = r
+        with np.errstate(over="ignore"):
+            for k in range(1, self.l):
+                np.multiply(F[:, k - 1], r, out=F[:, k])
+        return F
 
 
 def polynomial_basis(l: int) -> BasisSet:

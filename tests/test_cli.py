@@ -52,6 +52,13 @@ def write_spec(tmp_path, spec_text=SPEC, scenario_text=SCENARIO):
     return spec
 
 
+def python_m_cli(*argv):
+    """Run ``python -m harxlab.cli *argv`` in a fresh interpreter on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "harxlab.cli", *argv], capture_output=True, text=True, env=env)
+
+
 def read_artifacts(outdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
@@ -359,6 +366,17 @@ def test_overflowing_correlations_never_exit_0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_basis_reports_one_error_and_no_warning(tmp_path):
+    # r**600 overflows for any |r| > 3.3, and the overflow is reported once, on the plant line
+    scenario = f"m = 1\nl = 600\nbasis = polynomial\nq = 1.0\nc = {', '.join(['1e-300'] * 600)}\n"
+    spec = write_spec(tmp_path, SPEC.replace("T = 300", "T = 1000"), scenario)
+    for command in ("wiener", "simulate"):
+        proc = python_m_cli(command, str(spec))  # stderr as a user sees it, warnings included
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {spec}:2: plant: R or p is not finite: the data overflow float64"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_singular_correlation_exit_2_names_plant_line(tmp_path, capsys):
     # r, r^2, ..., r^12 of one Gaussian input: R's eigenvalues span far more than 12 decades
     scenario = f"m = 1\nl = 12\nbasis = polynomial\nq = 1.0\nc = {', '.join(['1.0'] * 12)}\n"
@@ -412,9 +430,7 @@ def test_builtin_muscle_plant_reference(tmp_path):
 
 
 def test_python_m_cli_runs_the_command():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "harxlab.cli", "audit"], capture_output=True, text=True, env=env)
+    proc = python_m_cli("audit")
     assert proc.returncode == 0
     assert any(line.startswith("eq23 ") for line in proc.stdout.splitlines())
     assert proc.stderr == ""

@@ -24,8 +24,14 @@ def build_regressor(history, t, basis, m):
             f"regressor at t={t} needs samples r(t-1)..r(t-{m}), "
             f"but history covers r(0)..r({len(history) - 1})"
         )
-    powers = np.arange(1, basis.l + 1, dtype=np.float64)
-    return np.concatenate([np.power(float(history[t - i]), powers) for i in range(1, m + 1)])
+    row = []
+    for i in range(1, m + 1):
+        x = power = float(history[t - i])  # the chain x, x*x, (x*x)*x, ...
+        row.append(power)
+        for _ in range(1, basis.l):
+            power *= x
+            row.append(power)
+    return np.array(row)
 
 
 def make_plant(m, l, q, c, noise_std=0.0, seed=0):
@@ -100,6 +106,39 @@ def test_regressor_layout_roundtrip(m, l, history):
     for i in range(1, m + 1):
         for k in range(1, l + 1):
             assert reg[(i - 1) * l + (k - 1)] == pytest.approx(history[t - i] ** k)
+
+
+# ---------------------------------------------------------------------------
+# BasisSet.evaluate_many
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    l=st.integers(1, 8),
+    samples=st.lists(
+        st.floats(-1e30, 1e30).filter(lambda x: x == 0.0 or abs(x) >= 1e-30), min_size=1, max_size=20
+    ),
+)
+def test_basis_within_l_ulps_of_libm_pow(l, samples):
+    # k - 1 correctly rounded products against libm's pow: each power of a
+    # normal-range sample stays normal, so the relative gap is at most l * 2**-52
+    F = polynomial_basis(l).evaluate_many(np.array(samples))
+    for row, x in zip(F, samples):
+        for k in range(1, l + 1):
+            assert abs(row[k - 1] - x**k) <= l * 2.0**-52 * abs(x**k)
+
+
+def test_basis_shapes():
+    r = np.array([0.5, -2.0, 3.25])
+    np.testing.assert_array_equal(polynomial_basis(1).evaluate_many(r), r[:, None])  # order 1 is r itself
+    assert polynomial_basis(4).evaluate_many(np.empty(0)).shape == (0, 4)
+
+
+def test_basis_signs_and_zeros():
+    F = polynomial_basis(5).evaluate_many(np.array([-2.0, 0.0, -0.5]))
+    np.testing.assert_array_equal(F[0], [-2.0, 4.0, -8.0, 16.0, -32.0])  # odd powers keep the sign
+    assert np.all(F[1] == 0.0)
+    np.testing.assert_array_equal(np.sign(F[2]), [-1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
