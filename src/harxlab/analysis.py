@@ -195,10 +195,8 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     with the factor from :func:`harxlab.filters.fractional_power`, the code
     ``step`` calls too, and no factor (0) for a config without one.  Inner
     products and norms are one BLAS dot per row (``np.vecdot``), so no row's
-    sums depend on the other rows.  ``step`` holds a real row's weights as
-    the strided real part of a complex vector, where this kernel holds them
-    contiguous, so BLAS may sum a real row's prediction error and Euclidean
-    norm in another order (n >= 4): the only difference.
+    sums depend on the other rows.  ``step`` holds the weights in the same
+    dtype, so a record equals, bit for bit, what a loop over ``step`` gives.
 
     Time runs in blocks of B steps, B sized so that a block's weight history
     takes about 256 KB.  Within a block every live row steps the recurrence
@@ -474,22 +472,11 @@ def seed_aggregate(summaries) -> dict:
     }
 
 
-def _cells(cfgs, data: SeedData) -> list[dict]:
-    """One :func:`seed_aggregate` per config, all configs run in one batch."""
+def sweep_cells(cfgs, data: SeedData) -> list[dict]:
+    """One :func:`seed_aggregate` cell per config; every config runs over
+    every seed of ``data`` in one batch."""
     batch = run_batch(cfgs, data.X, data.outputs, data.omega)
     return [seed_aggregate([run_summary(r) for r in records]) for records in batch]
-
-
-def sweep_cells(
-    plant: HarxPlant,
-    cfgs,
-    T: int,
-    seeds,
-    input_kind: str = "white_gaussian",
-) -> list[dict]:
-    """One :func:`seed_aggregate` cell per config; every config runs over
-    every seed in one batch, on datasets simulated once."""
-    return _cells(cfgs, simulate_seeds(plant, T, seeds, input_kind))
 
 
 @dataclass(frozen=True)
@@ -528,7 +515,7 @@ def stability_probe(
     data = simulate_seeds(plant, T, seeds, input_kind)
     lam = float(data.lambda_max[0])
     cfgs = [replace(cfg_template, eta=eta) for eta in [*grid.tolist(), 2.0 / lam]]
-    return StabilityProbe(cells=tuple(_cells(cfgs, data)), lambda_max=lam)
+    return StabilityProbe(cells=tuple(sweep_cells(cfgs, data)), lambda_max=lam)
 
 
 def run_record_csv(record: RunRecord) -> str:

@@ -195,8 +195,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
         )
 
     outputs = exp.take("outputs", default="harxlab_out")
-    if not outputs:  # the spec's own directory, whose files simulate would clear
-        raise exp.fail("outputs must name a directory, got ''", "outputs")
+    if os.path.realpath(spec_path.parent / outputs) == os.path.realpath(spec_path.parent):  # simulate would clear it
+        raise exp.fail(f"outputs must name a directory other than the spec's own, got {outputs!r}", "outputs")
     emit = exp.take("emit", default="both")
     if emit not in EMIT_MODES:
         raise exp.fail(f"emit must be one of {EMIT_MODES}, got {emit!r}", "emit")
@@ -288,6 +288,12 @@ def _plant_data(spec: ExperimentSpec):
         raise ExperimentSpecError(f"plant: {exc}", str(spec.path), spec.plant_line) from None
 
 
+def _seed_data(spec: ExperimentSpec) -> analysis.SeedData:
+    """Every seed's dataset of ``spec``, simulated once."""
+    with _plant_data(spec):
+        return analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -313,18 +319,12 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
     }
 
 
-def _run_filters(spec: ExperimentSpec) -> dict[str, list]:
-    """Every filter's records, one per seed, from one batch on datasets
-    simulated once."""
-    with _plant_data(spec):
-        data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
-    batch = analysis.run_batch([cfg for _, cfg in spec.filters], data.X, data.outputs, data.omega)
-    return {name: records for (name, _), records in zip(spec.filters, batch)}
-
-
 def cmd_simulate(args) -> int:
     spec = load_experiment_spec(args.spec)
-    runs = _run_filters(spec)
+    data = _seed_data(spec)
+    names, cfgs = zip(*spec.filters)
+    runs = dict(zip(names, analysis.run_batch(cfgs, data.X, data.outputs, data.omega)))
+    del data  # the regressors are freed before the artifacts are built
     any_diverged = any(rec.diverged for records in runs.values() for rec in records)
     files: dict[str, str] = {}
     for name, cfg in spec.filters:
@@ -396,8 +396,7 @@ def cmd_sweep(args) -> int:
         cells, lambda_max = probe.cells, probe.lambda_max
         labels.append("2/lambda_max")
     else:
-        with _plant_data(spec):
-            cells = analysis.sweep_cells(spec.plant, configs, spec.T, spec.seeds, spec.input_kind)
+        cells = analysis.sweep_cells(configs, _seed_data(spec))
     rows = [(label, *(cell[column] for column in _SWEEP_COLUMNS[1:])) for label, cell in zip(labels, cells)]
 
     lines = [",".join(_SWEEP_COLUMNS)]

@@ -96,11 +96,11 @@ class FilterConfig:
 class FilterState:
     """Current and previous weights plus complex-leak bookkeeping.
 
-    Weights are stored complex so the signed fractional variant can
-    accumulate imaginary parts; the real-only variants keep every imaginary
-    component at exactly zero.  ``complex_events`` counts steps whose
-    post-update weights carry any imaginary part.  The state owns its arrays
-    and freezes them.
+    Weights keep their own dtype, at least float64: a real variant's stay
+    float64, as in the batched kernel, and the signed fractional variant's
+    turn complex through :func:`step`'s own arithmetic once its factor is
+    complex.  ``complex_events`` counts steps whose post-update weights carry
+    any imaginary part.  The state owns its arrays and freezes them.
     """
 
     w: np.ndarray
@@ -109,8 +109,9 @@ class FilterState:
     complex_events: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.complex128)
-        w_prev = np.asarray(self.w_prev, dtype=np.complex128)
+        w, w_prev = np.asarray(self.w), np.asarray(self.w_prev)
+        dtype = np.result_type(w, w_prev, np.float64)
+        w, w_prev = np.array(w, dtype=dtype), np.array(w_prev, dtype=dtype)  # owned copies, frozen below
         if w.ndim != 1 or w.shape != w_prev.shape:
             raise DimensionMismatch(f"w and w_prev must be equal-length vectors, got {w.shape} and {w_prev.shape}")
         w.setflags(write=False)
@@ -134,7 +135,7 @@ class StepRecord:
 
 def initial_state(cfg: FilterConfig) -> FilterState:
     """All-zero start, the usual LMS convention."""
-    w = np.zeros(cfg.dim, dtype=np.complex128)
+    w = np.zeros(cfg.dim)
     return FilterState(w=w, w_prev=w.copy())
 
 

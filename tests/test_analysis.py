@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,9 @@ def test_stability_probe_brackets_classical_bound():
     assert np.all(np.diff(probe.diverged_fraction) >= 0.0)
     assert len(probe.cells) == len(probe.diverged_fraction) + 1  # the 2 / lambda_max cell last
     assert 1.5 < 2.0 / probe.lambda_max < 2.6  # R ~= I for this plant
+    # the probe's cells are sweep_cells over its configs, the reference last, on the same data
+    cfgs = [replace(cfg, eta=eta) for eta in (0.05, 0.2, 8.0, 2.0 / probe.lambda_max)]
+    np.testing.assert_equal(list(probe.cells), sweep_cells(cfgs, simulate_seeds(plant, 800, range(5))))
 
 
 def test_stability_probe_grid_validation():
@@ -336,12 +340,13 @@ def test_stability_probe_grid_validation():
 
 def test_sweep_cell_aggregates():
     plant = linear_plant()
-    cell = sweep_cells(plant, [FilterConfig(variant="lms", eta=0.05, dim=plant.n)], T=400, seeds=[0, 1, 2])[0]
+    data = simulate_seeds(plant, 400, [0, 1, 2])
+    cell = sweep_cells([FilterConfig(variant="lms", eta=0.05, dim=plant.n)], data)[0]
     assert cell["diverged_count"] == 0 and cell["diverged_fraction"] == 0.0
     assert np.isfinite(cell["terminal_weight_error_mean"])
     assert cell["leak_fraction_mean"] == 0.0 and cell["max_imag"] == 0.0
     # every seed diverges far beyond the bound: the terminal statistics are NaN
-    cell = sweep_cells(plant, [FilterConfig(variant="lms", eta=50.0, dim=plant.n)], T=400, seeds=[0, 1])[0]
-    assert cell["diverged_count"] == 2 and cell["diverged_fraction"] == 1.0
+    cell = sweep_cells([FilterConfig(variant="lms", eta=50.0, dim=plant.n)], data)[0]
+    assert cell["diverged_count"] == 3 and cell["diverged_fraction"] == 1.0
     for key in ("terminal_mse_mean", "terminal_weight_error_mean", "terminal_weight_error_max"):
         assert np.isnan(cell[key])

@@ -22,8 +22,7 @@ from harxlab.errors import DimensionMismatch
 from harxlab.filters import FilterConfig, fractional_power, initial_state, step
 from harxlab.plant import HarxPlant, polynomial_basis
 
-# n = 4 with negative true weights: flms_signed leaks, and BLAS sums the
-# real variants' prediction error in another order than the oracle does
+# n = 4 with negative true weights: flms_signed leaks
 PLANT = HarxPlant(m=2, basis=polynomial_basis(2), q=np.array([1.0, -0.5]),
                   c=np.array([1.0, -1.0]), noise_std=0.01, seed=0)
 T = 200
@@ -70,14 +69,6 @@ def oracle(cfg, s):
     return state, np.array(mse), np.array(werr), np.array(imag), diverged
 
 
-def close(actual, expected):
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert actual.shape == expected.shape
-    with np.errstate(invalid="ignore"):
-        ok = (actual == expected) | (np.abs(actual - expected) <= 1e-12 + 1e-9 * np.abs(expected))
-    assert np.all(ok | (np.isnan(actual) & np.isnan(expected))), (actual, expected)
-
-
 @pytest.mark.parametrize("variant,interp", KINDS)
 def test_run_batch_matches_step_oracle(variant, interp):
     cfgs = configs(variant, interp)
@@ -87,11 +78,12 @@ def test_run_batch_matches_step_oracle(variant, interp):
     for cfg, records in zip(cfgs, batch):
         for s, rec in enumerate(records):
             state, mse, werr, imag, div = oracle(cfg, s)
-            close(rec.mse_curve, mse)
-            close(rec.weight_error_curve, werr)
-            close(rec.imag_curve, imag)
-            close(rec.final_state.w, state.w)
-            close(rec.final_state.w_prev, state.w_prev)
+            # every field exactly: the kernel does the oracle's arithmetic, NaN equal to NaN
+            np.testing.assert_array_equal(rec.mse_curve, mse, strict=True)
+            np.testing.assert_array_equal(rec.weight_error_curve, werr, strict=True)
+            np.testing.assert_array_equal(rec.imag_curve, imag, strict=True)
+            np.testing.assert_array_equal(rec.final_state.w, state.w, strict=True)
+            np.testing.assert_array_equal(rec.final_state.w_prev, state.w_prev, strict=True)
             assert rec.diverged == div
             assert rec.final_state.iteration == state.iteration == len(mse)
             assert rec.final_state.complex_events == state.complex_events
@@ -163,8 +155,8 @@ def test_diverged_row_freezes_at_its_stopping_step(variant, interp):
         assert not np.all(curves[:, -1] <= DIVERGENCE_THRESHOLD)
         state = oracle(diverging, s)[0]  # the oracle's state after the stopping step
         assert state.iteration == k
-        close(rec.final_state.w, state.w)
-        close(rec.final_state.w_prev, state.w_prev)
+        np.testing.assert_array_equal(rec.final_state.w, state.w, strict=True)
+        np.testing.assert_array_equal(rec.final_state.w_prev, state.w_prev, strict=True)
         assert rec.final_state.complex_events == state.complex_events
         # the steady row beside it runs to the end
         assert not records[0][s].diverged and len(records[0][s].mse_curve) == T - PLANT.m

@@ -399,8 +399,10 @@ SPEC_FAULTS = {
     "no_filter": (
         SPEC[: SPEC.index("[filter")], ["simulate"], "{spec}: at least one [filter NAME] section is required"
     ),
-    # an empty value would name the spec's own directory, whose files simulate clears
+    # these values name the spec's own directory, whose files simulate clears
     "empty_outputs": (SPEC.replace("outputs = out", "outputs ="), ["simulate"], "{spec}:5: outputs must name a"),
+    "dot_outputs": (SPEC.replace("outputs = out", "outputs = ."), ["simulate"], "{spec}:5: outputs must name a"),
+    "up_outputs": (SPEC.replace("outputs = out", "outputs = sub/.."), ["simulate"], "{spec}:5: outputs must name a"),
     "unknown_input":(SPEC.replace("emit = both", "emit = both\ninput = pink"), ["simulate"], "{spec}:7: input must"),
     "grid_not_numbers": (
         SPEC, ["sweep", "--param", "eta", "--grid", "0.1,abc"], "--grid: eta values must be comma-separated numbers"
