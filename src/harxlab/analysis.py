@@ -13,8 +13,8 @@ from :func:`run_summary`, and every number about a config's seeds from
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -155,13 +155,13 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
+    # one copy of every seed's regressors, each seed's written in place; T <= m fails in generate_sequence
+    X = np.empty((len(seeds), max(T - plant.m, 0), plant.n))
+    outputs = np.empty(X.shape[:2])
     omega, lam = [], []
     for s, seed in enumerate(seeds):
-        data = generate_sequence(plant, input_kind=input_kind, T=T, rng=np.random.default_rng(seed))
-        if s == 0:  # one copy of every seed's regressors, filled in place
-            X = np.empty((len(seeds), *data.X.shape))
-            outputs = np.empty((len(seeds), len(data)))
-        X[s], outputs[s] = data.X, data.outputs
+        data = generate_sequence(plant, input_kind=input_kind, T=T, rng=np.random.default_rng(seed), out=X[s])
+        outputs[s] = data.outputs
         est = estimate_correlations(data)
         omega.append(wiener_solution(est, ridge=0.0))
         lam.append(est.lambda_max)
@@ -241,7 +241,9 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     step B steps at a time, B fixed so that the first block's weight history
     takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs:
     each step writes the weights of the L live rows into a (B + 2, L, n)
-    history and their errors into a (B, L) buffer.  After the block the
+    history, their errors into a (B, L) buffer and its intermediates into
+    (L, n) work buffers made once per block, so a step allocates only what
+    ``np.vecdot`` and :func:`fractional_power` return.  After the block the
     curves and ``complex_events`` are computed from the history in bulk,
     each row's first non-finite or > 1e12 curve entry is found, and a row
     that stopped takes its final state from the history and leaves the
@@ -287,26 +289,34 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
             seeds, span = seed_of[live], slice(t0, t0 + b)
             Xb = np.take(X_by_time[span], seeds, axis=1)  # (b, L, n): each psi a contiguous (L, n)
             db = np.take(outputs_by_time[span], seeds, axis=1)
-            eta_b, beta_b, guard_b = eta[live], beta[live], guard[live]
-            bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
-            block_groups = [
-                (kind, e, slice(lo, hi), guard_b[lo:hi])
-                for (kind, e), lo, hi in zip(groups, bounds, bounds[1:])
-                if lo < hi
-            ]
+            eta_b, guard_b = eta[live], guard[live]
+            beta_b = np.broadcast_to(beta[live], (L, n)).astype(dtype)  # full width: no broadcast per step
 
             H = np.empty((b + 2, L, n), dtype=dtype)
             H[:2] = start
             E = np.empty((b, L))
+            # the block's work buffers, which every step writes its results into
+            scratch, scaled, grad = np.empty((L, n), dtype=dtype), np.empty((L, 1)), np.empty((L, n))
+            eta_err = scaled[:, 0]  # the (L,) view eta * err is written through
+            # a signed group scales the real gradient into the complex one; every signed row has a factor
+            cgrad = np.empty((L, n), dtype=dtype) if signed else grad
+            bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
+            scale_at = [
+                (kind, e, slice(lo, hi), guard_b[lo:hi], grad[lo:hi], cgrad[lo:hi])
+                for (kind, e), lo, hi in zip(groups, bounds, bounds[1:])
+                if lo < hi
+            ]
             W_prev, W = H[0], H[1]
-            for j in range(b):
-                psi = Xb[j]
-                re = W.real
-                err = np.subtract(db[j], np.vecdot(psi, re), out=E[j])
-                grad = ((eta_b * err)[:, None] * psi).astype(dtype, copy=False)
-                for kind, e, at, g in block_groups:
-                    grad[at] *= 1.0 + fractional_power(kind, re[at], g, e)
-                W_prev, W = W, np.add(W + beta_b * (W - W_prev), grad, out=H[j + 2])
+            for psi, d, err, W_new in zip(Xb, db, E, H[2:]):
+                re = W.real if signed else W
+                np.subtract(d, np.vecdot(psi, re), out=err)
+                np.multiply(eta_b, err, out=eta_err)
+                np.multiply(scaled, psi, out=grad)
+                for kind, e, at, g, grad_at, out_at in scale_at:
+                    f = fractional_power(kind, re[at], g, e)
+                    np.multiply(grad_at, np.add(1.0, f, out=f), out=out_at)
+                np.multiply(beta_b, np.subtract(W, W_prev, out=scratch), out=scratch)
+                W_prev, W = W, np.add(np.add(W, scratch, out=scratch), cgrad, out=W_new)
 
             # the block's diagnostics, from its history; Xb's buffer holds the temporaries
             m_b = np.multiply(E, E)
@@ -518,12 +528,27 @@ def stability_probe(
     return StabilityProbe(cells=tuple(sweep_cells(cfgs, data)), lambda_max=lam)
 
 
+@functools.lru_cache(maxsize=8)
+def _csv_template(k: int, real: bool) -> str:
+    """The %-template of a k-row curve CSV, header and ``iter`` column filled
+    in; a ``real`` record's imag cells are the literal ``0``."""
+    imag = "0" if real else "%.17g"
+    return "iter,mse,weight_error,imag_norm\n" + "".join(f"{i},%.17g,%.17g,{imag}\n" for i in range(k))
+
+
 def run_record_csv(record: RunRecord) -> str:
     """Plot-ready learning curves: header ``iter,mse,weight_error,imag_norm``,
-    one row per iteration, %.17g cells, LF line endings."""
-    k = len(record.mse_curve)
-    cells = zip(range(k), record.mse_curve.tolist(), record.weight_error_curve.tolist(), record.imag_curve.tolist())
-    return "iter,mse,weight_error,imag_norm\n" + "%d,%.17g,%.17g,%.17g\n" * k % tuple(chain.from_iterable(cells))
+    one row per iteration, %.17g cells, LF line endings.
+
+    The text is a cached %-template per (row count, real) filled with the
+    curve values.  A record whose imag curve is all +0.0 is real: its template
+    holds the literal ``0`` that %.17g would print.  -0.0 (``-0``) and NaN
+    (``nan``) print otherwise, so neither makes a record real.
+    """
+    imag = record.imag_curve
+    real = not (imag.any() or np.signbit(imag).any())
+    curves = [record.mse_curve, record.weight_error_curve] + ([] if real else [imag])
+    return _csv_template(len(imag), real) % tuple(np.stack(curves, axis=1).ravel().tolist())
 
 
 def run_summary(record: RunRecord) -> dict:

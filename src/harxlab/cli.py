@@ -167,7 +167,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
     if plant_ref == "builtin:muscle":
         plant = muscle_preset()
     else:
-        scenario_path = (spec_path.parent / plant_ref).resolve()
+        scenario_path = os.path.realpath(spec_path.parent / plant_ref)  # a symlink loop fails in open, not here
         try:
             plant = load_scenario(scenario_path)
         except OSError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, HarxlabError, ScenarioError
+from .errors import BadLength, DimensionMismatch, HarxlabError, ScenarioError
 
 INPUT_KINDS = ("white_gaussian", "uniform")
 
@@ -32,8 +32,9 @@ class BasisSet:
         if self.l < 1:
             raise ValueError(f"l must be >= 1 (polynomial basis order), got {self.l}")
 
-    def evaluate_many(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate the basis on a sample vector; returns shape (len(r), l).
+    def evaluate_many(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate the basis on a sample vector; returns shape (len(r), l),
+        written into ``out`` when given (any float64 (len(r), l) array or view).
 
         Column k is column k - 1 times r (r, r*r, (r*r)*r, ...), so the result
         depends on the samples and IEEE multiplication alone.  Powers that
@@ -41,7 +42,7 @@ class BasisSet:
         report them.
         """
         r = np.asarray(r, dtype=np.float64)
-        F = np.empty((r.shape[0], self.l))
+        F = np.empty((r.shape[0], self.l)) if out is None else out
         F[:, 0] = r
         with np.errstate(over="ignore"):
             for k in range(1, self.l):
@@ -127,19 +128,32 @@ def true_weight_vector(plant: HarxPlant) -> np.ndarray:
 
 
 def generate_sequence(
-    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
+    plant: HarxPlant,
+    input_kind: str = "white_gaussian",
+    *,
+    T: int,
+    rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> Dataset:
     """Simulate a length-``T`` run and return the T - m aligned pairs.
 
     The random stream draws the T input samples first and the T - m output
     noise samples second, so a fixed seed reproduces the dataset bit for bit.
     ``input_kind`` is ``white_gaussian`` (standard normal) or ``uniform`` (on
-    [-1, 1)).
+    [-1, 1)).  The regressors are written into ``out`` when given, a
+    C-contiguous float64 (T - m, n) buffer, and the dataset's ``X`` is then a
+    read-only view of it.
     """
     if input_kind not in INPUT_KINDS:
         raise ValueError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
     if T <= plant.m:
         raise BadLength(f"T must exceed the plant memory m={plant.m}; got T={T}")
+    m, l = plant.m, plant.basis.l
+    X = np.empty((T - m, plant.n)) if out is None else out
+    if X.shape != (T - m, plant.n) or X.dtype != np.float64 or not X.flags.c_contiguous:
+        raise DimensionMismatch(
+            f"out must be a C-contiguous float64 (T - m, n) = ({T - m}, {plant.n}) buffer, got {X.dtype} {X.shape}"
+        )
     if rng is None:
         rng = np.random.default_rng(plant.seed)
     if input_kind == "white_gaussian":
@@ -147,13 +161,16 @@ def generate_sequence(
     else:
         inputs = rng.uniform(-1.0, 1.0, T)
 
-    F = plant.basis.evaluate_many(inputs)
-    # row k of X is the regressor at t = m + k; block i is F[t - i]
-    X = np.concatenate([F[plant.m - i : T - i] for i in range(1, plant.m + 1)], axis=1)
+    # row k of X is the regressor at t = m + k; block i is the basis of r(t - i)
+    for i in range(1, m + 1):
+        plant.basis.evaluate_many(inputs[m - i : T - i], out=X[:, (i - 1) * l : i * l])
     w = true_weight_vector(plant)
     outputs = X @ w
     if plant.noise_std > 0.0:
-        outputs = outputs + plant.noise_std * rng.standard_normal(T - plant.m)
+        noise = rng.standard_normal(T - m)
+        noise *= plant.noise_std
+        outputs += noise
+    X = X[...]  # a view, so a caller's buffer stays writable
     X.setflags(write=False)
     inputs.setflags(write=False)
     outputs.setflags(write=False)

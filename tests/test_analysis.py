@@ -148,8 +148,8 @@ def test_simulate_seeds_holds_one_copy_of_the_regressors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the stacked X, plus one seed's dataset and its temporaries at a time
-    assert peak < 1.75 * data.X.nbytes
+    # the stacked X, written in place, plus one seed's inputs, outputs and noise at a time
+    assert peak < 1.3 * data.X.nbytes
     for s, seed in enumerate(seeds):
         alone = generate_sequence(plant, T=20000, rng=np.random.default_rng(seed))
         assert np.array_equal(data.X[s], alone.X) and np.array_equal(data.outputs[s], alone.outputs)
@@ -217,8 +217,18 @@ def test_run_record_csv_matches_per_cell_format():
         return "\n".join(lines) + "\n"
 
     odd = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, -123456789.0]
-    rec = make_record(odd, odd[::-1], [1e-17] * len(odd))
-    assert run_record_csv(rec) == per_cell(rec)
+    k = len(odd)
+    # imag curves around the all-+0.0 shortcut: -0.0 prints -0 and NaN prints nan, so neither may take it
+    for imag in ([1e-17] * k, [0.0] * k, [-0.0] * k, [0.0] * (k - 1) + [-0.0], [0.0] * (k - 1) + [np.nan]):
+        rec = make_record(odd, odd[::-1], imag)
+        assert run_record_csv(rec) == per_cell(rec)
+    assert run_record_csv(make_record([1.0], [2.0], [-0.0])).endswith(",-0\n")
+    assert run_record_csv(make_record([1.0], [2.0], [np.nan])).endswith(",nan\n")
+    # lengths 1, 2, then 1 again, real and not: a template cached under the wrong key shows
+    for n_rows in (1, 2, 1):
+        for imag in (0.0, 0.5):
+            rec = make_record(odd[:n_rows], odd[-n_rows:], [imag] * n_rows)
+            assert run_record_csv(rec) == per_cell(rec)
     empty = make_record([], [], [])
     assert run_record_csv(empty) == per_cell(empty) == "iter,mse,weight_error,imag_norm\n"
     plant = linear_plant()

@@ -69,28 +69,46 @@ def oracle(cfg, s):
     return state, np.array(mse), np.array(werr), np.array(imag), diverged
 
 
+def assert_matches_oracle(rec, cfg, s):
+    """Every field of ``rec`` equals the step oracle's for (cfg, seed s), byte for byte; returns
+    whether the oracle diverged."""
+    state, mse, werr, imag, div = oracle(cfg, s)
+    # every field exactly: the kernel does the oracle's arithmetic, NaN equal to NaN
+    np.testing.assert_array_equal(rec.mse_curve, mse, strict=True)
+    np.testing.assert_array_equal(rec.weight_error_curve, werr, strict=True)
+    np.testing.assert_array_equal(rec.imag_curve, imag, strict=True)
+    np.testing.assert_array_equal(rec.final_state.w, state.w, strict=True)
+    np.testing.assert_array_equal(rec.final_state.w_prev, state.w_prev, strict=True)
+    # and bit for bit, which assert_array_equal is not: it takes -0.0 == 0.0 and any NaN for any NaN
+    for got, want in ((rec.mse_curve, mse), (rec.weight_error_curve, werr), (rec.imag_curve, imag),
+                      (rec.final_state.w, state.w), (rec.final_state.w_prev, state.w_prev)):
+        assert got.tobytes() == want.tobytes()
+    assert rec.diverged == div
+    assert rec.final_state.iteration == state.iteration == len(mse)
+    assert rec.final_state.complex_events == state.complex_events
+    assert run_summary(rec)["first_leak_iter"] == next((t for t, x in enumerate(imag) if x > LEAK_EPS), None)
+    np.testing.assert_array_equal(rec.omega_opt, DATA.omega[s])
+    return div
+
+
 @pytest.mark.parametrize("variant,interp", KINDS)
 def test_run_batch_matches_step_oracle(variant, interp):
     cfgs = configs(variant, interp)
     batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     assert len(batch) == len(cfgs) and all(len(row) == len(SEEDS) for row in batch)
-    diverged = 0
-    for cfg, records in zip(cfgs, batch):
-        for s, rec in enumerate(records):
-            state, mse, werr, imag, div = oracle(cfg, s)
-            # every field exactly: the kernel does the oracle's arithmetic, NaN equal to NaN
-            np.testing.assert_array_equal(rec.mse_curve, mse, strict=True)
-            np.testing.assert_array_equal(rec.weight_error_curve, werr, strict=True)
-            np.testing.assert_array_equal(rec.imag_curve, imag, strict=True)
-            np.testing.assert_array_equal(rec.final_state.w, state.w, strict=True)
-            np.testing.assert_array_equal(rec.final_state.w_prev, state.w_prev, strict=True)
-            assert rec.diverged == div
-            assert rec.final_state.iteration == state.iteration == len(mse)
-            assert rec.final_state.complex_events == state.complex_events
-            assert run_summary(rec)["first_leak_iter"] == next((t for t, x in enumerate(imag) if x > LEAK_EPS), None)
-            np.testing.assert_array_equal(rec.omega_opt, DATA.omega[s])
-            diverged += div
+    diverged = sum(assert_matches_oracle(rec, cfg, s) for cfg, records in zip(cfgs, batch)
+                   for s, rec in enumerate(records))
     assert diverged == len(SEEDS)  # exactly the DIVERGING_ETA row diverges, on every seed
+
+
+def test_mixed_batch_matches_step_oracle():
+    # every config of the six kinds in one call: the float64 loop holds rows without a factor,
+    # with two exponents and with both interpretations side by side
+    cfgs = [cfg for kind in KINDS for cfg in configs(*kind)]
+    batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+    diverged = sum(assert_matches_oracle(rec, cfg, s) for cfg, records in zip(cfgs, batch)
+                   for s, rec in enumerate(records))
+    assert diverged == len(KINDS) * len(SEEDS)
 
 
 def test_run_experiment_is_a_batch_of_one():

@@ -419,6 +419,16 @@ def test_spec_and_command_faults_exit_2_naming_where(tmp_path, capsys, text, arg
     assert not (tmp_path / "out").exists()
 
 
+def test_plant_through_a_symlink_loop_exit_2_names_plant_line(tmp_path):
+    spec = write_spec(tmp_path, SPEC.replace("plant = lin.scenario", "plant = a/x.scenario"))
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    proc = python_m_cli("simulate", str(spec))  # stderr as a user sees it
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {spec}:2: plant: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_builtin_muscle_plant_reference(tmp_path):
     spec_text = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle").replace("eta = 0.05", "eta = 0.002")
     spec = write_spec(tmp_path, spec_text)
