@@ -184,19 +184,26 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     hold the seeds' regressor matrices, desired outputs and Wiener solutions;
     they are broadcast over the configs, never tiled.  The configs may be of
     any variants; each is read through its ``momentum`` and ``factor``
-    properties only.  The rows whose factor kind is ``signed`` step in one
-    complex128 time loop, every other row in one float64 time loop, so a real
-    row's imaginary parts are exactly 0.  Row (c, s) starts from zero weights
-    and applies, element by element and in the same order, the operations of
+    properties only.  Every row steps in one float64 time loop.  A row whose
+    factor kind is ``signed`` keeps its weights' real and imaginary parts in
+    two real rows, and its final state is the complex128 vector rebuilt
+    exactly from them; every other row is real throughout, so its imaginary
+    parts are exactly 0.  Row (c, s) starts from zero weights and applies,
+    element by element and in the same order, the operations of
     :func:`harxlab.filters.step`::
 
         w' = w + momentum (w - w_prev) + eta e psi (1 + factor)
 
     with the factor from :func:`harxlab.filters.fractional_power`, the code
-    ``step`` calls too, and no factor (0) for a config without one.  Inner
-    products and norms are one BLAS dot per row (``np.vecdot``), so no row's
-    sums depend on the other rows.  ``step`` holds the weights in the same
-    dtype, so a record equals, bit for bit, what a loop over ``step`` gives.
+    ``step`` calls too, and no factor (0) for a config without one.  On a
+    signed row the complex products of ``step`` lose only their terms
+    ``0 * x``, with x finite up to the step a row stops at.  Such a term can
+    change only the sign of a zero, and that sign never reaches a weight:
+    no weight is ever -0.0, as a sum is -0.0 only when both of its terms
+    are, and every weight starts at +0.0.  Inner products and norms are one
+    BLAS dot per contiguous row (``np.vecdot``), so no row's sums depend on
+    the other rows.  A record therefore equals, bit for bit, what a loop
+    over ``step`` gives.
 
     Time runs in blocks of B steps, B sized so that a block's weight history
     takes about 256 KB.  Within a block every live row steps the recurrence
@@ -206,9 +213,8 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     state after that step, it adds nothing more to ``complex_events``, and
     it leaves the batch at the end of the block, so a stopped row costs at
     most B - 1 extra steps.  Returns ``records[c][s]`` in the order of
-    ``cfgs``.  The records' curves are views into their time loop's shared
-    (C S, N) buffers, so any record a caller keeps holds all of that loop's
-    curves alive.
+    ``cfgs``.  The records' curves are views into buffers the batch's rows
+    share, so any record a caller keeps holds every row's curves alive.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -223,37 +229,36 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     for cfg in cfgs:
         if cfg.dim != n:
             raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
-    records: list = [None] * len(cfgs)
-    kinds = [cfg.factor and cfg.factor[0] for cfg in cfgs]
-    for signed in (False, True):
-        rows = [c for c, kind in enumerate(kinds) if (kind == "signed") == signed]
-        if rows:
-            for c, per_seed in zip(rows, _run_rows([cfgs[c] for c in rows], signed, X, outputs, omega)):
-                records[c] = per_seed
-    return records
+    return _run_rows(cfgs, X, outputs, omega) if cfgs else []
 
 
-def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
-    """The time loop of :func:`run_batch`, in complex128 if ``signed`` else float64.
+def _run_rows(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
+    """The time loop of :func:`run_batch`, in float64 for every row.
 
     The (config, seed) rows are flattened, ordered by factor group so that a
-    group's live rows are one slice, and each carries its seed index.  They
-    step B steps at a time, B fixed so that the first block's weight history
-    takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs:
-    each step writes the weights of the L live rows into a (B + 2, L, n)
-    history, their errors into a (B, L) buffer and its intermediates into
-    (L, n) work buffers made once per block, so a step allocates only what
-    ``np.vecdot`` and :func:`fractional_power` return.  After the block the
-    curves and ``complex_events`` are computed from the history in bulk,
-    each row's first non-finite or > 1e12 curve entry is found, and a row
-    that stopped takes its final state from the history and leaves the
-    batch.  A stopped row thus runs on for at most B - 1 steps whose results
-    nothing reads; every sum is per row, so they touch no other row.
+    group's live rows are one slice, and each carries its seed index.  The
+    signed groups sort after the other factor groups and before the rows
+    without a factor, so the signed rows are one slice too.  The rows step B
+    steps at a time, B fixed so that the first block's weight history takes
+    about ``_BLOCK_BYTES``.  Within a block only the recurrence runs: each
+    step writes the weights into a (B + 2, L + Ls, n) history, whose first L
+    rows hold the real parts of the L live rows and whose last Ls rows the
+    imaginary parts of the Ls live signed rows.  The error and the gradient
+    run over the L real-part rows; a signed group's complex factor scales
+    its rows' gradient into their real-part and imaginary-part rows; the
+    momentum and the weight add run over all L + Ls rows.  The errors go
+    into a (B, L) buffer and the intermediates into work buffers made once
+    per block, so a step allocates only what ``np.vecdot`` and
+    :func:`fractional_power` return.  After the block the curves and
+    ``complex_events`` are computed from the history in bulk, each row's
+    first non-finite or > 1e12 curve entry is found, and a row that stopped
+    takes its final state from the history and leaves the batch.  A stopped
+    row thus runs on for at most B - 1 steps whose results nothing reads;
+    every sum is per row, so they touch no other row.
     """
     S, N, n = X.shape
     C = len(cfgs)
     R = C * S
-    dtype = np.complex128 if signed else np.float64
 
     # rows ordered by factor group, so each group's live rows are one slice
     groups, group_of = _factor_groups(cfgs)
@@ -262,107 +267,122 @@ def _run_rows(cfgs, signed, X, outputs, omega) -> list[list[RunRecord]]:
     group_of = group_of[cfg_of]
     row_of = np.empty(C, dtype=np.int64)
     row_of[order] = np.arange(0, R, S)  # config c's seeds are rows row_of[c] + s
+    row_of = row_of.tolist()
+    # the signed rows, rows r0 .. r0 + Rs - 1, with a second row each for their imaginary parts
+    complex_group = [kind == "signed" for kind, _ in groups]
+    signed = np.isin(group_of, np.flatnonzero(complex_group))
+    r0, Rs = int(signed.argmax()), int(np.count_nonzero(signed))
 
     # per-config parameters, one entry per row
     column = lambda values: np.array(values, dtype=np.float64)[cfg_of]  # noqa: E731
+    # full width (R, n), so that no ufunc of a step broadcasts them
+    full = lambda values: np.repeat(column(values)[:, None], n, axis=1)  # noqa: E731
     eta = column([cfg.eta for cfg in cfgs])
-    beta = column([cfg.momentum for cfg in cfgs])[:, None]
-    guard = column([cfg.epsilon_guard for cfg in cfgs])[:, None]
-    B = max(1, _BLOCK_BYTES // (R * n * np.dtype(dtype).itemsize))
+    beta = full([cfg.momentum for cfg in cfgs])
+    guard = full([cfg.epsilon_guard for cfg in cfgs])
+    B = max(1, _BLOCK_BYTES // ((R + Rs) * n * 8))
 
     mse = np.empty((R, N))
     werr = np.empty((R, N))
-    imag = np.empty((R, N)) if signed else np.zeros(N)  # real rows share one all-zero curve
+    imag = np.empty((Rs, N))
+    real_imag = np.zeros(N)  # the one all-zero imag curve the real rows share
     iterations = np.zeros(R, dtype=np.int64)
     diverged = np.zeros(R, dtype=bool)
-    final_w = np.zeros((R, n), dtype=dtype)
-    final_w_prev = np.zeros((R, n), dtype=dtype)
     events = np.zeros(R, dtype=np.int64)
+    final = np.zeros((2, R, n))  # each row's final w_prev and w, real parts
+    final_imag = np.zeros((2, Rs, n))  # and the signed rows' imaginary parts
 
     live = np.arange(R)
-    start = np.zeros((2, R, n), dtype=dtype)  # the live rows' w_prev and w
+    start = np.zeros((2, R + Rs, n))  # the live rows' w_prev and w, the imaginary rows last
     X_by_time, outputs_by_time = X.transpose(1, 0, 2), outputs.T
     t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size and t0 < N:
             b, L = min(B, N - t0), live.size
+            s0, s1 = np.searchsorted(live, [r0, r0 + Rs]).tolist()  # the live signed rows
+            hist = np.concatenate([np.arange(L), np.arange(s0, s1)])  # the live row of each history row
             seeds, span = seed_of[live], slice(t0, t0 + b)
             Xb = np.take(X_by_time[span], seeds, axis=1)  # (b, L, n): each psi a contiguous (L, n)
             db = np.take(outputs_by_time[span], seeds, axis=1)
-            eta_b, guard_b = eta[live], guard[live]
-            beta_b = np.broadcast_to(beta[live], (L, n)).astype(dtype)  # full width: no broadcast per step
+            eta_b, beta_b, guard_b = eta[live], beta[live[hist]], guard[live]
 
-            H = np.empty((b + 2, L, n), dtype=dtype)
+            H = np.empty((b + 2, hist.size, n))
             H[:2] = start
             E = np.empty((b, L))
             # the block's work buffers, which every step writes its results into
-            scratch, scaled, grad = np.empty((L, n), dtype=dtype), np.empty((L, 1)), np.empty((L, n))
+            scratch, scaled, grad = np.empty_like(H[0]), np.empty((L, 1)), np.empty_like(H[0])
             eta_err = scaled[:, 0]  # the (L,) view eta * err is written through
-            # a signed group scales the real gradient into the complex one; every signed row has a factor
-            cgrad = np.empty((L, n), dtype=dtype) if signed else grad
+            grad_re, grad_im = grad[:L], grad[L:]  # the real-part rows' gradient, the imaginary rows' after it
             bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
             scale_at = [
-                (kind, e, slice(lo, hi), guard_b[lo:hi], grad[lo:hi], cgrad[lo:hi])
-                for (kind, e), lo, hi in zip(groups, bounds, bounds[1:])
+                (kind, e, slice(lo, hi), guard_b[lo:hi], grad[lo:hi], grad_im[lo - s0 : hi - s0] if cplx else None)
+                for (kind, e), cplx, lo, hi in zip(groups, complex_group, bounds, bounds[1:])
                 if lo < hi
             ]
             W_prev, W = H[0], H[1]
-            for psi, d, err, W_new in zip(Xb, db, E, H[2:]):
-                re = W.real if signed else W
+            for psi, d, err, re, W_new in zip(Xb, db, E, H[1:, :L], H[2:]):
                 np.subtract(d, np.vecdot(psi, re), out=err)
                 np.multiply(eta_b, err, out=eta_err)
-                np.multiply(scaled, psi, out=grad)
-                for kind, e, at, g, grad_at, out_at in scale_at:
+                np.multiply(scaled, psi, out=grad_re)
+                for kind, e, at, g, grad_at, imag_at in scale_at:
                     f = fractional_power(kind, re[at], g, e)
-                    np.multiply(grad_at, np.add(1.0, f, out=f), out=out_at)
+                    np.add(1.0, f, out=f)
+                    if imag_at is not None:  # a complex factor: the imaginary rows first, from the unscaled gradient
+                        np.multiply(grad_at, f.imag, out=imag_at)
+                        f = f.real
+                    np.multiply(grad_at, f, out=grad_at)
                 np.multiply(beta_b, np.subtract(W, W_prev, out=scratch), out=scratch)
-                W_prev, W = W, np.add(np.add(W, scratch, out=scratch), cgrad, out=W_new)
+                W_prev, W = W, np.add(np.add(W, scratch, out=scratch), grad, out=W_new)
 
             # the block's diagnostics, from its history; Xb's buffer holds the temporaries
             m_b = np.multiply(E, E)
-            diff = np.subtract(H[2:].real, omega[seeds], out=Xb)
+            diff = np.subtract(H[2:, :L], omega[seeds], out=Xb)
             e_b = np.sqrt(np.vecdot(diff, diff))
             worst = np.maximum(m_b, e_b)  # NaN propagates
-            if signed:
-                im = Xb
-                im[...] = H[2:].imag  # the norm of a contiguous copy, as np.linalg.norm takes it
-                i_b = np.sqrt(np.vecdot(im, im))
-                worst = np.maximum(worst, i_b)
+            im = H[2:, L:]  # contiguous rows, as np.linalg.norm takes them
+            i_b = np.sqrt(np.vecdot(im, im))
+            np.maximum(worst[:, s0:s1], i_b, out=worst[:, s0:s1])
             bad = ~(worst <= DIVERGENCE_THRESHOLD)
             stopped = bad.any(axis=0)
             last = np.where(stopped, bad.argmax(axis=0), b - 1)  # each row's last step that counts
             mse[live, span] = m_b.T
             werr[live, span] = e_b.T
-            if signed:
-                imag[live, span] = i_b.T
-                counts = np.arange(b)[:, None] <= last
-                step_peak = np.where(counts, np.maximum.reduce(np.abs(im, out=im), axis=-1), 0.0)
-                events[live] += np.count_nonzero(step_peak > 0.0, axis=0)
-            rows = np.arange(L)
+            live_signed = live[s0:s1]
+            imag[live_signed - r0, span] = i_b.T
+            # max |imag| of each step and row, a column at a time: a reduce over a short last axis is slow
+            peak = functools.reduce(np.maximum, np.abs(im, out=Xb[:, s0:s1]).transpose(2, 0, 1))
+            counts = np.arange(b)[:, None] <= last[s0:s1]
+            events[live_signed] += np.count_nonzero(counts & (peak > 0.0), axis=0)
             iterations[live] = t0 + last + 1
             diverged[live] = stopped
-            final_w[live], final_w_prev[live] = H[last + 2, rows], H[last + 1, rows]
+            ends = H[last[hist] + np.arange(1, 3)[:, None], np.arange(hist.size)]  # (2, L + Ls, n)
+            final[:, live], final_imag[:, live_signed - r0] = ends[:, :L], ends[:, L:]
 
             keep = ~stopped
-            start, live = H[b:, keep], live[keep]
+            start, live = H[b:, keep[hist]], live[keep]
             t0 += b
 
-    for arr in (mse, werr, imag):
+    for arr in (mse, werr, imag, real_imag):
         arr.setflags(write=False)
+    # each row's final (w_prev, w) and imag curve, a signed row's complex state rebuilt exactly from its two rows
+    complex_final = np.empty((2, Rs, n), dtype=np.complex128)
+    complex_final.real, complex_final.imag = final[:, r0 : r0 + Rs], final_imag
+    states = [*final[:, :r0].swapaxes(0, 1), *complex_final.swapaxes(0, 1), *final[:, r0 + Rs :].swapaxes(0, 1)]
+    imags = [real_imag] * r0 + list(imag) + [real_imag] * (R - r0 - Rs)
+    iterations, events, diverged = iterations.tolist(), events.tolist(), diverged.tolist()
     records = []
     for c in range(C):
         per_seed = []
-        for s in range(S):
-            r = row_of[c] + s
-            k = int(iterations[r])
-            state = FilterState(w=final_w[r], w_prev=final_w_prev[r], iteration=k, complex_events=int(events[r]))
+        for s, r in enumerate(range(row_of[c], row_of[c] + S)):
+            k = iterations[r]
+            w_prev, w = states[r]
             per_seed.append(
                 RunRecord(
                     mse_curve=mse[r, :k],
                     weight_error_curve=werr[r, :k],
-                    imag_curve=imag[r, :k] if signed else imag[:k],
-                    diverged=bool(diverged[r]),
-                    final_state=state,
+                    imag_curve=imags[r][:k],
+                    diverged=diverged[r],
+                    final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=events[r]),
                     omega_opt=omega[s].copy(),
                 )
             )

@@ -153,15 +153,20 @@ def predict_error(state: FilterState, reg, desired: float) -> float:
 
     Prediction deliberately uses only the real weight parts: the signed
     fractional variant can carry imaginary mass, and keeping e(t) real keeps
-    the squared-error cost well defined.
+    the squared-error cost well defined.  The real parts are read as a
+    contiguous vector, as the batched kernel holds them: BLAS sums a
+    complex state's stride-2 real view in another order, which can move
+    the last bit.
     """
     psi = _psi(reg, state.dim)
-    return float(desired - psi @ state.w.real)
+    return float(desired - psi @ np.ascontiguousarray(state.w.real))
 
 
 def fractional_power(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
     """The factor of a (..., n) block of real weight rows sharing one kind and
-    exponent; ``guard`` (..., 1) holds each row's ``epsilon_guard``.
+    exponent; ``guard``, (..., 1) or (..., n), holds each row's
+    ``epsilon_guard``.  A full-width guard spares np.maximum its broadcast;
+    the maximum is exact, so both shapes give the same bits.
 
     * ``signed``: component-wise principal-branch power of the weights, which
       is complex wherever a weight is negative.  0**(1-v) is 0 for v < 1 and

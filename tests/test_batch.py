@@ -102,8 +102,8 @@ def test_run_batch_matches_step_oracle(variant, interp):
 
 
 def test_mixed_batch_matches_step_oracle():
-    # every config of the six kinds in one call: the float64 loop holds rows without a factor,
-    # with two exponents and with both interpretations side by side
+    # every config of the six kinds in one call: the one time loop holds rows without a factor,
+    # signed rows, two exponents and both interpretations side by side
     cfgs = [cfg for kind in KINDS for cfg in configs(*kind)]
     batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     diverged = sum(assert_matches_oracle(rec, cfg, s) for cfg, records in zip(cfgs, batch)
@@ -112,12 +112,9 @@ def test_mixed_batch_matches_step_oracle():
 
 
 def test_run_experiment_is_a_batch_of_one():
+    # a signed row alone: its complex state rebuilt from its two real rows, byte for byte
     cfg = configs("flms_signed", "elementwise_abs")[0]
-    rec = run_experiment(PLANT, cfg, T, SEEDS[2])
-    state, mse, werr, imag, _ = oracle(cfg, 2)
-    np.testing.assert_array_equal(rec.mse_curve, mse)  # n = 4 complex rows: the oracle's very sums
-    np.testing.assert_array_equal(rec.imag_curve, imag)
-    assert rec.final_state.complex_events == state.complex_events
+    assert_matches_oracle(run_experiment(PLANT, cfg, T, SEEDS[2]), cfg, 2)
 
 
 POOL = [cfg for variant, interp in KINDS for cfg in configs(variant, interp)]
@@ -140,6 +137,8 @@ def batch_of_one(cfg, s):
 @given(batches())
 # every kind in one call, twice, interleaved: the records must come back in input order
 @example(([configs(*kind)[k % 3] for k, kind in enumerate(KINDS + KINDS[::-1])], [3, 0]))
+# one signed row beside one real row, each run alone too
+@example(([configs("flms_signed", "elementwise_abs")[0], configs("lms", "elementwise_abs")[0]], [1, 4]))
 @settings(max_examples=30, deadline=None)
 def test_batch_composition_invariance(batch_spec):
     cfgs, seeds = batch_spec
@@ -153,8 +152,10 @@ def test_batch_composition_invariance(batch_spec):
             same_csv = run_record_csv(inside) == run_record_csv(alone)
             assert same_csv, f"row ({c}, seed {s}): CSV differs from the row run alone"
             assert run_summary(inside) == run_summary(alone)
-            np.testing.assert_array_equal(inside.final_state.w, alone.final_state.w)
-            np.testing.assert_array_equal(inside.final_state.w_prev, alone.final_state.w_prev)
+            for got, want in ((inside.final_state.w, alone.final_state.w),
+                              (inside.final_state.w_prev, alone.final_state.w_prev)):
+                np.testing.assert_array_equal(got, want, strict=True)
+                assert got.tobytes() == want.tobytes()
             for field in ("iteration", "complex_events"):
                 assert getattr(inside.final_state, field) == getattr(alone.final_state, field)
 
@@ -186,7 +187,7 @@ def test_block_boundaries_change_nothing(monkeypatch, signed):
     cfgs = [cfg for cfg in POOL if (cfg.variant == "flms_signed") == signed]
     default = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     stops = [rec.final_state.iteration - 1 for records in default for rec in records if rec.diverged]
-    step_bytes = len(cfgs) * len(SEEDS) * PLANT.n * (16 if signed else 8)  # one step of every row
+    step_bytes = len(cfgs) * len(SEEDS) * PLANT.n * (16 if signed else 8)  # one step; a signed row is two rows
     for steps in (1, 3, 4, T):
         monkeypatch.setattr(analysis, "_BLOCK_BYTES", steps * step_bytes)
         if 1 < steps < T:  # some row stops on the first step of a block, and some row on the last

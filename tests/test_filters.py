@@ -49,6 +49,17 @@ def test_predict_error_dimension_mismatch():
         predict_error(state_of([1.0, 1.0]), np.array([2.0]), 4.0)
 
 
+def test_predict_error_reads_the_real_parts_as_a_real_state():
+    # the batched kernel holds a complex state's real parts as a contiguous float64 row; BLAS
+    # sums the stride-2 real view of a complex vector in another order, so the error must not read it
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        re, im, psi = rng.standard_normal((3, 9))
+        d = float(rng.standard_normal())
+        real = predict_error(FilterState(w=re, w_prev=re), psi, d)
+        assert predict_error(state_of(re + 1j * im), psi, d) == real
+
+
 # ---------------------------------------------------------------------------
 # fractional_factor
 
