@@ -39,7 +39,7 @@ _TEXT_KEYS = ("variant", "power_interpretation")
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
-# the most a spec's stacked regressors (seeds x (T - m) x n float64) may take
+# the most a run's stacked regressors (seeds x (T - m) x n float64) and curves may take
 MAX_REGRESSOR_BYTES = 2**30
 
 # Frozen at the first verified build; `harxlab audit` exits 4 on any drift.
@@ -70,21 +70,15 @@ def _g(x: float) -> str:
 
 
 def _jsonable(obj):
-    """Make a document JSON-clean: numpy scalars/arrays to native types and
-    non-finite floats to null."""
+    """Make a document JSON-clean: non-finite floats become null.  Documents
+    hold native values only (``tolist``, ``float``, ``int``, ``bool``; a
+    ``np.float64`` is a float), so no numpy type is converted here."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     return obj
 
 
@@ -106,6 +100,7 @@ class ExperimentSpec:
     plant: HarxPlant
     plant_ref: str
     plant_line: int
+    T_line: int
     filters: tuple[tuple[str, FilterConfig], ...]
     T: int
     seeds: tuple[int, ...]
@@ -186,13 +181,6 @@ def load_experiment_spec(path) -> ExperimentSpec:
         raise exp.fail("seeds must be distinct", "seeds")
     if min(seeds) < 0:
         raise exp.fail(f"seeds must be >= 0, got {min(seeds)}", "seeds")
-    size = len(seeds) * (T - plant.m) * plant.n * 8
-    if size > MAX_REGRESSOR_BYTES:
-        raise exp.fail(
-            f"T={T} is too large: the regressors of {len(seeds)} seed(s), (T - m) x n = {T - plant.m} x "
-            f"{plant.n} float64 each, would take {size} bytes, more than {MAX_REGRESSOR_BYTES}",
-            "T",
-        )
 
     outputs = exp.take("outputs", default="harxlab_out")
     if os.path.realpath(spec_path.parent / outputs) == os.path.realpath(spec_path.parent):  # simulate would clear it
@@ -219,11 +207,12 @@ def load_experiment_spec(path) -> ExperimentSpec:
             raise section.fail(message, ignored[0])
         filters.append((name, _filter_config(fields, section)))
 
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         path=spec_path,
         plant=plant,
         plant_ref=plant_ref,
         plant_line=exp.lines["plant"],
+        T_line=exp.lines["T"],
         filters=tuple(filters),
         T=T,
         seeds=seeds,
@@ -231,6 +220,22 @@ def load_experiment_spec(path) -> ExperimentSpec:
         emit=emit,
         input_kind=input_kind,
     )
+    _check_memory(spec)
+    return spec
+
+
+def _check_memory(spec: ExperimentSpec, cfgs=()) -> None:
+    """Fail on the T line if the regressors, plus the curves ``analysis.run_batch``
+    keeps for ``cfgs`` over every seed (two per (config, seed) row, three for
+    ``flms_signed``, T - m float64 each), would exceed MAX_REGRESSOR_BYTES."""
+    N, n, S = spec.T - spec.plant.m, spec.plant.n, len(spec.seeds)
+    curves = S * sum(3 if cfg.variant == "flms_signed" else 2 for cfg in cfgs)
+    size = (S * n + curves) * N * 8
+    if size > MAX_REGRESSOR_BYTES:
+        plus = f" plus {curves} curve(s) of T - m float64," if cfgs else ""
+        message = f"T={spec.T} is too large: the regressors of {S} seed(s), (T - m) x n = {N} x {n} float64 each,"
+        message += f"{plus} would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
+        raise ExperimentSpecError(message, str(spec.path), spec.T_line)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +326,15 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
 
 def cmd_simulate(args) -> int:
     spec = load_experiment_spec(args.spec)
+    cfgs = [cfg for _, cfg in spec.filters]
+    _check_memory(spec, cfgs)
     data = _seed_data(spec)
-    names, cfgs = zip(*spec.filters)
-    runs = dict(zip(names, analysis.run_batch(cfgs, data.X, data.outputs, data.omega)))
+    batch = analysis.run_batch(cfgs, data.X, data.outputs, data.omega)
     del data  # the regressors are freed before the artifacts are built
-    any_diverged = any(rec.diverged for records in runs.values() for rec in records)
+    any_diverged = any(rec.diverged for records in batch for rec in records)
     files: dict[str, str] = {}
-    for name, cfg in spec.filters:
-        # popped: a time loop's shared curve buffers are freed once its last filter is written
-        records = list(zip(spec.seeds, runs.pop(name)))
+    for (name, cfg), runs in zip(spec.filters, batch):
+        records = list(zip(spec.seeds, runs))
         if spec.emit in ("curves", "both"):
             for seed, rec in records:
                 files[f"{name}_seed{seed}.csv"] = analysis.run_record_csv(rec)
@@ -387,6 +392,8 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise grid_fault.fail(f"{param} values must be comma-separated numbers, got {args.grid!r}") from None
     configs = [_filter_config({**asdict(cfg), param: value}, grid_fault) for value in grid]
+    # an eta sweep also runs the 2/lambda_max reference, a config of cfg's variant
+    _check_memory(spec, [*configs, cfg] if param == "eta" else configs)
 
     labels = [_g(value) for value in grid]
     lambda_max = None

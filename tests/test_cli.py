@@ -213,6 +213,40 @@ def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# m = 1, l = 1 (n = 1) and one seed: T - 1 regressor entries, far inside the bound
+TINY_SCENARIO = SCENARIO.replace("m = 3", "m = 1").replace("q = 0.6, 0.3, 0.1", "q = 0.5")
+ONE_FILTER = SPEC.replace("seeds = 1, 2, 3", "seeds = 1").split("[filter mom]")[0]
+
+
+def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, capsys):
+    grid = ",".join(str(0.001 * k) for k in range(1, 41))
+    cases = (
+        (2_000_001, ["sweep", "--param", "eta", "--grid", grid]),  # 16 MB of regressors, 41 x 2 curves of 16 MB
+        (5 * 10**7, ["simulate"]),  # 400 MB of regressors, 2 curves of 400 MB
+    )
+    reached = mock.Mock(side_effect=AssertionError("simulated past the memory bound"))
+    with mock.patch.object(analysis, "simulate_seeds", reached), mock.patch.object(analysis, "run_batch", reached):
+        for T, argv in cases:
+            spec = write_spec(tmp_path, ONE_FILTER.replace("T = 300", f"T = {T}"), TINY_SCENARIO)
+            assert cli.load_experiment_spec(spec).T == T  # the regressors alone fit
+            assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert f"run.spec:3: T={T} is too large" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_bound_counts_three_curves_per_signed_row(tmp_path):
+    # one flms_signed row: the regressors and three curves, 4 x (T - 1) x 8 bytes, fit up to T - 1 = 2**25
+    signed = ONE_FILTER.replace("variant = lms", "variant = flms_signed")
+    largest, over = (
+        cli.load_experiment_spec(write_spec(tmp_path, signed.replace("T = 300", f"T = {T}"), TINY_SCENARIO))
+        for T in (2**25 + 1, 2**25 + 2)
+    )
+    cli._check_memory(largest, [cfg for _, cfg in largest.filters])
+    with pytest.raises(cli.ExperimentSpecError, match=f"run.spec:3: T={2**25 + 2} is too large"):
+        cli._check_memory(over, [cfg for _, cfg in over.filters])
+
+
 @pytest.mark.parametrize("variant,field,value", [
     ("lms", "beta", "0.3"),
     ("lms", "v", "0.5"),
