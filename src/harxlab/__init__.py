@@ -7,7 +7,8 @@ the dimensional consistency of the family's published update and convergence
 equations.
 """
 
-# cli is not imported here, so `python -m harxlab.cli` runs it exactly once
-from . import analysis, errors, filters, plant, shapecheck
+# cli is not imported here, so `python -m harxlab.cli` runs it exactly once;
+# nor is shapecheck, so simulate, sweep and wiener never load the checker
+from . import analysis, errors, filters, plant
 
 __version__ = "0.1.0"

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import shapecheck
 from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from .filters import FilterConfig, FilterState, fractional_power
 from .plant import Dataset, HarxPlant, generate_sequence
+
+if TYPE_CHECKING:
+    from . import shapecheck
 
 DIVERGENCE_THRESHOLD = 1e12
 LEAK_EPS = 1e-15
@@ -446,6 +449,8 @@ def binomial_vector_verdict(n: int) -> shapecheck.ShapeVerdict:
     vector, so the verdict is a mismatch.  n = 1 degenerates to the ordinary
     scalar expansion (documented boundary, well-formed).
     """
+    from . import shapecheck  # loaded on first use, so the batch commands never load it
+
     if n < 1:
         raise ValueError("n must be >= 1")
     base = shapecheck.Shape.scalar() if n == 1 else shapecheck.Shape.vector(n)

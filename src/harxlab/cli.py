@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, shapecheck
+from . import analysis
 from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation
 from .filters import VARIANT_FIELDS, FilterConfig
 from .plant import INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections
@@ -354,6 +354,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import shapecheck  # only `audit` loads the checker
+
     rows = shapecheck.audit_corpus()
     got = [(eq_id, verdict.describe()) for eq_id, verdict in rows]
     if args.format == "json":
@@ -375,6 +377,15 @@ def cmd_audit(args) -> int:
                 print(f"  row {i}: expected {want}, got {have}", file=sys.stderr)
         return 4
     return 0
+
+
+def __getattr__(name: str):
+    """``cli.shapecheck`` loads the checker on first use; no other name resolves here."""
+    if name == "shapecheck":
+        from . import shapecheck
+
+        return shapecheck
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

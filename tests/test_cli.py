@@ -52,11 +52,21 @@ def write_spec(tmp_path, spec_text=SPEC, scenario_text=SCENARIO):
     return spec
 
 
+def fresh_python(*args, env=None):
+    """Run ``python *args`` in a fresh interpreter on this checkout's package.
+
+    ``env`` is the child's environment (default: this process's), to which
+    the checkout's ``src`` is prepended on ``PYTHONPATH``.
+    """
+    env = dict(os.environ if env is None else env)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def python_m_cli(*argv):
     """Run ``python -m harxlab.cli *argv`` in a fresh interpreter on this checkout's package."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "harxlab.cli", *argv], capture_output=True, text=True, env=env)
+    return fresh_python("-m", "harxlab.cli", *argv)
 
 
 def read_artifacts(outdir: Path) -> dict[str, bytes]:
@@ -476,10 +486,48 @@ def test_builtin_muscle_plant_reference(tmp_path):
 
 
 def test_python_m_cli_runs_the_command():
-    proc = python_m_cli("audit")
+    proc = python_m_cli("audit")  # cli runs as __main__ here, and loads the checker itself
     assert proc.returncode == 0
-    assert any(line.startswith("eq23 ") for line in proc.stdout.splitlines())
+    width = max(len(eq_id) for eq_id, _ in cli.GOLDEN_AUDIT)
+    rows = [("equation", "verdict"), *cli.GOLDEN_AUDIT]
+    assert proc.stdout == "".join(f"{eq_id:<{width}}  {verdict}\n" for eq_id, verdict in rows)
     assert proc.stderr == ""
+
+
+# the batch commands, then `audit`, in one fresh interpreter
+DEFERRED_CHECKER = """\
+import contextlib, io, json, sys
+from harxlab import cli
+
+spec = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["simulate", spec]),
+        cli.main(["sweep", spec, "--param", "eta", "--grid", "0.02,0.2"]),
+        cli.main(["wiener", spec]),
+    ]
+    loaded = "harxlab.shapecheck" in sys.modules
+    audit = cli.main(["audit"])
+print(json.dumps({
+    "batch_codes": codes,
+    "checker_loaded_by_batch": loaded,
+    "audit_code": audit,
+    "cli_shapecheck_is_module": cli.shapecheck is sys.modules["harxlab.shapecheck"],
+    "other_names_missing": getattr(cli, "nope", None) is None,
+}))
+"""
+
+
+def test_only_audit_loads_the_shape_checker(tmp_path):
+    proc = fresh_python("-c", DEFERRED_CHECKER, str(write_spec(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "batch_codes": [0, 0, 0],
+        "checker_loaded_by_batch": False,
+        "audit_code": 0,
+        "cli_shapecheck_is_module": True,
+        "other_names_missing": True,
+    }
 
 
 def test_audit_exit_zero_and_table(capsys):
@@ -650,6 +698,122 @@ def test_out_creates_missing_parent_directories(tmp_path, capsys):
     assert cli.main(["wiener", str(write_spec(tmp_path)), "--out", str(doc)]) == 0
     assert doc.read_bytes() == capsys.readouterr().out.encode("utf-8")
     assert [p.name for p in doc.parent.iterdir()] == ["doc.json"]  # no temp file left over
+
+
+# ---------------------------------------------------------------------------
+# the same results on any CPU: BLAS kernels and numpy's SIMD loops are picked per host
+
+# a negative nonlinearity coefficient, so flms_signed leaves the real axis
+HOST_SCENARIO = SCENARIO.replace("l = 1", "l = 2").replace("c = 1.0", "c = 1.0, -0.5")
+HOST_SPEC = """\
+[experiment]
+plant = lin.scenario
+T = 400
+seeds = 1, 2
+outputs = out
+emit = both
+
+[filter signed]
+variant = flms_signed
+eta = 0.05
+beta = 0.2
+v = 0.5
+
+[filter lms]
+variant = lms
+eta = 0.05
+
+[filter mom]
+variant = momentum_lms
+eta = 0.05
+beta = 0.4
+
+[filter mod]
+variant = mflms_modulus
+eta = 0.02
+beta = 0.2
+v = 0.75
+"""
+HOST_RUN = """\
+import sys
+from harxlab import cli
+
+spec, out = sys.argv[1], sys.argv[2]
+sweep = ["sweep", spec, "--param", "eta", "--grid", "0.01,0.05,0.3,3.0"]
+for argv in (["simulate", spec], sweep, ["wiener", spec, "--out", out]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# each variant: its environment, and the CPU features (numpy's names) it needs to mean anything
+HOST_VARIANTS = {
+    "openblas_prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, ("SSE3",)),
+    "openblas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+    "numpy_no_avx512": (
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    ),
+}
+# the benchmark's bound on every number of an artifact
+RTOL, ATOL = 1e-9, 1e-12
+
+
+def run_on_host_variant(home: Path, variant_env: dict) -> dict[str, str]:
+    home.mkdir()
+    spec = write_spec(home, HOST_SPEC, HOST_SCENARIO)
+    outdir = home / "out"
+    ours = {cli.OUTDIR_ENV, "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"}
+    env = {k: v for k, v in os.environ.items() if k not in ours} | PINNED | variant_env
+    proc = fresh_python("-c", HOST_RUN, str(spec), str(outdir / "wiener.json"), env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_text("utf-8") for p in sorted(outdir.iterdir())}
+
+
+def leaves(name: str, text: str) -> list[tuple[str, object]]:
+    """(place, value) for every value of an artifact: JSON leaves, or CSV cells past the first column."""
+
+    def walk(doc, place):
+        if isinstance(doc, dict):
+            return [leaf for k in sorted(doc) for leaf in walk(doc[k], f"{place}.{k}")]
+        if isinstance(doc, list):
+            return [leaf for i, v in enumerate(doc) for leaf in walk(v, f"{place}[{i}]")]
+        return [(place, doc)]
+
+    if name.endswith(".json"):
+        return walk(json.loads(text), name)
+    header, *rows = (line.split(",") for line in text.splitlines())
+    cells = [(f"{name}:0", header)]
+    for i, (first, *rest) in enumerate(rows, 1):  # an iteration or a swept value: exact
+        cells += [(f"{name}:{i}", first), *((f"{name}:{i}:{j}", float(x)) for j, x in enumerate(rest, 1))]
+    return cells
+
+
+def skeleton(cells):
+    return [(place, None if isinstance(value, float) else value) for place, value in cells]
+
+
+@pytest.fixture(scope="module")
+def host_baseline(tmp_path_factory):
+    return run_on_host_variant(tmp_path_factory.mktemp("host") / "baseline", {})
+
+
+@pytest.mark.parametrize("variant", sorted(HOST_VARIANTS))
+def test_results_do_not_depend_on_the_cpu(variant, host_baseline, tmp_path):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    variant_env, needs = HOST_VARIANTS[variant]
+    missing = [f for f in needs if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU lacks {missing}")
+    got = run_on_host_variant(tmp_path / variant, variant_env)
+    assert got.keys() == host_baseline.keys()
+    for name, text in host_baseline.items():
+        want, have = leaves(name, text), leaves(name, got[name])
+        # the same places, and every value but a float exactly the same: row counts,
+        # iterations, diverged, complex_events, first_leak_iter
+        assert skeleton(have) == skeleton(want), name
+        floats = [(h, w) for (_, h), (_, w) in zip(have, want) if isinstance(w, float)]
+        np.testing.assert_allclose(*zip(*floats), rtol=RTOL, atol=ATOL, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
