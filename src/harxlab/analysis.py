@@ -180,6 +180,12 @@ def _factor_groups(cfgs) -> tuple[list[tuple[str, float]], np.ndarray]:
     return groups, np.array([len(groups) if key is None else groups.index(key) for key in keys], dtype=np.int64)
 
 
+def curves_per_seed(cfgs) -> int:
+    """The curves :func:`run_batch` keeps per seed for ``cfgs``: two per config,
+    and a third, the imaginary norm, when the config's factor kind is ``signed``."""
+    return sum(3 if cfg.factor is not None and cfg.factor[0] == "signed" else 2 for cfg in cfgs)
+
+
 def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     """Run every config on every seed's data, all (config, seed) rows stepping together.
 
@@ -285,9 +291,8 @@ def _run_rows(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     guard = full([cfg.epsilon_guard for cfg in cfgs])
     B = max(1, _BLOCK_BYTES // ((R + Rs) * n * 8))
 
-    mse = np.empty((R, N))
-    werr = np.empty((R, N))
-    imag = np.empty((Rs, N))
+    curves = np.empty((S * curves_per_seed(cfgs), N))  # 2 R + Rs rows
+    mse, werr, imag = curves[:R], curves[R : 2 * R], curves[2 * R :]
     real_imag = np.zeros(N)  # the one all-zero imag curve the real rows share
     iterations = np.zeros(R, dtype=np.int64)
     diverged = np.zeros(R, dtype=bool)
@@ -443,28 +448,12 @@ def binomial_residual(omega_opt: float, delta: float, exponent: float, k_max: in
 
 
 def binomial_vector_verdict(n: int) -> shapecheck.ShapeVerdict:
-    """Shape verdict for the vector reading of the expansion's two sides.
-
-    For n >= 2 the right side contracts to a scalar while the left side is a
-    vector, so the verdict is a mismatch.  n = 1 degenerates to the ordinary
-    scalar expansion (documented boundary, well-formed).
-    """
+    """Shape verdict for the vector reading of the expansion's two sides,
+    :func:`harxlab.shapecheck.eq25_verdict`: a mismatch for n >= 2, well-formed
+    for n = 1 (the ordinary scalar expansion)."""
     from . import shapecheck  # loaded on first use, so the batch commands never load it
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = shapecheck.Shape.scalar() if n == 1 else shapecheck.Shape.vector(n)
-    env = shapecheck.ShapeEnv(
-        bindings={
-            "Omega_opt": base,
-            "DOmega": base,
-            "j": shapecheck.Shape.scalar(),
-            "k": shapecheck.Shape.scalar(),
-        }
-    )
-    lhs = shapecheck.parse_expr(shapecheck.EQ25_LHS_TEXT)
-    rhs = shapecheck.parse_expr(shapecheck.EQ25_RHS_TEXT)
-    return shapecheck.check_equation(lhs, rhs, env)
+    return shapecheck.eq25_verdict(n)
 
 
 @dataclass(frozen=True)

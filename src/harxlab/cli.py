@@ -28,7 +28,9 @@ import numpy as np
 from . import analysis
 from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation
 from .filters import VARIANT_FIELDS, FilterConfig
-from .plant import INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections
+from .plant import (
+    INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections, true_weight_vector
+)
 
 OUTDIR_ENV = "HARXLAB_OUTDIR"
 EMIT_MODES = ("curves", "summary", "both")
@@ -226,10 +228,10 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
 def _check_memory(spec: ExperimentSpec, cfgs=()) -> None:
     """Fail on the T line if the regressors, plus the curves ``analysis.run_batch``
-    keeps for ``cfgs`` over every seed (two per (config, seed) row, three for
-    ``flms_signed``, T - m float64 each), would exceed MAX_REGRESSOR_BYTES."""
+    keeps for ``cfgs`` over every seed (``analysis.curves_per_seed``, T - m
+    float64 each), would exceed MAX_REGRESSOR_BYTES."""
     N, n, S = spec.T - spec.plant.m, spec.plant.n, len(spec.seeds)
-    curves = S * sum(3 if cfg.variant == "flms_signed" else 2 for cfg in cfgs)
+    curves = S * analysis.curves_per_seed(cfgs)
     size = (S * n + curves) * N * 8
     if size > MAX_REGRESSOR_BYTES:
         plus = f" plus {curves} curve(s) of T - m float64," if cfgs else ""
@@ -356,17 +358,17 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     from . import shapecheck  # only `audit` loads the checker
 
-    rows = shapecheck.audit_corpus()
-    got = [(eq_id, verdict.describe()) for eq_id, verdict in rows]
+    got = [(eq_id, verdict.describe()) for eq_id, verdict in shapecheck.audit_corpus()]
+    document = _dumps(shapecheck.audit_report())
     if args.format == "json":
-        print(json.dumps(shapecheck.audit_report(), sort_keys=True, indent=2))
+        print(document, end="")
     else:
         width = max(len(eq_id) for eq_id, _ in got)
         print(f"{'equation':<{width}}  verdict")
         for eq_id, described in got:
             print(f"{eq_id:<{width}}  {described}")
     if args.out:
-        _write_out(args.out, _dumps(shapecheck.audit_report()))
+        _write_out(args.out, document)
     expected = list(GOLDEN_AUDIT)
     if got != expected:
         print("audit regression against the golden verdict table:", file=sys.stderr)
@@ -451,7 +453,7 @@ def cmd_wiener(args) -> int:
             raise ExperimentSpecError(str(exc), "--ridge") from None
     doc = analysis.correlation_summary(est, omega_opt=omega)
     doc["ridge"] = args.ridge
-    doc["true_weight_vector"] = data.plant_truth.tolist()
+    doc["true_weight_vector"] = true_weight_vector(spec.plant).tolist()
     text = _dumps(doc)
     print(text, end="")
     if args.out:

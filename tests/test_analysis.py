@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from harxlab import shapecheck
 from harxlab.analysis import (
+    CorrelationEstimate,
     RunRecord,
     binomial_report,
     binomial_residual,
@@ -18,15 +20,14 @@ from harxlab.analysis import (
     sweep_cells,
     wiener_solution,
 )
-from harxlab.errors import DomainError, EmptyDataset, SingularCorrelation
+from harxlab.errors import DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from harxlab.filters import FilterConfig, initial_state
 from harxlab.plant import Dataset, HarxPlant, generate_sequence, muscle_preset, polynomial_basis, true_weight_vector
 
 
 def synthetic_dataset(X, outputs):
     X = np.asarray(X, dtype=np.float64)
-    return Dataset(inputs=np.zeros(X.shape[0]), X=X, outputs=np.asarray(outputs, float),
-                   plant_truth=np.zeros(X.shape[1]))
+    return Dataset(inputs=np.zeros(X.shape[0]), X=X, outputs=np.asarray(outputs, float))
 
 
 def muscle_structure(noise_std=0.01, seed=7):
@@ -78,6 +79,17 @@ def test_correlations_law_of_large_numbers():
 def test_correlations_empty_dataset():
     with pytest.raises(EmptyDataset):
         estimate_correlations(synthetic_dataset(np.zeros((0, 3)), np.zeros(0)))
+
+
+@pytest.mark.parametrize("R,eigenvalues,error,match", [
+    (np.eye(3), [1.0, 1.0], DimensionMismatch, "inconsistent estimate shapes"),
+    ([[1.0, 0.5], [0.0, 1.0]], [1.5, 0.5], ValueError, "R must be symmetric"),
+    (np.eye(2), [1.0, 2.0], ValueError, "eigenvalues must be sorted descending"),
+    (np.diag([1.0, -1e-9]), [1.0, -1e-9], ValueError, "R is not PSD up to tolerance"),
+], ids=["shapes", "symmetry", "order", "psd"])
+def test_correlation_estimate_checks_its_fields(R, eigenvalues, error, match):
+    with pytest.raises(error, match=match):
+        CorrelationEstimate(R=R, p=np.zeros(2), eigenvalues=eigenvalues, sample_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +165,8 @@ def test_simulate_seeds_holds_one_copy_of_the_regressors():
     for s, seed in enumerate(seeds):
         alone = generate_sequence(plant, T=20000, rng=np.random.default_rng(seed))
         assert np.array_equal(data.X[s], alone.X) and np.array_equal(data.outputs[s], alone.outputs)
+    with pytest.raises(ValueError, match="at least one seed is required"):
+        simulate_seeds(plant, 200, [])
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +311,8 @@ def test_binomial_domain_errors():
     # integer exponents stay in the real domain
     res = binomial_residual(-2.0, 1.0, 3.0, 10)
     assert res[-1] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        binomial_residual(2.0, 0.5, 0.5, k_max=-1)
 
 
 def test_binomial_residual_nonincreasing_inside_radius():
@@ -306,12 +322,23 @@ def test_binomial_residual_nonincreasing_inside_radius():
 
 
 def test_binomial_vector_verdict():
-    assert binomial_vector_verdict(2).outcome == "mismatch"
-    assert binomial_vector_verdict(9).outcome == "mismatch"
+    assert binomial_vector_verdict(9).describe() == dict(shapecheck.audit_corpus())["eq25"].describe()
+    verdict = binomial_vector_verdict(2)
+    assert (verdict.rule_violated, verdict.message) == ("equation-sides", "left side is vector(2), right side is scalar")
     # n = 1 degenerates to the ordinary scalar expansion (documented boundary)
-    assert binomial_vector_verdict(1).outcome == "well_formed"
-    with pytest.raises(ValueError):
+    assert binomial_vector_verdict(1).describe() == "well_formed(scalar)"
+    with pytest.raises(ValueError, match="n must be >= 1"):
         binomial_vector_verdict(0)
+
+
+def test_eq25_has_one_check(monkeypatch):
+    # the audit's eq25 row and binomial_vector_verdict both return what shapecheck.eq25_verdict gives
+    calls = []
+    verdict = shapecheck.ShapeVerdict.well_formed(shapecheck.Shape.matrix(2, 3))
+    monkeypatch.setattr(shapecheck, "eq25_verdict", lambda n: calls.append(n) or verdict)
+    assert dict(shapecheck.audit_corpus())["eq25"] is verdict
+    assert binomial_vector_verdict(4) is verdict
+    assert calls == [9, 4]
 
 
 def test_binomial_report_bundles_both_sides():

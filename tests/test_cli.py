@@ -410,12 +410,26 @@ def test_overflowing_correlations_never_exit_0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_overflowing_basis_reports_one_error_and_no_warning(tmp_path):
-    # r**600 overflows for any |r| > 3.3, and the overflow is reported once, on the plant line
-    scenario = f"m = 1\nl = 600\nbasis = polynomial\nq = 1.0\nc = {', '.join(['1e-300'] * 600)}\n"
+# finite scenario values whose data overflow float64, each reported once, on the plant line
+OVERFLOWING_DATA = {
+    # r**600 overflows for any |r| > 3.3
+    "basis": f"m = 1\nl = 600\nbasis = polynomial\nq = 1.0\nc = {', '.join(['1e-300'] * 600)}\n",
+    # the outputs X @ w
+    "outputs": SCENARIO.replace("q = 0.6, 0.3, 0.1", "q = 1e308, 1e308, 1e308"),
+    # the outputs, then the outputs plus the noise
+    "outputs_plus_noise": SCENARIO.replace("c = 1.0", "c = 1e308").replace("noise_std = 0.01", "noise_std = 1e307"),
+    # the noise, drawn standard normal and scaled by noise_std
+    "noise": SCENARIO.replace("noise_std = 0.01", "noise_std = 1e308"),
+    # inf - inf: the outputs plus the noise are NaN where their overflows differ in sign
+    "nan_outputs": SCENARIO.replace("q = 0.6, 0.3, 0.1", "q = 1e308, -1e308, 1e308").replace("= 0.01", "= 1e308"),
+}
+
+
+@pytest.mark.parametrize("scenario", OVERFLOWING_DATA.values(), ids=OVERFLOWING_DATA)
+def test_overflowing_basis_reports_one_error_and_no_warning(tmp_path, scenario):
     spec = write_spec(tmp_path, SPEC.replace("T = 300", "T = 1000"), scenario)
-    for command in ("wiener", "simulate"):
-        proc = python_m_cli(command, str(spec))  # stderr as a user sees it, warnings included
+    for argv in (["wiener"], ["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"]):
+        proc = python_m_cli(argv[0], str(spec), *argv[1:])  # stderr as a user sees it, warnings included
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {spec}:2: plant: R or p is not finite: the data overflow float64"]
     assert not (tmp_path / "out").exists()
@@ -448,6 +462,7 @@ SPEC_FAULTS = {
     "dot_outputs": (SPEC.replace("outputs = out", "outputs = ."), ["simulate"], "{spec}:5: outputs must name a"),
     "up_outputs": (SPEC.replace("outputs = out", "outputs = sub/.."), ["simulate"], "{spec}:5: outputs must name a"),
     "unknown_input":(SPEC.replace("emit = both", "emit = both\ninput = pink"), ["simulate"], "{spec}:7: input must"),
+    "unknown_emit": (SPEC.replace("emit = both", "emit = loud"), ["simulate"], "{spec}:6: emit must be one of"),
     "grid_not_numbers": (
         SPEC, ["sweep", "--param", "eta", "--grid", "0.1,abc"], "--grid: eta values must be comma-separated numbers"
     ),

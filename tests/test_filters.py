@@ -332,6 +332,8 @@ def test_step_by_hand_and_dimension_guard():
     np.testing.assert_allclose(new.w.real, [0.5])
     with pytest.raises(DimensionMismatch):
         step(st_, cfg_of("lms", 1, eta=0.5), np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(DimensionMismatch, match="state dim 1 != config dim 2"):
+        step(st_, cfg_of("lms", 2, eta=0.5), np.array([1.0, 2.0]), 1.0)
 
 
 def test_iteration_and_counters_monotone():
@@ -389,3 +391,7 @@ def test_config_validation():
         FilterConfig(variant="nlms", eta=0.1, dim=2)
     with pytest.raises(ValueError):
         cfg_of("mflms_modulus", 2, interp="bogus")
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        cfg_of("lms", 0)
+    with pytest.raises(DimensionMismatch, match="equal-length vectors"):
+        FilterState(w=np.zeros(2), w_prev=np.zeros(3))

@@ -128,6 +128,17 @@ def test_basis_within_l_ulps_of_libm_pow(l, samples):
             assert abs(row[k - 1] - x**k) <= l * 2.0**-52 * abs(x**k)
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: polynomial_basis(0), "l must be >= 1"),
+    (lambda: make_plant(0, 1, [], [1.0]), "m must be >= 1"),
+    (lambda: make_plant(2, 1, [1.0], [1.0]), "q must have length m=2, got 1"),
+    (lambda: make_plant(1, 2, [1.0], [1.0, 2.0, 3.0]), "c must have length l=2, got 3"),
+], ids=["l", "m", "q", "c"])
+def test_plant_rejects_bad_orders_and_lengths(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_basis_shapes():
     r = np.array([0.5, -2.0, 3.25])
     np.testing.assert_array_equal(polynomial_basis(1).evaluate_many(r), r[:, None])  # order 1 is r itself

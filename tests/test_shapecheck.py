@@ -11,6 +11,7 @@ from harxlab.shapecheck import (
     ScalarLit,
     Shape,
     ShapeEnv,
+    ShapeVerdict,
     Sym,
     Transpose,
     audit_corpus,
@@ -204,6 +205,49 @@ def test_check_equation_sides():
     assert verdict.rule_violated == "equation-sides"
     verdict = check_equation(parse_expr("R * Omega"), parse_expr("Psi"), BASE_ENV)
     assert verdict.outcome == "well_formed" and verdict.shape == V(9)
+    # an ill-formed side is the equation's verdict, on either side
+    left = check_equation(parse_expr("1 + Psi"), parse_expr("Psi"), BASE_ENV)
+    assert left.rule_violated == "add-shape" and left == infer("1 + Psi")
+    right = check_equation(parse_expr("Psi"), parse_expr("Psi * Omega"), BASE_ENV)
+    assert right.rule_violated == "mul-vector-vector" and right == infer("Psi * Omega")
+
+
+def test_bad_shapes_and_trailing_input_raise():
+    with pytest.raises(ValueError, match="unknown shape kind 'tensor'"):
+        Shape("tensor")
+    with pytest.raises(ValueError, match=r"bad dims \(0,\) for shape kind 'vector'"):
+        Shape.vector(0)
+    with pytest.raises(ParseError, match=r"end of input \(got 'b'\)") as exc:
+        parse_expr("a b")
+    assert exc.value.position == 2
+
+
+TWO_UNKNOWNS = ShapeEnv(bindings=BASE_ENV.bindings, unknown=frozenset({"F", "G"}))
+
+
+# (expression, path of the offending node, message) for each position that cannot pin an unknown
+UNKNOWN_POSITIONS = {
+    "add_two": ("F + G", (), "cannot relate two unknown symbols"),
+    "mul_two": ("eta * (F * G)", (1,), "cannot relate two unknown symbols"),
+    "mul_matrix": ("R * F", (), "cannot pin the shape of F multiplied with matrix(9,9)"),
+    "transpose": ("Psi + F'", (1,), "cannot transpose unknown symbol F"),
+    "elemmul": ("F .* Psi", (), "component-wise product cannot involve an unknown symbol"),
+    "elempow": ("Psi ^. F", (), "component-wise power cannot involve an unknown symbol"),
+    "abs": ("|F| + Psi", (0,), "cannot take the modulus of unknown symbol F"),
+}
+
+
+@pytest.mark.parametrize("text,path,message", UNKNOWN_POSITIONS.values(), ids=UNKNOWN_POSITIONS)
+def test_unknown_in_a_position_that_cannot_pin_it(text, path, message):
+    verdict = infer(text, env=TWO_UNKNOWNS, constraints={})
+    assert (verdict.outcome, verdict.rule_violated, verdict.node_path) == ("mismatch", "unknown-position", path)
+    assert verdict.message == message
+
+
+def test_unknown_at_the_root_takes_an_earlier_constraint():
+    cons = {"F": [M(9, 9)]}
+    assert infer("2 * F", constraints=cons) == ShapeVerdict.well_formed(M(9, 9))
+    assert cons == {"F": [M(9, 9)]}
 
 
 # ---------------------------------------------------------------------------
