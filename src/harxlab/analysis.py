@@ -118,8 +118,9 @@ class RunRecord:
     empirical Wiener solution of the run's own dataset (stored in
     ``omega_opt``).  A run is flagged diverged as soon as any curve entry is
     non-finite or exceeds 1e12, and stops there; all three curves always
-    share one length of at least 1.  The curves are read-only; only
-    :func:`run_record_csv` and :func:`run_summary` read them.
+    share one length of at least 1.  The curves and ``omega_opt`` are
+    read-only; only :func:`run_record_csv` and :func:`run_summary` read the
+    curves.
     """
 
     mse_curve: np.ndarray
@@ -193,90 +194,73 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     hold the seeds' regressor matrices, desired outputs and Wiener solutions;
     they are broadcast over the configs, never tiled.  The configs may be of
     any variants; each is read through its ``momentum`` and ``factor``
-    properties only.  Every row steps in one float64 time loop.  A row whose
-    factor kind is ``signed`` keeps its weights' real and imaginary parts in
-    two real rows, and its final state is the complex128 vector rebuilt
-    exactly from them; every other row is real throughout, so its imaginary
-    parts are exactly 0.  Row (c, s) starts from zero weights and applies,
+    properties only.  Row (c, s) starts from zero weights and applies,
     element by element and in the same order, the operations of
     :func:`harxlab.filters.step`::
 
         w' = w + momentum (w - w_prev) + eta e psi (1 + factor)
 
     with the factor from :func:`harxlab.filters.fractional_power`, the code
-    ``step`` calls too, and no factor (0) for a config without one.  On a
-    signed row the complex products of ``step`` lose only their terms
-    ``0 * x``, with x finite up to the step a row stops at.  Such a term can
-    change only the sign of a zero, and that sign never reaches a weight:
-    no weight is ever -0.0, as a sum is -0.0 only when both of its terms
-    are, and every weight starts at +0.0.  Inner products and norms are one
-    BLAS dot per contiguous row (``np.vecdot``), so no row's sums depend on
-    the other rows.  A record therefore equals, bit for bit, what a loop
-    over ``step`` gives.
+    ``step`` calls too, and no factor (0) for a config without one.  Every
+    row steps in one float64 time loop.  A row whose factor kind is
+    ``signed`` keeps its weights' real and imaginary parts in two real rows,
+    and its final state is the complex128 vector rebuilt exactly from them;
+    every other row is real throughout, so its imaginary parts are exactly
+    0.  On a signed row the complex products of ``step`` lose only their
+    terms ``0 * x``, with x finite up to the step a row stops at.  Such a
+    term can change only the sign of a zero, and that sign never reaches a
+    weight: no weight is ever -0.0, as a sum is -0.0 only when both of its
+    terms are, and every weight starts at +0.0.  Inner products and norms
+    are one BLAS dot per contiguous row (``np.vecdot``), so no row's sums
+    depend on the other rows.  A record therefore equals, bit for bit, what
+    a loop over ``step`` gives.
 
-    Time runs in blocks of B steps, B sized so that a block's weight history
-    takes about 256 KB.  Within a block every live row steps the recurrence
-    alone; the curves and the stop check are computed once per block from
-    the block's history.  A row stops at its first curve entry that is
-    non-finite or above 1e12: its curves end there, its final state is the
-    state after that step, it adds nothing more to ``complex_events``, and
-    it leaves the batch at the end of the block, so a stopped row costs at
-    most B - 1 extra steps.  Returns ``records[c][s]`` in the order of
-    ``cfgs``.  The records' curves are views into buffers the batch's rows
-    share, so any record a caller keeps holds every row's curves alive.
+    The R = C S rows are ordered by factor group, so that a group's live
+    rows are one slice; the signed groups sort after the other factor groups
+    and before the rows without a factor, so the Rs signed rows are one
+    slice too.  Their imaginary parts are Rs more rows after all R, in a
+    block's weight history and in the final states alike.
+
+    Time runs in blocks of B steps, B fixed so that the first block's weight
+    history, (B + 2, L + Ls, n) for L live rows of which Ls are signed,
+    takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs,
+    each step writing into work buffers made once per block, so a step
+    allocates only what ``np.vecdot`` and :func:`fractional_power` return.
+    The curves and ``complex_events`` are computed once per block from its
+    history.  A row stops at its first curve entry that is non-finite or
+    above 1e12: its curves end there, its final state is the state after
+    that step, it adds nothing more to ``complex_events``, and it leaves the
+    batch at the end of the block.  It thus runs on for at most B - 1 steps
+    whose results nothing reads; every sum is per row, so they touch no
+    other row.
+
+    Returns ``records[c][s]`` in the order of ``cfgs``, every array in them
+    read-only.  The curves are views into buffers the batch's rows share, so
+    a record a caller keeps holds every row's curves alive; each
+    ``omega_opt`` is a view of the batch's own copy of ``omega``.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
+    omega = np.array(omega, dtype=np.float64)  # the records' omega_opt views, frozen below
     if X.ndim != 3 or 0 in X.shape or outputs.shape != X.shape[:2] or omega.shape != (X.shape[0], X.shape[2]):
         raise DimensionMismatch(
             f"expected X (S, N, n) with S, N, n >= 1, outputs (S, N), omega (S, n); "
             f"got {X.shape}, {outputs.shape}, {omega.shape}"
         )
-    n = X.shape[2]
+    S, N, n = X.shape
     for cfg in cfgs:
         if cfg.dim != n:
             raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
-    return _run_rows(cfgs, X, outputs, omega) if cfgs else []
+    if not cfgs:
+        return []
+    omega.setflags(write=False)
+    R = len(cfgs) * S
 
-
-def _run_rows(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
-    """The time loop of :func:`run_batch`, in float64 for every row.
-
-    The (config, seed) rows are flattened, ordered by factor group so that a
-    group's live rows are one slice, and each carries its seed index.  The
-    signed groups sort after the other factor groups and before the rows
-    without a factor, so the signed rows are one slice too.  The rows step B
-    steps at a time, B fixed so that the first block's weight history takes
-    about ``_BLOCK_BYTES``.  Within a block only the recurrence runs: each
-    step writes the weights into a (B + 2, L + Ls, n) history, whose first L
-    rows hold the real parts of the L live rows and whose last Ls rows the
-    imaginary parts of the Ls live signed rows.  The error and the gradient
-    run over the L real-part rows; a signed group's complex factor scales
-    its rows' gradient into their real-part and imaginary-part rows; the
-    momentum and the weight add run over all L + Ls rows.  The errors go
-    into a (B, L) buffer and the intermediates into work buffers made once
-    per block, so a step allocates only what ``np.vecdot`` and
-    :func:`fractional_power` return.  After the block the curves and
-    ``complex_events`` are computed from the history in bulk, each row's
-    first non-finite or > 1e12 curve entry is found, and a row that stopped
-    takes its final state from the history and leaves the batch.  A stopped
-    row thus runs on for at most B - 1 steps whose results nothing reads;
-    every sum is per row, so they touch no other row.
-    """
-    S, N, n = X.shape
-    C = len(cfgs)
-    R = C * S
-
-    # rows ordered by factor group, so each group's live rows are one slice
     groups, group_of = _factor_groups(cfgs)
     order = np.argsort(group_of, kind="stable")
-    cfg_of, seed_of = np.repeat(order, S), np.tile(np.arange(S), C)
+    cfg_of, seed_of = np.repeat(order, S), np.tile(np.arange(S), len(cfgs))
     group_of = group_of[cfg_of]
-    row_of = np.empty(C, dtype=np.int64)
-    row_of[order] = np.arange(0, R, S)  # config c's seeds are rows row_of[c] + s
-    row_of = row_of.tolist()
     # the signed rows, rows r0 .. r0 + Rs - 1, with a second row each for their imaginary parts
     complex_group = [kind == "signed" for kind, _ in groups]
     signed = np.isin(group_of, np.flatnonzero(complex_group))
@@ -297,8 +281,7 @@ def _run_rows(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     iterations = np.zeros(R, dtype=np.int64)
     diverged = np.zeros(R, dtype=bool)
     events = np.zeros(R, dtype=np.int64)
-    final = np.zeros((2, R, n))  # each row's final w_prev and w, real parts
-    final_imag = np.zeros((2, Rs, n))  # and the signed rows' imaginary parts
+    final = np.zeros((2, R + Rs, n))  # each row's final w_prev and w, the imaginary rows last
 
     live = np.arange(R)
     start = np.zeros((2, R + Rs, n))  # the live rows' w_prev and w, the imaginary rows last
@@ -364,7 +347,7 @@ def _run_rows(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
             iterations[live] = t0 + last + 1
             diverged[live] = stopped
             ends = H[last[hist] + np.arange(1, 3)[:, None], np.arange(hist.size)]  # (2, L + Ls, n)
-            final[:, live], final_imag[:, live_signed - r0] = ends[:, :L], ends[:, L:]
+            final[:, np.concatenate([live, live_signed + (R - r0)])] = ends
 
             keep = ~stopped
             start, live = H[b:, keep[hist]], live[keep]
@@ -372,30 +355,25 @@ def _run_rows(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
 
     for arr in (mse, werr, imag, real_imag):
         arr.setflags(write=False)
-    # each row's final (w_prev, w) and imag curve, a signed row's complex state rebuilt exactly from its two rows
-    complex_final = np.empty((2, Rs, n), dtype=np.complex128)
-    complex_final.real, complex_final.imag = final[:, r0 : r0 + Rs], final_imag
-    states = [*final[:, :r0].swapaxes(0, 1), *complex_final.swapaxes(0, 1), *final[:, r0 + Rs :].swapaxes(0, 1)]
-    imags = [real_imag] * r0 + list(imag) + [real_imag] * (R - r0 - Rs)
-    iterations, events, diverged = iterations.tolist(), events.tolist(), diverged.tolist()
+    # a signed row's final (w_prev, w), rebuilt exactly from its two rows
+    signed_final = final[:, r0 : r0 + Rs].astype(np.complex128)
+    signed_final.imag = final[:, R:]
     records = []
-    for c in range(C):
-        per_seed = []
-        for s, r in enumerate(range(row_of[c], row_of[c] + S)):
-            k = iterations[r]
-            w_prev, w = states[r]
-            per_seed.append(
-                RunRecord(
-                    mse_curve=mse[r, :k],
-                    weight_error_curve=werr[r, :k],
-                    imag_curve=imags[r][:k],
-                    diverged=diverged[r],
-                    final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=events[r]),
-                    omega_opt=omega[s].copy(),
-                )
+    for r, (s, k) in enumerate(zip(seed_of.tolist(), iterations.tolist())):
+        j = r - r0 if r0 <= r < r0 + Rs else None  # a signed row's index among the signed rows
+        w_prev, w = final[:, r] if j is None else signed_final[:, j]
+        records.append(
+            RunRecord(
+                mse_curve=mse[r, :k],
+                weight_error_curve=werr[r, :k],
+                imag_curve=(real_imag if j is None else imag[j])[:k],
+                diverged=bool(diverged[r]),
+                final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=int(events[r])),
+                omega_opt=omega[s],
             )
-        records.append(per_seed)
-    return records
+        )
+    # config c's seeds are the S rows from its place in the row order
+    return [records[r : r + S] for r in (np.argsort(order) * S).tolist()]
 
 
 def run_experiment(

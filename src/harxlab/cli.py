@@ -358,8 +358,9 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     from . import shapecheck  # only `audit` loads the checker
 
-    got = [(eq_id, verdict.describe()) for eq_id, verdict in shapecheck.audit_corpus()]
-    document = _dumps(shapecheck.audit_report())
+    rows = shapecheck.audit_corpus()  # evaluated once, for the table and the document alike
+    got = [(eq_id, verdict.describe()) for eq_id, verdict in rows]
+    document = _dumps(shapecheck.audit_report(rows))
     if args.format == "json":
         print(document, end="")
     else:

@@ -576,10 +576,10 @@ def audit_corpus() -> list[tuple[str, ShapeVerdict]]:
     return rows
 
 
-def audit_report() -> list[dict]:
-    """JSON-ready audit rows: {equation_id, verdict, message}."""
+def audit_report(rows=None) -> list[dict]:
+    """JSON-ready audit rows: {equation_id, verdict, message}, of ``rows`` or else of :func:`audit_corpus`."""
     report = []
-    for eq_id, verdict in audit_corpus():
+    for eq_id, verdict in audit_corpus() if rows is None else rows:
         message = verdict.describe()
         note = AUDIT_NOTES.get(eq_id)
         if note:

@@ -111,6 +111,19 @@ def test_mixed_batch_matches_step_oracle():
     assert diverged == len(KINDS) * len(SEEDS)
 
 
+def test_batch_hands_out_only_read_only_arrays():
+    # one mixed batch of the six kinds, on a copy of omega the test writes into afterwards
+    omega = DATA.omega.copy()
+    batch = run_batch([cfg for kind in KINDS for cfg in configs(*kind)], DATA.X, DATA.outputs, omega)
+    omega += 1.0
+    for records in batch:
+        for s, rec in enumerate(records):
+            for arr in (rec.mse_curve, rec.weight_error_curve, rec.imag_curve,
+                        rec.final_state.w, rec.final_state.w_prev, rec.omega_opt):
+                assert not arr.flags.writeable
+            np.testing.assert_array_equal(rec.omega_opt, DATA.omega[s], strict=True)
+
+
 def test_run_experiment_is_a_batch_of_one():
     # a signed row alone: its complex state rebuilt from its two real rows, byte for byte
     cfg = configs("flms_signed", "elementwise_abs")[0]
@@ -181,9 +194,9 @@ def test_diverged_row_freezes_at_its_stopping_step(variant, interp):
         assert not records[0][s].diverged and len(records[0][s].mse_curve) == T - PLANT.m
 
 
-@pytest.mark.parametrize("signed", [False, True], ids=["float64", "complex128"])
+@pytest.mark.parametrize("signed", [False, True], ids=["real", "signed"])
 def test_block_boundaries_change_nothing(monkeypatch, signed):
-    # every pool config of one time loop, under blocks of 1, 3 and 4 steps and of the whole run
+    # the pool's real configs, or its signed ones, under blocks of 1, 3 and 4 steps and of the whole run
     cfgs = [cfg for cfg in POOL if (cfg.variant == "flms_signed") == signed]
     default = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     stops = [rec.final_state.iteration - 1 for records in default for rec in records if rec.diverged]

@@ -618,6 +618,16 @@ def test_audit_regression_guard(monkeypatch, capsys):
     assert "eq23" in err and "regression" in err
 
 
+@pytest.mark.parametrize("argv", [["audit"], ["audit", "--format", "json", "--out", "report.json"]])
+def test_audit_evaluates_the_corpus_once(argv, monkeypatch, capsys, tmp_path):
+    from harxlab import shapecheck
+
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(shapecheck, "audit_corpus", wraps=shapecheck.audit_corpus) as corpus:
+        assert cli.main(argv) == 0
+    assert corpus.call_count == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
