@@ -7,7 +7,8 @@ against the direct power, and an empirical step-size stability probe that
 replaces any analytic bound with measured divergence fractions.
 
 Every number a command reports about a run, complex leakage included, comes
-from :func:`run_summary`, and every number about a config's seeds from
+from the summary :func:`run_batch` reduces block by block (a record's
+:func:`run_summary`), and every number about a config's seeds from
 :func:`seed_aggregate` over those summaries.
 """
 
@@ -112,15 +113,16 @@ def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Learning curves of one run plus the final filter state.
+    """Learning curves of one run, the final filter state and the run's summary.
 
     ``weight_error_curve`` measures ||Re(w(t)) - omega_opt|| against the
     empirical Wiener solution of the run's own dataset (stored in
     ``omega_opt``).  A run is flagged diverged as soon as any curve entry is
     non-finite or exceeds 1e12, and stops there; all three curves always
     share one length of at least 1.  The curves and ``omega_opt`` are
-    read-only; only :func:`run_record_csv` and :func:`run_summary` read the
-    curves.
+    read-only; only :func:`run_record_csv` reads the curves.  ``summary`` is
+    the dict :func:`run_summary` hands out, reduced from the curves as
+    :func:`run_batch` computed them.
     """
 
     mse_curve: np.ndarray
@@ -129,6 +131,7 @@ class RunRecord:
     diverged: bool
     final_state: FilterState
     omega_opt: np.ndarray
+    summary: dict
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,69 @@ def curves_per_seed(cfgs) -> int:
     return sum(3 if cfg.factor is not None and cfg.factor[0] == "signed" else 2 for cfg in cfgs)
 
 
-def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
+class _Tally:
+    """Each row's running summary numbers, folded in one time block at a time.
+
+    The numbers are those of :func:`run_summary`: the iterations, whether the
+    row diverged, its terminal mse and weight error, its complex events and,
+    from its imaginary-norm curve, the maximum, the leaks (entries above
+    ``LEAK_EPS``) and the first leak.  A row without a signed factor is never
+    folded as signed, so it reads 0 events, a maximum of 0.0 and no leak.
+    """
+
+    def __init__(self, R: int):
+        self.iterations = np.zeros(R, dtype=np.int64)
+        self.diverged = np.zeros(R, dtype=bool)
+        self.terminal = np.zeros((2, R))  # the mse and the weight error at each row's last step
+        self.events = np.zeros(R, dtype=np.int64)
+        self.max_imag = np.zeros(R)
+        self.leaks = np.zeros(R, dtype=np.int64)
+        self.first_leak = np.full(R, -1, dtype=np.int64)  # -1 until a row leaks
+
+    def fold(self, t0, rows, stopped, last, m_b, e_b, signed, i_b, peak) -> None:
+        """Fold the block of steps t0, t0 + 1, ... into rows ``rows``.
+
+        ``m_b`` and ``e_b`` (b, len(rows)) hold the rows' mse and weight
+        error, ``last`` each row's last step in the block that counts and
+        ``stopped`` whether the row diverged there.  ``i_b`` and ``peak``
+        (b, len(rows[signed])) hold the imaginary norms and the largest
+        |imaginary part| of the signed rows ``rows[signed]``.  A step after a
+        row's last counts for nothing; a NaN at a step that counts makes the
+        maximum NaN, as in ``ndarray.max``.
+        """
+        self.iterations[rows] = t0 + last + 1
+        self.diverged[rows] = stopped
+        cols = np.arange(rows.size)
+        self.terminal[:, rows] = m_b[last, cols], e_b[last, cols]
+        rows, counted = rows[signed], np.arange(len(i_b))[:, None] <= last[signed]
+        self.events[rows] += np.count_nonzero(counted & (peak > 0.0), axis=0)
+        i_b = np.where(counted, i_b, 0.0)
+        self.max_imag[rows] = np.maximum(self.max_imag[rows], i_b.max(axis=0))
+        hot = i_b > LEAK_EPS
+        self.leaks[rows] += np.count_nonzero(hot, axis=0)
+        first = self.first_leak[rows]
+        self.first_leak[rows] = np.where((first < 0) & hot.any(axis=0), t0 + hot.argmax(axis=0), first)
+
+    def summaries(self) -> list[dict]:
+        """Each row's :func:`run_summary` dict, in row order."""
+        columns = (self.iterations, self.diverged, *self.terminal, self.events, self.max_imag, self.first_leak,
+                   self.leaks)
+        return [
+            {
+                "iterations": k,
+                "diverged": diverged,
+                "terminal_mse": mse,
+                "terminal_weight_error": werr,
+                "complex_events": events,
+                "max_imag": max_imag,
+                "first_leak_iter": first if first >= 0 else None,
+                "leak_fraction": leaks / k,
+            }
+            for k, diverged, mse, werr, events, max_imag, first, leaks in zip(*(c.tolist() for c in columns))
+        ]
+
+
+def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunRecord]] | list[list[dict]]:
     """Run every config on every seed's data, all (config, seed) rows stepping together.
 
     ``X`` (S, N, n) with S, N, n >= 1, ``outputs`` (S, N) and ``omega`` (S, n)
@@ -226,18 +291,21 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs,
     each step writing into work buffers made once per block, so a step
     allocates only what ``np.vecdot`` and :func:`fractional_power` return.
-    The curves and ``complex_events`` are computed once per block from its
-    history.  A row stops at its first curve entry that is non-finite or
-    above 1e12: its curves end there, its final state is the state after
-    that step, it adds nothing more to ``complex_events``, and it leaves the
-    batch at the end of the block.  It thus runs on for at most B - 1 steps
-    whose results nothing reads; every sum is per row, so they touch no
-    other row.
+    The curves are computed once per block from its history, and folded
+    into each row's running summary numbers.  A row stops at its first curve
+    entry that is non-finite or above 1e12: its curves end there, its final
+    state is the state after that step, nothing after it counts towards its
+    summary, and it leaves the batch at the end of the block.  It thus runs
+    on for at most B - 1 steps whose results nothing reads; every sum is per
+    row, so they touch no other row.
 
     Returns ``records[c][s]`` in the order of ``cfgs``, every array in them
     read-only.  The curves are views into buffers the batch's rows share, so
     a record a caller keeps holds every row's curves alive; each
-    ``omega_opt`` is a view of the batch's own copy of ``omega``.
+    ``omega_opt`` is a view of the batch's own copy of ``omega``.  With
+    ``curves`` false no curve and no final state is kept and no record is
+    built: the result is ``summaries[c][s]``, the dicts :func:`run_summary`
+    would return for the records.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -275,13 +343,12 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
     guard = full([cfg.epsilon_guard for cfg in cfgs])
     B = max(1, _BLOCK_BYTES // ((R + Rs) * n * 8))
 
-    curves = np.empty((S * curves_per_seed(cfgs), N))  # 2 R + Rs rows
-    mse, werr, imag = curves[:R], curves[R : 2 * R], curves[2 * R :]
-    real_imag = np.zeros(N)  # the one all-zero imag curve the real rows share
-    iterations = np.zeros(R, dtype=np.int64)
-    diverged = np.zeros(R, dtype=bool)
-    events = np.zeros(R, dtype=np.int64)
-    final = np.zeros((2, R + Rs, n))  # each row's final w_prev and w, the imaginary rows last
+    tally = _Tally(R)
+    if curves:
+        buffer = np.empty((S * curves_per_seed(cfgs), N))  # 2 R + Rs rows
+        mse, werr, imag = buffer[:R], buffer[R : 2 * R], buffer[2 * R :]
+        real_imag = np.zeros(N)  # the one all-zero imag curve the real rows share
+        final = np.zeros((2, R + Rs, n))  # each row's final w_prev and w, the imaginary rows last
 
     live = np.arange(R)
     start = np.zeros((2, R + Rs, n))  # the live rows' w_prev and w, the imaginary rows last
@@ -336,44 +403,46 @@ def run_batch(cfgs, X, outputs, omega) -> list[list[RunRecord]]:
             bad = ~(worst <= DIVERGENCE_THRESHOLD)
             stopped = bad.any(axis=0)
             last = np.where(stopped, bad.argmax(axis=0), b - 1)  # each row's last step that counts
-            mse[live, span] = m_b.T
-            werr[live, span] = e_b.T
-            live_signed = live[s0:s1]
-            imag[live_signed - r0, span] = i_b.T
             # max |imag| of each step and row, a column at a time: a reduce over a short last axis is slow
             peak = functools.reduce(np.maximum, np.abs(im, out=Xb[:, s0:s1]).transpose(2, 0, 1))
-            counts = np.arange(b)[:, None] <= last[s0:s1]
-            events[live_signed] += np.count_nonzero(counts & (peak > 0.0), axis=0)
-            iterations[live] = t0 + last + 1
-            diverged[live] = stopped
-            ends = H[last[hist] + np.arange(1, 3)[:, None], np.arange(hist.size)]  # (2, L + Ls, n)
-            final[:, np.concatenate([live, live_signed + (R - r0)])] = ends
+            tally.fold(t0, live, stopped, last, m_b, e_b, slice(s0, s1), i_b, peak)
+            if curves:
+                mse[live, span] = m_b.T
+                werr[live, span] = e_b.T
+                live_signed = live[s0:s1]
+                imag[live_signed - r0, span] = i_b.T
+                ends = H[last[hist] + np.arange(1, 3)[:, None], np.arange(hist.size)]  # (2, L + Ls, n)
+                final[:, np.concatenate([live, live_signed + (R - r0)])] = ends
 
             keep = ~stopped
             start, live = H[b:, keep[hist]], live[keep]
             t0 += b
 
-    for arr in (mse, werr, imag, real_imag):
-        arr.setflags(write=False)
-    # a signed row's final (w_prev, w), rebuilt exactly from its two rows
-    signed_final = final[:, r0 : r0 + Rs].astype(np.complex128)
-    signed_final.imag = final[:, R:]
-    records = []
-    for r, (s, k) in enumerate(zip(seed_of.tolist(), iterations.tolist())):
-        j = r - r0 if r0 <= r < r0 + Rs else None  # a signed row's index among the signed rows
-        w_prev, w = final[:, r] if j is None else signed_final[:, j]
-        records.append(
-            RunRecord(
-                mse_curve=mse[r, :k],
-                weight_error_curve=werr[r, :k],
-                imag_curve=(real_imag if j is None else imag[j])[:k],
-                diverged=bool(diverged[r]),
-                final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=int(events[r])),
-                omega_opt=omega[s],
+    rows = summaries = tally.summaries()  # each row's summary, or with curves its record
+    if curves:
+        for arr in (mse, werr, imag, real_imag):
+            arr.setflags(write=False)
+        # a signed row's final (w_prev, w), rebuilt exactly from its two rows
+        signed_final = final[:, r0 : r0 + Rs].astype(np.complex128)
+        signed_final.imag = final[:, R:]
+        rows = []
+        for r, (s, summary) in enumerate(zip(seed_of.tolist(), summaries)):
+            j = r - r0 if r0 <= r < r0 + Rs else None  # a signed row's index among the signed rows
+            w_prev, w = final[:, r] if j is None else signed_final[:, j]
+            k, events = summary["iterations"], summary["complex_events"]
+            rows.append(
+                RunRecord(
+                    mse_curve=mse[r, :k],
+                    weight_error_curve=werr[r, :k],
+                    imag_curve=(real_imag if j is None else imag[j])[:k],
+                    diverged=summary["diverged"],
+                    final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=events),
+                    omega_opt=omega[s],
+                    summary=summary,
+                )
             )
-        )
     # config c's seeds are the S rows from its place in the row order
-    return [records[r : r + S] for r in (np.argsort(order) * S).tolist()]
+    return [rows[r : r + S] for r in (np.argsort(order) * S).tolist()]
 
 
 def run_experiment(
@@ -476,9 +545,9 @@ def seed_aggregate(summaries) -> dict:
 
 def sweep_cells(cfgs, data: SeedData) -> list[dict]:
     """One :func:`seed_aggregate` cell per config; every config runs over
-    every seed of ``data`` in one batch."""
-    batch = run_batch(cfgs, data.X, data.outputs, data.omega)
-    return [seed_aggregate([run_summary(r) for r in records]) for records in batch]
+    every seed of ``data`` in one batch, which keeps no curves."""
+    batch = run_batch(cfgs, data.X, data.outputs, data.omega, curves=False)
+    return [seed_aggregate(summaries) for summaries in batch]
 
 
 @dataclass(frozen=True)
@@ -524,8 +593,8 @@ def stability_probe(
 def _csv_template(k: int, real: bool) -> str:
     """The %-template of a k-row curve CSV, header and ``iter`` column filled
     in; a ``real`` record's imag cells are the literal ``0``."""
-    imag = "0" if real else "%.17g"
-    return "iter,mse,weight_error,imag_norm\n" + "".join(f"{i},%.17g,%.17g,{imag}\n" for i in range(k))
+    row = ",%.17g,%.17g,0\n" if real else ",%.17g,%.17g,%.17g\n"
+    return "iter,mse,weight_error,imag_norm\n" + row.join(map(str, range(k))) + (row if k else "")
 
 
 def run_record_csv(record: RunRecord) -> str:
@@ -544,21 +613,13 @@ def run_record_csv(record: RunRecord) -> str:
 
 
 def run_summary(record: RunRecord) -> dict:
-    """Scalar summary of one run (JSON-ready apart from non-finite floats),
-    the one reader of a record's curves for every number a command reports.
-    The run leaks where its imaginary-norm curve exceeds 1e-15."""
-    hot = record.imag_curve > LEAK_EPS
-    leaks = int(np.count_nonzero(hot))
-    return {
-        "iterations": int(hot.size),
-        "diverged": bool(record.diverged),
-        "terminal_mse": float(record.mse_curve[-1]),
-        "terminal_weight_error": float(record.weight_error_curve[-1]),
-        "complex_events": int(record.final_state.complex_events),
-        "max_imag": float(record.imag_curve.max()),
-        "first_leak_iter": int(hot.argmax()) if leaks else None,
-        "leak_fraction": leaks / hot.size,
-    }
+    """Scalar summary of one run (JSON-ready apart from non-finite floats), a
+    copy of ``record.summary``.  The numbers are those :func:`run_batch`
+    reduces from the curves block by block: the iterations, the divergence
+    flag, the terminal mse and weight error, the complex events, the maximum
+    imaginary norm, and the leaks, where the imaginary norm exceeds 1e-15, as
+    the first leak's iteration and the leaks' share of the iterations."""
+    return dict(record.summary)
 
 
 def correlation_summary(est: CorrelationEstimate, omega_opt: np.ndarray) -> dict:

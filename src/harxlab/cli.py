@@ -41,7 +41,7 @@ _TEXT_KEYS = ("variant", "power_interpretation")
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
-# the most a run's stacked regressors (seeds x (T - m) x n float64) and curves may take
+# the most a run's stacked regressors (seeds x (T - m) x n float64) and kept curves may take
 MAX_REGRESSOR_BYTES = 2**30
 
 # Frozen at the first verified build; `harxlab audit` exits 4 on any drift.
@@ -227,9 +227,10 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
 
 def _check_memory(spec: ExperimentSpec, cfgs=()) -> None:
-    """Fail on the T line if the regressors, plus the curves ``analysis.run_batch``
-    keeps for ``cfgs`` over every seed (``analysis.curves_per_seed``, T - m
-    float64 each), would exceed MAX_REGRESSOR_BYTES."""
+    """Fail on the T line if the regressors, plus the curves of ``cfgs`` over
+    every seed (``analysis.curves_per_seed``, T - m float64 each), would exceed
+    MAX_REGRESSOR_BYTES.  ``cfgs`` are the configs whose curves a command
+    keeps: ``simulate`` keeps them only to write curve CSVs, ``sweep`` never."""
     N, n, S = spec.T - spec.plant.m, spec.plant.n, len(spec.seeds)
     curves = S * analysis.curves_per_seed(cfgs)
     size = (S * n + curves) * N * 8
@@ -305,8 +306,8 @@ def _seed_data(spec: ExperimentSpec) -> analysis.SeedData:
 # simulate
 
 
-def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) -> dict:
-    per_seed = [{"seed": seed, **analysis.run_summary(rec)} for seed, rec in records]
+def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, summaries) -> dict:
+    per_seed = [{"seed": seed, **summary} for seed, summary in zip(spec.seeds, summaries)]
     aggregate = analysis.seed_aggregate(per_seed)
     del aggregate["diverged_fraction"]  # the summary reports the count
     return {
@@ -329,19 +330,20 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, records) ->
 def cmd_simulate(args) -> int:
     spec = load_experiment_spec(args.spec)
     cfgs = [cfg for _, cfg in spec.filters]
-    _check_memory(spec, cfgs)
+    keep = spec.emit in ("curves", "both")  # the curves are kept only for the CSVs
+    _check_memory(spec, cfgs if keep else ())
     data = _seed_data(spec)
-    batch = analysis.run_batch(cfgs, data.X, data.outputs, data.omega)
+    batch = analysis.run_batch(cfgs, data.X, data.outputs, data.omega, curves=keep)
     del data  # the regressors are freed before the artifacts are built
-    any_diverged = any(rec.diverged for records in batch for rec in records)
+    summaries = [[analysis.run_summary(rec) for rec in runs] for runs in batch] if keep else batch
+    any_diverged = any(summary["diverged"] for runs in summaries for summary in runs)
     files: dict[str, str] = {}
-    for (name, cfg), runs in zip(spec.filters, batch):
-        records = list(zip(spec.seeds, runs))
-        if spec.emit in ("curves", "both"):
-            for seed, rec in records:
+    for (name, cfg), runs, sums in zip(spec.filters, batch, summaries):
+        if keep:
+            for seed, rec in zip(spec.seeds, runs):
                 files[f"{name}_seed{seed}.csv"] = analysis.run_record_csv(rec)
         if spec.emit in ("summary", "both"):
-            files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, records))
+            files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, sums))
     outdir = _resolve_outdir(spec)
     _write_artifacts(outdir, files, "cannot write artifacts", str(outdir), owned=_SIMULATE_FILES)
     print(f"wrote {len(files)} artifact(s) to {outdir}")
@@ -406,8 +408,6 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise grid_fault.fail(f"{param} values must be comma-separated numbers, got {args.grid!r}") from None
     configs = [_filter_config({**asdict(cfg), param: value}, grid_fault) for value in grid]
-    # an eta sweep also runs the 2/lambda_max reference, a config of cfg's variant
-    _check_memory(spec, [*configs, cfg] if param == "eta" else configs)
 
     labels = [_g(value) for value in grid]
     lambda_max = None

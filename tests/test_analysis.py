@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from harxlab import shapecheck
+from harxlab import analysis, shapecheck
 from harxlab.analysis import (
     CorrelationEstimate,
     RunRecord,
+    _csv_template,
+    _Tally,
     binomial_report,
     binomial_residual,
     binomial_vector_verdict,
@@ -36,9 +38,19 @@ def muscle_structure(noise_std=0.01, seed=7):
 
 
 def make_record(mse, werr, imag):
-    return RunRecord(mse_curve=np.array(mse, dtype=float), weight_error_curve=np.array(werr, dtype=float),
-                     imag_curve=np.array(imag, dtype=float), diverged=False,
-                     final_state=initial_state(FilterConfig(variant="lms", eta=0.1, dim=1)), omega_opt=np.zeros(1))
+    """A run with these curves and no complex event.  Its summary comes from the reductions run_batch
+    applies per block, the curves folded as one block of one signed row; a record without steps,
+    which only the CSV tests build, has none."""
+    mse, werr, imag = (np.array(curve, dtype=float) for curve in (mse, werr, imag))
+    summary = {}
+    if len(mse):
+        tally = _Tally(1)
+        tally.fold(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), np.array([len(mse) - 1]), mse[:, None],
+                   werr[:, None], slice(0, 1), imag[:, None], np.zeros((len(mse), 1)))
+        summary = tally.summaries()[0]
+    return RunRecord(mse_curve=mse, weight_error_curve=werr, imag_curve=imag, diverged=False,
+                     final_state=initial_state(FilterConfig(variant="lms", eta=0.1, dim=1)), omega_opt=np.zeros(1),
+                     summary=summary)
 
 
 def linear_plant(noise_std=0.01, seed=3):
@@ -250,8 +262,16 @@ def test_run_record_csv_matches_per_cell_format():
     assert run_record_csv(rec) == per_cell(rec)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "signed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 299, 5000])
+def test_csv_template_equals_one_row_at_a_time(k, real):
+    imag = "0" if real else "%.17g"
+    rows = "iter,mse,weight_error,imag_norm\n" + "".join(f"{i},%.17g,%.17g,{imag}\n" for i in range(k))
+    assert _csv_template(k, real) == rows
+
+
 # ---------------------------------------------------------------------------
-# the leak scan of run_summary
+# the leak reductions of run_summary
 
 
 def leak_summary(imag):
@@ -269,6 +289,8 @@ def test_leak_report_direct_scan():
     assert summary["first_leak_iter"] == 2
     assert summary["max_imag"] == 0.5
     assert summary["leak_fraction"] == 0.5
+    # a leak is a norm above 1e-15, not at it
+    assert leak_summary([1e-15, 2e-15, 0.0, 0.0])["first_leak_iter"] == 1
 
 
 def test_leak_report_monte_carlo_batch():
@@ -373,6 +395,26 @@ def test_stability_probe_grid_validation():
         stability_probe(plant, cfg, [0.2, 0.1], T=100, seeds=[0])
     with pytest.raises(ValueError):
         stability_probe(plant, cfg, [-0.1, 0.2], T=100, seeds=[0])
+
+
+def test_stability_probe_keeps_no_curves():
+    # n = 2 and 40 grid values plus the reference: the curves of every (eta, seed) run, two of N float64
+    # each, would take 41 x the regressors
+    plant = HarxPlant(m=1, basis=polynomial_basis(2), q=np.array([1.0]), c=np.array([1.0, -1.0]),
+                      noise_std=0.01, seed=0)
+    cfg, grid, seeds = FilterConfig(variant="lms", eta=0.01, dim=plant.n), np.geomspace(0.001, 3.0, 40), range(20)
+    stability_probe(plant, cfg, grid, 50, seeds)  # first-call allocations stay outside the trace
+    X_bytes = simulate_seeds(plant, 5001, seeds).X.nbytes
+    tracemalloc.start()
+    try:
+        probe = stability_probe(plant, cfg, grid, 5001, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the regressors and the outputs (X / n), one seed's simulation at a time, and one time block: its
+    # weight history and regressors, about _BLOCK_BYTES each, and its per-step, per-row work arrays
+    assert peak < 1.75 * X_bytes + 12 * analysis._BLOCK_BYTES
+    assert probe.diverged_fraction[0] == 0.0 and probe.diverged_fraction[-1] == 1.0
 
 
 def test_sweep_cell_aggregates():

@@ -216,6 +216,66 @@ def test_block_boundaries_change_nothing(monkeypatch, signed):
                     assert getattr(rec.final_state, field) == getattr(want.final_state, field)
 
 
+def scan_summary(rec):
+    """A record's summary by a direct scan of its curves, the reference for run_batch's per-block reductions."""
+    hot = rec.imag_curve > LEAK_EPS
+    leaks = int(np.count_nonzero(hot))
+    return {
+        "iterations": int(hot.size),
+        "diverged": bool(rec.diverged),
+        "terminal_mse": float(rec.mse_curve[-1]),
+        "terminal_weight_error": float(rec.weight_error_curve[-1]),
+        "complex_events": int(rec.final_state.complex_events),
+        "max_imag": float(rec.imag_curve.max()),
+        "first_leak_iter": int(hot.argmax()) if leaks else None,
+        "leak_fraction": leaks / hot.size,
+    }
+
+
+# DATA plus two seeds whose desired output turns NaN at step 41 and +inf at step 60
+NAN_STEP, INF_STEP = 41, 60
+BROKEN_OUTPUTS = np.concatenate([DATA.outputs, DATA.outputs[:2]])
+BROKEN_OUTPUTS[-2, NAN_STEP], BROKEN_OUTPUTS[-1, INF_STEP] = np.nan, np.inf
+BROKEN = (np.concatenate([DATA.X, DATA.X[:2]]), BROKEN_OUTPUTS, np.concatenate([DATA.omega, DATA.omega[:2]]))
+
+
+@pytest.mark.parametrize("steps", [None, 1, 3, 4, T])
+def test_summaries_equal_a_scan_of_the_curves(monkeypatch, steps):
+    # the six kinds in one batch, on rows that run to the end, pass 1e12, turn NaN or turn inf, in
+    # blocks of the default size and of 1, 3, 4 and all steps
+    cfgs = [cfg for kind in KINDS for cfg in configs(*kind)]
+    rows = len(cfgs) * len(BROKEN[0])
+    signed_rows = sum(cfg.variant == "flms_signed" for cfg in cfgs) * len(BROKEN[0])
+    if steps is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", steps * (rows + signed_rows) * PLANT.n * 8)
+    batch = run_batch(cfgs, *BROKEN)
+    summaries = [run_summary(rec) for records in batch for rec in records]
+    for rec, summary in zip((rec for records in batch for rec in records), summaries):
+        # repr tells NaN, -0.0, int and bool apart, as the JSON of a summary does
+        assert repr(summary) == repr(scan_summary(rec))
+    assert repr(summaries) == repr([s for cells in run_batch(cfgs, *BROKEN, curves=False) for s in cells])
+    stops = [s["iterations"] - 1 for s in summaries if s["diverged"]]
+    if steps in (3, 4):  # some row stops on the first step of a block, and some row on the last
+        assert any(t % steps == 0 for t in stops) and any(t % steps == steps - 1 for t in stops)
+    assert {NAN_STEP, INF_STEP} <= set(stops)
+    assert any(np.isnan(s["terminal_mse"]) and np.isnan(s["max_imag"]) for s in summaries)
+    assert any(s["terminal_mse"] == np.inf for s in summaries)
+
+
+def test_curve_free_batch_builds_no_record(monkeypatch):
+    made = []
+    for name in ("RunRecord", "FilterState"):
+        cls = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, _cls=cls, **kw: made.append(_cls) or _cls(*a, **kw))
+    cfgs = [cfg for kind in KINDS for cfg in configs(*kind)]
+    cells = analysis.sweep_cells(cfgs, DATA)
+    assert made == []
+    records = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)  # one of each per row, seen by the count
+    assert len(made) == 2 * len(cfgs) * len(SEEDS)
+    expected = [analysis.seed_aggregate([run_summary(rec) for rec in runs]) for runs in records]
+    assert repr(cells) == repr(expected)
+
+
 @pytest.mark.parametrize("variant,interp", [k for k in KINDS if k[0] != "flms_signed"])
 def test_real_rows_stay_real(variant, interp):
     for records in run_batch(configs(variant, interp), DATA.X, DATA.outputs, DATA.omega):

@@ -228,20 +228,32 @@ TINY_SCENARIO = SCENARIO.replace("m = 3", "m = 1").replace("q = 0.6, 0.3, 0.1", 
 ONE_FILTER = SPEC.replace("seeds = 1, 2, 3", "seeds = 1").split("[filter mom]")[0]
 
 
+class Reached(Exception):
+    """Raised by a mocked simulate_seeds: the command passed the memory bound."""
+
+
 def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, capsys):
     grid = ",".join(str(0.001 * k) for k in range(1, 41))
-    cases = (
-        (2_000_001, ["sweep", "--param", "eta", "--grid", grid]),  # 16 MB of regressors, 41 x 2 curves of 16 MB
-        (5 * 10**7, ["simulate"]),  # 400 MB of regressors, 2 curves of 400 MB
+    cases = (  # (T, emit, argv, refused)
+        (5 * 10**7, "both", ["simulate"], True),  # 400 MB of regressors, 2 curves of 400 MB
+        (5 * 10**7, "summary", ["simulate"], False),  # the same regressors, no curve kept
+        # 16 MB of regressors; a sweep keeps none of its 41 x 2 curves of 16 MB
+        (2_000_001, "both", ["sweep", "--param", "eta", "--grid", grid], False),
     )
-    reached = mock.Mock(side_effect=AssertionError("simulated past the memory bound"))
+    reached = mock.Mock(side_effect=Reached)
     with mock.patch.object(analysis, "simulate_seeds", reached), mock.patch.object(analysis, "run_batch", reached):
-        for T, argv in cases:
-            spec = write_spec(tmp_path, ONE_FILTER.replace("T = 300", f"T = {T}"), TINY_SCENARIO)
+        for T, emit, argv, refused in cases:
+            text = ONE_FILTER.replace("T = 300", f"T = {T}").replace("emit = both", f"emit = {emit}")
+            spec = write_spec(tmp_path, text, TINY_SCENARIO)
             assert cli.load_experiment_spec(spec).T == T  # the regressors alone fit
-            assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
-            err = capsys.readouterr().err
-            assert f"run.spec:3: T={T} is too large" in err and "Traceback" not in err
+            if refused:
+                assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+                err = capsys.readouterr().err
+                assert f"run.spec:3: T={T} is too large" in err and "Traceback" not in err
+            else:
+                with pytest.raises(Reached):
+                    cli.main([argv[0], str(spec), *argv[1:]])
+    assert reached.call_count == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -1,0 +1,132 @@
+"""Run the benchmark on two commits in alternating pairs and record both sides.
+
+Usage, from inside a harxlab git checkout:
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs K --seconds S --seed0 N [--out FILE]
+
+PARENT and CHANGE are git revisions (``git stash create`` gives one for
+uncommitted work).  Each is exported with ``git archive`` into its own fresh
+directory, so neither side finds bytecode or build output from earlier runs.
+Pair k runs ``python3 bench/run_bench.py --workload W --seed N+k --seconds S``
+in both exports, each side's own unchanged ``bench/``, under
+PYTHONDONTWRITEBYTECODE=1; the side that runs first alternates from pair to
+pair.  Per end-to-end metric of BENCHMARK.json the result holds each side's
+median, quartiles and runs, the pairs the change won (ties count for
+neither), the change of the median in percent, and the parent's
+interquartile range.  It is printed as JSON, and with ``--out`` it is also
+put into FILE's ``results`` list, replacing an earlier entry of the workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def export(rev: str, directory: Path) -> Path:
+    """Extract the tree of ``rev`` into ``directory``; returns it."""
+    directory.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+    return directory
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run of ``root``'s bench/run_bench.py: its last line of output, parsed."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "bench/run_bench.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{root}: run_bench.py printed nothing (exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def side(runs: list[float]) -> dict:
+    q1, median, q3 = np.percentile(runs, [25, 50, 75]).tolist()
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "runs": [round(r, 6) for r in runs]}
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides of one metric; ``better`` is ``lower`` or ``higher``."""
+    p, c = side(parent), side(change)
+    wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(parent, change))
+    return {
+        "parent": p,
+        "change": c,
+        "change_better_pairs": int(wins),
+        "median_change_pct": round(100.0 * (c["median"] / p["median"] - 1.0), 2) if p["median"] else None,
+        "parent_iqr": round(p["q3"] - p["q1"], 6),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="git revision of the parent side")
+    parser.add_argument("change", help="git revision of the change side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed0", type=int, default=5, help="pair k runs benchmark seed seed0 + k")
+    parser.add_argument("--out", help="a BENCH_<n>.json to put the result into")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    revs = {name: subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], check=True,
+                                 capture_output=True, text=True).stdout.strip()
+            for name, rev in (("parent", args.parent), ("change", args.change))}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        roots = {name: export(rev, Path(tmp) / name) for name, rev in revs.items()}
+        spec = json.loads((roots["change"] / "BENCHMARK.json").read_text("utf-8"))
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        runs = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            seed = args.seed0 + k
+            for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                result = run_bench(roots[name], args.workload, seed, args.seconds)
+                runs[name].append(result)
+                values = {m: v["value"] for m, v in result["metrics"].items()}
+                print(f"pair {k} seed {seed} {name}: correct {result['correct']}, failed {result['failed']}, "
+                      + ", ".join(f"{m} {v:.6g}" for m, v in values.items()), file=sys.stderr)
+
+    every = runs["parent"] + runs["change"]
+    entry = {
+        "workload": args.workload,
+        "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
+        "pairs": args.pairs,
+        "correct": all(r["correct"] for r in every),
+        "failed": sum(r["failed"] for r in every),
+        "attempted": sum(r["attempted"] for r in every),
+        "metrics": {
+            name: compare(*([r["metrics"][name]["value"] for r in runs[s]] for s in ("parent", "change")), how)
+            for name, how in better.items()
+            if all(name in r["metrics"] for r in every)
+        },
+    }
+    print(json.dumps(entry, indent=1))
+    if args.out:
+        out = Path(args.out)
+        doc = json.loads(out.read_text("utf-8")) if out.exists() else {
+            "description": "bench/run_bench.py (unchanged) on the parent commit and on the change, in alternating "
+                           "pairs from clean exports under PYTHONDONTWRITEBYTECODE=1 (tools/bench_pairs.py)",
+            "parent_commit": revs["parent"],
+            "command": f"python3 bench/run_bench.py --workload W --seed S --seconds {args.seconds:g}",
+            "run_seconds": args.seconds,
+            "results": [],
+        }
+        doc["results"] = [r for r in doc["results"] if r["workload"] != args.workload] + [entry]
+        out.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
