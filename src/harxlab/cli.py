@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -41,8 +42,11 @@ _TEXT_KEYS = ("variant", "power_interpretation")
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
-# the most a run's stacked regressors (seeds x (T - m) x n float64) and kept curves may take
+# the most a command may hold: a run's stacked regressors (seeds x (T - m) x n float64) and
+# kept curves, or the kept curves and their CSV texts while `simulate` renders them
 MAX_REGRESSOR_BYTES = 2**30
+# the most a curve CSV cell after a row's `iter` cell takes: %.17g, at most 24 characters, and its separator
+_CSV_CELL_BYTES = 25
 
 # Frozen at the first verified build; `harxlab audit` exits 4 on any drift.
 GOLDEN_AUDIT: tuple[tuple[str, str], ...] = (
@@ -226,19 +230,31 @@ def load_experiment_spec(path) -> ExperimentSpec:
     return spec
 
 
-def _check_memory(spec: ExperimentSpec, cfgs=()) -> None:
-    """Fail on the T line if the regressors, plus the curves of ``cfgs`` over
-    every seed (``analysis.curves_per_seed``, T - m float64 each), would exceed
-    MAX_REGRESSOR_BYTES.  ``cfgs`` are the configs whose curves a command
-    keeps: ``simulate`` keeps them only to write curve CSVs, ``sweep`` never."""
+def _check_memory(spec: ExperimentSpec, cfgs=()) -> int:
+    """The bytes a command would hold at most; fail on the T line if that is
+    more than MAX_REGRESSOR_BYTES.
+
+    ``cfgs`` are the configs whose curves a command keeps: ``simulate`` keeps
+    them only to render curve CSVs, ``sweep`` never.  While the filters run, a
+    command holds the regressors and the kept curves of every seed
+    (``analysis.curves_per_seed``, T - m float64 each).  ``simulate`` renders
+    after it freed the regressors, and then holds the curves, every CSV text,
+    the two cached templates (real and signed) and one record's values as
+    Python floats in a tuple, at most three a row of 32 bytes each.  A text or
+    template row takes at most its ``iter`` cell and three _CSV_CELL_BYTES."""
     N, n, S = spec.T - spec.plant.m, spec.plant.n, len(spec.seeds)
     curves = S * analysis.curves_per_seed(cfgs)
+    plus = f" plus {curves} curve(s) of T - m float64," if cfgs else ""
+    held = f"the regressors of {S} seed(s), (T - m) x n = {N} x {n} float64 each,{plus}"
     size = (S * n + curves) * N * 8
+    csvs, row = S * len(cfgs), len(str(N)) + 1 + 3 * _CSV_CELL_BYTES
+    render = curves * N * 8 + (csvs + 2) * (N + 1) * row + 3 * N * 32 if cfgs else 0
+    if render > size:
+        size, held = render, f"rendering {csvs} curve CSV(s) of {N} rows, with their {curves} curve(s),"
     if size > MAX_REGRESSOR_BYTES:
-        plus = f" plus {curves} curve(s) of T - m float64," if cfgs else ""
-        message = f"T={spec.T} is too large: the regressors of {S} seed(s), (T - m) x n = {N} x {n} float64 each,"
-        message += f"{plus} would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
+        message = f"T={spec.T} is too large: {held} would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
         raise ExperimentSpecError(message, str(spec.path), spec.T_line)
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +391,7 @@ def cmd_audit(args) -> int:
     expected = list(GOLDEN_AUDIT)
     if got != expected:
         print("audit regression against the golden verdict table:", file=sys.stderr)
-        for i in range(max(len(got), len(expected))):
-            have = got[i] if i < len(got) else None
-            want = expected[i] if i < len(expected) else None
+        for i, (have, want) in enumerate(itertools.zip_longest(got, expected)):
             if have != want:
                 print(f"  row {i}: expected {want}, got {have}", file=sys.stderr)
         return 4

@@ -26,7 +26,7 @@ vectors or matrices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParseError, UnboundSymbol
 
@@ -325,9 +325,19 @@ def _collapse(rows: int, cols: int) -> Shape:
     return Shape.matrix(rows, cols)
 
 
+# The operations no unknown symbol may stand in, by node class, with the message for one that does.
+_NO_UNKNOWN = {
+    Transpose: "cannot transpose unknown symbol {}",
+    ElemMul: "component-wise product cannot involve an unknown symbol",
+    ElemPow: "component-wise power cannot involve an unknown symbol",
+    ElemAbs: "cannot take the modulus of unknown symbol {}",
+}
+
+
 def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[Shape]]) -> Shape | str:
     """The shape of ``e``, or the name of the audited unknown symbol when ``e``
-    is an (optionally scalar-scaled) occurrence of it."""
+    is an (optionally scalar-scaled) occurrence of it.  Children are inferred in
+    field order, so the leftmost mismatch wins; one block places an unknown child."""
     if isinstance(e, Sym):
         if e.name in env.unknown:
             return e.name
@@ -339,33 +349,27 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
     if isinstance(e, ScalarLit):
         return Shape.scalar()
 
-    if isinstance(e, Add):
-        ta = _infer(e.a, env, path + (0,), cons)
-        tb = _infer(e.b, env, path + (1,), cons)
-        if isinstance(ta, str) or isinstance(tb, str):
-            if isinstance(ta, str) and isinstance(tb, str):
-                raise _Mismatch(path, "unknown-position", "cannot relate two unknown symbols")
-            known, unk = (ta, tb) if isinstance(tb, str) else (tb, ta)
+    shapes = [_infer(getattr(e, f.name), env, path + (i,), cons) for i, f in enumerate(fields(e))]
+    unknowns = [s for s in shapes if isinstance(s, str)]
+    if unknowns:
+        unk = unknowns[0]
+        if type(e) in _NO_UNKNOWN:
+            raise _Mismatch(path, "unknown-position", _NO_UNKNOWN[type(e)].format(unk))
+        if len(unknowns) == 2:
+            raise _Mismatch(path, "unknown-position", "cannot relate two unknown symbols")
+        (known,) = (s for s in shapes if not isinstance(s, str))
+        if isinstance(e, Add):  # the unknown takes the other side's shape
             cons.setdefault(unk, []).append(known)
             return known
-        if ta != tb:
-            raise _Mismatch(path, "add-shape", f"cannot add {ta} and {tb}")
-        return ta
+        if known.kind == "scalar":
+            return unk  # a scalar factor leaves the unknown untouched
+        if known.is_vector:  # a product with a column vector only works for a scalar factor
+            cons.setdefault(unk, []).append(Shape.scalar())
+            return known
+        raise _Mismatch(path, "unknown-position", f"cannot pin the shape of {unk} multiplied with {known}")
 
+    ta, tb = shapes[0], shapes[-1]  # tb is ta again for a one-child node
     if isinstance(e, Mul):
-        ta = _infer(e.a, env, path + (0,), cons)
-        tb = _infer(e.b, env, path + (1,), cons)
-        if isinstance(ta, str) and isinstance(tb, str):
-            raise _Mismatch(path, "unknown-position", "cannot relate two unknown symbols")
-        if isinstance(ta, str) or isinstance(tb, str):
-            known, unk = (ta, tb) if isinstance(tb, str) else (tb, ta)
-            if known.kind == "scalar":
-                return unk  # a scalar factor leaves the unknown untouched
-            if known.is_vector:
-                # a product with a column vector only works for a scalar factor
-                cons.setdefault(unk, []).append(Shape.scalar())
-                return known
-            raise _Mismatch(path, "unknown-position", f"cannot pin the shape of {unk} multiplied with {known}")
         if ta.kind == "scalar":
             return tb
         if tb.kind == "scalar":
@@ -385,51 +389,27 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
         return _collapse(ra, cb)
 
     if isinstance(e, Transpose):
-        ta = _infer(e.a, env, path + (0,), cons)
-        if isinstance(ta, str):
-            raise _Mismatch(path, "unknown-position", f"cannot transpose unknown symbol {ta}")
         if ta.kind == "scalar":
             return ta
         rows, cols = _as_matrix(ta)
         return Shape.matrix(cols, rows)
 
-    if isinstance(e, ElemMul):
-        ta = _infer(e.a, env, path + (0,), cons)
-        tb = _infer(e.b, env, path + (1,), cons)
-        if isinstance(ta, str) or isinstance(tb, str):
-            raise _Mismatch(path, "unknown-position", "component-wise product cannot involve an unknown symbol")
-        if not (ta.is_vector and tb.is_vector and ta.dims == tb.dims):
-            raise _Mismatch(
-                path, "elemmul-operands", f"component-wise product needs two vectors of equal length, got {ta} and {tb}"
-            )
-        return ta
-
-    if isinstance(e, ElemPow):
-        ta = _infer(e.a, env, path + (0,), cons)
-        te = _infer(e.exponent, env, path + (1,), cons)
-        if isinstance(ta, str) or isinstance(te, str):
-            raise _Mismatch(path, "unknown-position", "component-wise power cannot involve an unknown symbol")
-        if te.kind != "scalar":
-            raise _Mismatch(path, "elempow-exponent", f"component-wise power needs a scalar exponent, got {te}")
-        return ta
-
-    if isinstance(e, ElemAbs):
-        ta = _infer(e.a, env, path + (0,), cons)
-        if isinstance(ta, str):
-            raise _Mismatch(path, "unknown-position", f"cannot take the modulus of unknown symbol {ta}")
-        return ta
-
-    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+    if isinstance(e, Add) and ta != tb:
+        raise _Mismatch(path, "add-shape", f"cannot add {ta} and {tb}")
+    if isinstance(e, ElemMul) and not (ta.is_vector and tb.is_vector and ta.dims == tb.dims):
+        raise _Mismatch(
+            path, "elemmul-operands", f"component-wise product needs two vectors of equal length, got {ta} and {tb}"
+        )
+    if isinstance(e, ElemPow) and tb.kind != "scalar":
+        raise _Mismatch(path, "elempow-exponent", f"component-wise power needs a scalar exponent, got {tb}")
+    return ta  # +, .*, ^. and |...| keep the shape of their first operand
 
 
 def resolve_constraints(constraints: dict[str, list[Shape]]) -> ShapeVerdict | None:
     """Return an unsatisfiable verdict if any symbol collected two different
     shapes, else None."""
     for name, shapes in constraints.items():
-        distinct: list[Shape] = []
-        for s in shapes:
-            if s not in distinct:
-                distinct.append(s)
+        distinct = list(dict.fromkeys(shapes))
         if len(distinct) > 1:
             return ShapeVerdict.unsatisfiable(name, distinct[0], distinct[1])
     return None

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -258,15 +259,38 @@ def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, cap
 
 
 def test_memory_bound_counts_three_curves_per_signed_row(tmp_path):
-    # one flms_signed row: the regressors and three curves, 4 x (T - 1) x 8 bytes, fit up to T - 1 = 2**25
+    # one flms_signed row (n = 1), rendering its CSV: three curves (24 bytes a row), the text and two templates
+    # (83 bytes a row each for T - 1 < 10**7, and a header row) and one record's floats (96 bytes a row), in all
+    # 369 (T - 1) + 249 bytes, which fit up to T - 1 = 2,909,868
     signed = ONE_FILTER.replace("variant = lms", "variant = flms_signed")
     largest, over = (
         cli.load_experiment_spec(write_spec(tmp_path, signed.replace("T = 300", f"T = {T}"), TINY_SCENARIO))
-        for T in (2**25 + 1, 2**25 + 2)
+        for T in (2_909_869, 2_909_870)
     )
-    cli._check_memory(largest, [cfg for _, cfg in largest.filters])
-    with pytest.raises(cli.ExperimentSpecError, match=f"run.spec:3: T={2**25 + 2} is too large"):
+    assert cli._check_memory(largest, [cfg for _, cfg in largest.filters]) == 369 * 2_909_868 + 249
+    with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=2909870 is too large: rendering 1 curve CSV"):
         cli._check_memory(over, [cfg for _, cfg in over.filters])
+
+
+def test_memory_bound_counts_what_simulate_holds_while_it_renders(tmp_path):
+    # one flms_signed row on an m = 1, l = 2 plant and one seed: 20,000 rows of three curves and their CSV text
+    # (at T = 200,001 the ratios are the same, but tracing makes the time loop about ten times slower)
+    plant = TINY_SCENARIO.replace("l = 1", "l = 2").replace("q = 0.5", "q = 1.0").replace("c = 1.0", "c = 1.0, -1.0")
+    signed = ONE_FILTER.replace("variant = lms", "variant = flms_signed\nv = 0.5")
+    small = write_spec(tmp_path, signed, plant)
+    assert cli.main(["simulate", str(small)]) == 0  # first-call allocations stay outside the trace
+    spec = write_spec(tmp_path, signed.replace("T = 300", "T = 20001"), plant)
+    loaded = cli.load_experiment_spec(spec)
+    counted = cli._check_memory(loaded, [cfg for _, cfg in loaded.filters])
+    tracemalloc.start()
+    try:
+        assert cli.main(["simulate", str(spec)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    last_row = (tmp_path / "out" / "lms_small_seed1.csv").read_text().splitlines()[-1]
+    assert last_row.split(",")[3] != "0"  # a signed record: three values a row
+    assert peak <= counted <= 2 * peak
 
 
 @pytest.mark.parametrize("variant,field,value", [
@@ -577,6 +601,31 @@ def test_audit_json_format(capsys, tmp_path):
     assert json.loads(out_path.read_text())[0]["equation_id"] == "eq8_original"
 
 
+def test_audit_bytes_match_the_golden_copies(capsys, tmp_path):
+    # the table, the JSON document and its --out copy, byte for byte, notes included
+    golden = Path(__file__).parent / "golden"
+    assert cli.main(["audit"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (golden / "audit.txt").read_bytes()
+    out_path = tmp_path / "report.json"
+    assert cli.main(["audit", "--format", "json", "--out", str(out_path)]) == 0
+    document = (golden / "audit.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == document == out_path.read_bytes()
+
+
+def test_audit_report_of_a_row_without_a_note_is_its_verdict():
+    from harxlab import shapecheck
+
+    env = shapecheck.corpus_env()
+    rows = [(eq_id, shapecheck.infer_shape(shapecheck.parse_expr(text), env)) for eq_id, text in (
+        ("eq23", shapecheck.EQ23_TEXT),
+        ("dyad", "Psi * Psi'"),  # no entry in AUDIT_NOTES
+    )]
+    assert "dyad" not in shapecheck.AUDIT_NOTES
+    eq23, dyad = shapecheck.audit_report(rows)
+    assert eq23["message"] == f"{rows[0][1].describe()} | {shapecheck.AUDIT_NOTES['eq23']}"
+    assert dyad == {"equation_id": "dyad", "verdict": "well_formed", "message": "well_formed(matrix(9,9))"}
+
+
 def check_out_is_all_or_nothing(argv, tmp_path, capsys, monkeypatch):
     """``argv + ["--out", PATH]`` writes stdout's bytes, or exits 2 naming PATH and leaves nothing behind."""
     doc = tmp_path / "doc.json"
@@ -628,6 +677,16 @@ def test_audit_regression_guard(monkeypatch, capsys):
     assert cli.main(["audit"]) == 4
     err = capsys.readouterr().err
     assert "eq23" in err and "regression" in err
+
+
+def test_audit_regression_names_a_missing_row(monkeypatch, capsys):
+    from harxlab import shapecheck
+
+    rows = shapecheck.audit_corpus()[:-1]  # the F row goes missing
+    monkeypatch.setattr(cli.shapecheck, "audit_corpus", lambda: rows)
+    assert cli.main(["audit"]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines()[1:] == [f"  row 6: expected {cli.GOLDEN_AUDIT[6]}, got None"]
 
 
 @pytest.mark.parametrize("argv", [["audit"], ["audit", "--format", "json", "--out", "report.json"]])
