@@ -589,10 +589,11 @@ def stability_probe(
     return StabilityProbe(cells=tuple(sweep_cells(cfgs, data)), lambda_max=lam)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _csv_template(k: int, real: bool) -> str:
     """The %-template of a k-row curve CSV, header and ``iter`` column filled
-    in; a ``real`` record's imag cells are the literal ``0``."""
+    in; a ``real`` record's imag cells are the literal ``0``.  The cache keeps
+    the two templates the memory bound of ``simulate`` counts."""
     row = ",%.17g,%.17g,0\n" if real else ",%.17g,%.17g,%.17g\n"
     return "iter,mse,weight_error,imag_norm\n" + row.join(map(str, range(k))) + (row if k else "")
 

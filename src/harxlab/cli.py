@@ -21,7 +21,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +30,16 @@ from . import analysis
 from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation
 from .filters import VARIANT_FIELDS, FilterConfig
 from .plant import (
-    INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections, true_weight_vector
+    INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections, read_utf8,
+    true_weight_vector,
 )
 
 OUTDIR_ENV = "HARXLAB_OUTDIR"
 EMIT_MODES = ("curves", "summary", "both")
 SWEEP_PARAMS = ("eta", "beta", "v")
 _SWEEP_COLUMNS = ("param_value", "diverged_fraction", "terminal_weight_error_mean", "leak_fraction_mean")
-_FILTER_KEYS = ("variant", "eta", "beta", "v", "power_interpretation", "epsilon_guard")
-_TEXT_KEYS = ("variant", "power_interpretation")
+# the keys of a [filter NAME] section: FilterConfig's fields but `dim`, in its order
+_FILTER_FIELDS = tuple(field for field in fields(FilterConfig) if field.name != "dim")
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
@@ -102,11 +103,9 @@ def _dumps(doc) -> str:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    path: Path
+    experiment: Section  # the [experiment] section, which places a fault of the spec on its key's line
     plant: HarxPlant
     plant_ref: str
-    plant_line: int
-    T_line: int
     filters: tuple[tuple[str, FilterConfig], ...]
     T: int
     seeds: tuple[int, ...]
@@ -132,11 +131,9 @@ def load_experiment_spec(path) -> ExperimentSpec:
     and carries the offending line."""
     spec_path = Path(path)
     try:
-        text = spec_path.read_text(encoding="utf-8")
+        text = read_utf8(spec_path, ExperimentSpecError)
     except OSError as exc:
         raise ExperimentSpecError(str(exc), str(spec_path)) from None
-    except UnicodeDecodeError as exc:
-        raise ExperimentSpecError(f"not valid UTF-8: {exc}", str(spec_path)) from None
     pstr = str(spec_path)
 
     loose, *sections = read_sections(text, pstr, ExperimentSpecError)
@@ -201,24 +198,22 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
     filters = []
     for name, section in filter_sections.items():
-        fields = {"dim": plant.n}
-        for key in _FILTER_KEYS:
-            if key in section.values or key in ("variant", "eta"):
-                fields[key] = section.take(key, str if key in _TEXT_KEYS else float, "a number")
+        given = {"dim": plant.n}
+        for field in _FILTER_FIELDS:
+            if field.name in section.values or field.default is MISSING:
+                given[field.name] = section.take(field.name, str if field.type == "str" else float, "a number")
         section.reject_unknown()
-        read = VARIANT_FIELDS.get(fields["variant"], _FILTER_KEYS)  # FilterConfig names an unknown variant
+        read = VARIANT_FIELDS.get(given["variant"], section.lines)  # FilterConfig names an unknown variant
         ignored = [key for key in section.lines if key not in ("variant", *read)]  # in line order
         if ignored:
-            message = f"{ignored[0]} is not read by variant {fields['variant']!r}, which reads {', '.join(read)}"
+            message = f"{ignored[0]} is not read by variant {given['variant']!r}, which reads {', '.join(read)}"
             raise section.fail(message, ignored[0])
-        filters.append((name, _filter_config(fields, section)))
+        filters.append((name, _filter_config(given, section)))
 
     spec = ExperimentSpec(
-        path=spec_path,
+        experiment=exp,
         plant=plant,
         plant_ref=plant_ref,
-        plant_line=exp.lines["plant"],
-        T_line=exp.lines["T"],
         filters=tuple(filters),
         T=T,
         seeds=seeds,
@@ -253,7 +248,7 @@ def _check_memory(spec: ExperimentSpec, cfgs=()) -> int:
         size, held = render, f"rendering {csvs} curve CSV(s) of {N} rows, with their {curves} curve(s),"
     if size > MAX_REGRESSOR_BYTES:
         message = f"T={spec.T} is too large: {held} would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
-        raise ExperimentSpecError(message, str(spec.path), spec.T_line)
+        raise spec.experiment.fail(message, "T")
     return size
 
 
@@ -309,7 +304,7 @@ def _plant_data(spec: ExperimentSpec):
     try:
         yield
     except (DataOverflow, SingularCorrelation) as exc:
-        raise ExperimentSpecError(f"plant: {exc}", str(spec.path), spec.plant_line) from None
+        raise spec.experiment.fail(f"plant: {exc}", "plant") from None
 
 
 def _seed_data(spec: ExperimentSpec) -> analysis.SeedData:

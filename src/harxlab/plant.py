@@ -61,7 +61,8 @@ class HarxPlant:
 
     ``q`` are the linear FIR taps over ``m`` delays, ``c`` the nonlinearity
     coefficients (one per basis function), ``noise_std`` the additive white
-    Gaussian output noise.  Instances are immutable; the tap arrays are
+    Gaussian output noise, and ``seed`` (>= 0) the default random stream of
+    :func:`generate_sequence`.  Instances are immutable; the tap arrays are
     frozen, so a plant can be shared across concurrent generation runs.
     """
 
@@ -93,6 +94,8 @@ class HarxPlant:
                 raise ValueError("q times c overflows: every product q_i * c_k must be a finite float64")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -274,14 +277,19 @@ def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
     return plant
 
 
+def read_utf8(path, error: type[HarxlabError]) -> str:
+    """The text of the file at ``path``; text that is not UTF-8 raises ``error``
+    naming ``path``, and an OSError passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"not valid UTF-8: {exc}", str(path)) from None
+
+
 def load_scenario(path) -> HarxPlant:
     """Read and parse a scenario file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"not valid UTF-8: {exc}", str(path)) from None
-    return parse_scenario(text, path=str(path))
+    return parse_scenario(read_utf8(path, ScenarioError), path=str(path))
 
 
 def muscle_preset() -> HarxPlant:

@@ -25,6 +25,7 @@ vectors or matrices.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields
 
@@ -190,19 +191,25 @@ _TOKEN = re.compile(
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>\.\*|\^\.|[+\-*'()|])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+# The binary operator levels, loosest first: each operator with the node it builds.
+_BINARY = (
+    {"+": Add, "-": lambda a, b: Add(a, Mul(ScalarLit(-1.0), b))},
+    {"*": Mul, ".*": ElemMul},
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then an ``eof`` token; an operator's kind is its text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(pos, f"a token (got {text[pos]!r})")
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(m.start(), f"a token (got {m.group()!r})")
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), m.start()))
+            tokens.append((m.group() if m.lastgroup == "op" else m.lastgroup, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -212,80 +219,48 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
+    def accept(self, *kinds: str) -> str | None:
+        """Take the next token if its kind is one of ``kinds`` and return its text."""
+        kind, text, _ = self.toks[self.i]
+        if kind not in kinds:
+            return None
         self.i += 1
-        return tok
+        return text
 
-    def at_op(self, *ops: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text in ops
+    def expect(self, op: str) -> None:
+        if not self.accept(op):
+            raise ParseError(self.toks[self.i][2], f"'{op}'")
 
-    def expect_op(self, op: str) -> None:
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(pos, f"'{op}'")
-        self.take()
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.at_op("+", "-"):
-            _, op, _ = self.take()
-            rhs = self.term()
-            node = Add(node, rhs if op == "+" else Mul(ScalarLit(-1.0), rhs))
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.at_op("*", ".*"):
-            _, op, _ = self.take()
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else ElemMul(node, rhs)
+    def expr(self, level: int = 0) -> Expr:
+        # the tightest level calls factor itself, so each bracket nests four frames deep (expr, expr, factor, atom)
+        operand = functools.partial(self.expr, level + 1) if level + 1 < len(_BINARY) else self.factor
+        node = operand()
+        while op := self.accept(*_BINARY[level]):
+            node = _BINARY[level][op](node, operand())
         return node
 
     def factor(self) -> Expr:
-        if self.at_op("-"):
-            self.take()
-            kind, text, _ = self.peek()
-            if kind == "num":  # negative literal, not a -1 wrapper
-                self.take()
-                return self.postfix_tail(ScalarLit(-float(text)))
+        if self.accept("-"):
+            if number := self.accept("num"):  # negative literal, not a -1 wrapper
+                return self.postfix(ScalarLit(-float(number)))
             return Mul(ScalarLit(-1.0), self.factor())
-        return self.postfix_tail(self.atom())
+        return self.postfix(self.atom())
 
-    def postfix_tail(self, node: Expr) -> Expr:
-        while True:
-            if self.at_op("'"):
-                self.take()
-                node = Transpose(node)
-            elif self.at_op("^."):
-                self.take()
-                node = ElemPow(node, self.atom())
-            else:
-                return node
+    def postfix(self, node: Expr) -> Expr:
+        while op := self.accept("'", "^."):
+            node = Transpose(node) if op == "'" else ElemPow(node, self.atom())
+        return node
 
     def atom(self) -> Expr:
-        kind, text, pos = self.peek()
-        if kind == "num":
-            self.take()
-            return ScalarLit(float(text))
-        if kind == "ident":
-            self.take()
-            return Sym(text)
-        if kind == "op" and text == "(":
-            self.take()
+        if number := self.accept("num"):
+            return ScalarLit(float(number))
+        if name := self.accept("ident"):
+            return Sym(name)
+        if bracket := self.accept("(", "|"):
             node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "op" and text == "|":
-            self.take()
-            node = self.expr()
-            self.expect_op("|")
-            return ElemAbs(node)
-        raise ParseError(pos, "an identifier, number, '(', '|', or '-'")
+            self.expect(")" if bracket == "(" else "|")
+            return node if bracket == "(" else ElemAbs(node)
+        raise ParseError(self.toks[self.i][2], "an identifier, number, '(', '|', or '-'")
 
 
 def parse_expr(text: str) -> Expr:
@@ -293,7 +268,7 @@ def parse_expr(text: str) -> Expr:
     character position."""
     parser = _Parser(text)
     node = parser.expr()
-    kind, tok, pos = parser.peek()
+    kind, tok, pos = parser.toks[parser.i]
     if kind != "eof":
         raise ParseError(pos, f"end of input (got {tok!r})")
     return node

@@ -293,6 +293,17 @@ def test_memory_bound_counts_what_simulate_holds_while_it_renders(tmp_path):
     assert peak <= counted <= 2 * peak
 
 
+def test_csv_template_cache_keeps_the_two_templates_the_memory_bound_counts(tmp_path):
+    # rows that diverge at different steps render CSVs of many lengths, each from its own template
+    seeds = ", ".join(str(seed) for seed in range(1, 11))
+    text = SPEC[: SPEC.index("[filter")].replace("T = 300", "T = 3000").replace("seeds = 1, 2, 3", f"seeds = {seeds}")
+    text += "[filter fast]\nvariant = lms\neta = 1.9\n\n[filter signed]\nvariant = flms_signed\neta = 1.5\nv = 0.5\n"
+    analysis._csv_template.cache_clear()
+    assert cli.main(["simulate", str(write_spec(tmp_path, text))]) == 0
+    info = analysis._csv_template.cache_info()
+    assert info.misses > 2 and info.currsize <= 2
+
+
 @pytest.mark.parametrize("variant,field,value", [
     ("lms", "beta", "0.3"),
     ("lms", "v", "0.5"),
@@ -321,6 +332,16 @@ def test_negative_seed_exit_2_names_line(tmp_path, capsys):
     for command in ("simulate", "wiener"):
         assert cli.main([command, str(spec)]) == 2
         assert "run.spec:4: seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_scenario_seed_exit_2_names_line(tmp_path, capsys):
+    spec = write_spec(tmp_path, scenario_text=SCENARIO.replace("seed = 3", "seed = -1"))
+    scenario = os.path.realpath(tmp_path / "lin.scenario")
+    for argv in (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"]):
+        assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {scenario}:7: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_scenario_taps_exit_2_names_line(tmp_path, capsys):

@@ -1,0 +1,46 @@
+"""The contract of the shape-expression parser, beyond the cases in test_shapecheck.py."""
+
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harxlab import shapecheck
+from harxlab.errors import ParseError
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# every token kind, pairs that meet at a token boundary, and characters no token starts with
+FRAGMENTS = [
+    "a", "Psi_1", "x2", "0", "2.5", "3e2", "1.5E-3", "+", "-", "*", ".*", "'", "^.", "(", ")", "|", " ",
+    ".", "^", "é", "\t", "1.", "e",
+]
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_any_text_parses_or_fails_at_a_position_inside_it(text):
+    try:
+        node = shapecheck.parse_expr(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        assert str(exc) == f"parse error at position {exc.position}: expected {exc.expected}"
+    else:
+        assert isinstance(node, shapecheck.Expr)
+
+
+def test_the_audited_texts_parse_to_their_golden_trees(monkeypatch):
+    # every text the audit parses, in order, with the repr of its tree
+    parsed = []
+
+    def recording(text):
+        node = parse(text)
+        parsed.append([text, repr(node)])
+        return node
+
+    parse = shapecheck.parse_expr
+    monkeypatch.setattr(shapecheck, "parse_expr", recording)
+    shapecheck.audit_corpus()
+    assert parsed == json.loads((GOLDEN / "corpus_asts.json").read_text(encoding="utf-8"))
+    assert len(parsed) == 9  # the eq8 summand, eq23, eq24, both sides of eq25, eq27 and three positions of F

@@ -263,3 +263,10 @@ def test_scenario_roundtrip_and_errors():
     with pytest.raises(ScenarioError, match="polynomial"):
         parse_scenario("m = 1\nl = 1\nbasis = fourier\nq = 1\nc = 1\n")
 
+
+def test_negative_scenario_seed_names_its_line():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        make_plant(1, 1, [1.0], [1.0], seed=-1)
+    text = "m = 1\nl = 1\nbasis = polynomial\nq = 1.0\nc = 1.0\nseed = -1\n"
+    with pytest.raises(ScenarioError, match=r"^neg.scenario:6: seed must be >= 0, got -1$"):
+        parse_scenario(text, path="neg.scenario")
