@@ -39,13 +39,14 @@ _SINGULAR_RTOL = 1e-12
 _BLOCK_BYTES = 256 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationEstimate:
     """Empirical R = E[psi psi^T] and p = E[psi s], with the spectrum of R.
 
     Eigenvalues are sorted descending; tiny negatives (down to -1e-10 *
     lambda_max) are tolerated as sampling/roundoff noise on a PSD matrix, and
-    R must be symmetric to within 1e-12 * max|R|.
+    R must be symmetric to within 1e-12 * max|R|.  The estimate owns copies
+    of its arrays and freezes them.
     """
 
     R: np.ndarray
@@ -54,9 +55,9 @@ class CorrelationEstimate:
     sample_count: int
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=np.float64)
-        p = np.asarray(self.p, dtype=np.float64)
-        eig = np.asarray(self.eigenvalues, dtype=np.float64)
+        R = np.array(self.R, dtype=np.float64)
+        p = np.array(self.p, dtype=np.float64)
+        eig = np.array(self.eigenvalues, dtype=np.float64)
         for arr, name in ((R, "R"), (p, "p"), (eig, "eigenvalues")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -111,7 +112,7 @@ def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
     return np.linalg.solve(est.R + ridge * np.eye(n), est.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Learning curves of one run, the final filter state and the run's summary.
 
@@ -134,7 +135,7 @@ class RunRecord:
     summary: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedData:
     """Every seed's dataset, simulated once and stacked for :func:`run_batch`.
 
@@ -503,7 +504,7 @@ def binomial_vector_verdict(n: int) -> shapecheck.ShapeVerdict:
     return shapecheck.eq25_verdict(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinomialReport:
     """Scalar truncation residuals plus the vector-case shape verdict."""
 

@@ -101,7 +101,7 @@ def _dumps(doc) -> str:
 # [filter NAME]      variant, eta, beta, v, power_interpretation, epsilon_guard
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     experiment: Section  # the [experiment] section, which places a fault of the spec on its key's line
     plant: HarxPlant

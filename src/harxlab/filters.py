@@ -92,7 +92,7 @@ class FilterConfig:
         return ("signed" if self.variant == "flms_signed" else self.power_interpretation, 1.0 - self.v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterState:
     """Current and previous weights plus complex-leak bookkeeping.
 

@@ -55,7 +55,7 @@ def polynomial_basis(l: int) -> BasisSet:
     return BasisSet(l)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarxPlant:
     """Ground-truth H-ARX system.
 
@@ -103,7 +103,7 @@ class HarxPlant:
         return self.m * self.basis.l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Aligned identification data from one simulated run.
 

@@ -37,43 +37,42 @@ from .errors import ParseError, UnboundSymbol
 
 @dataclass(frozen=True)
 class Shape:
-    """Dimension tag: scalar, vector(n), or matrix(r, c).
+    """Dimension tag: scalar, vector(n), or matrix(r, c), told apart by the
+    number of ``dims`` (0, 1 or 2).
 
     vector(n) is distinct from matrix(n, 1) at the surface; transposition
     views a vector as a one-row matrix, which is what lets the dyad
     ``Psi * Psi'`` type-check while the plain product ``Psi * Psi`` does not.
     """
 
-    kind: str
     dims: tuple[int, ...] = ()
 
-    _ARITY = {"scalar": 0, "vector": 1, "matrix": 2}
-
     def __post_init__(self):
-        arity = self._ARITY.get(self.kind)
-        if arity is None:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        if len(self.dims) != arity or any(d < 1 for d in self.dims):
-            raise ValueError(f"bad dims {self.dims} for shape kind {self.kind!r}")
+        if len(self.dims) > 2 or any(d < 1 for d in self.dims):
+            raise ValueError(f"bad dims {self.dims}: a shape has at most two dimensions, each >= 1")
 
     @classmethod
     def scalar(cls) -> "Shape":
-        return cls("scalar")
+        return cls()
 
     @classmethod
     def vector(cls, n: int) -> "Shape":
-        return cls("vector", (int(n),))
+        return cls((int(n),))
 
     @classmethod
     def matrix(cls, rows: int, cols: int) -> "Shape":
-        return cls("matrix", (int(rows), int(cols)))
+        return cls((int(rows), int(cols)))
+
+    @property
+    def kind(self) -> str:
+        return ("scalar", "vector", "matrix")[len(self.dims)]
 
     @property
     def is_vector(self) -> bool:
-        return self.kind == "vector"
+        return len(self.dims) == 1
 
     def __str__(self) -> str:
-        if self.kind == "scalar":
+        if not self.dims:
             return "scalar"
         return f"{self.kind}({','.join(str(d) for d in self.dims)})"
 
@@ -265,9 +264,12 @@ class _Parser:
 
 def parse_expr(text: str) -> Expr:
     """Parse expression text to an AST; raises ParseError with the failing
-    character position."""
+    character position, also for nesting deeper than the recursion limit allows."""
     parser = _Parser(text)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError(parser.toks[parser.i][2], "shallower nesting (the recursion limit was reached)") from None
     kind, tok, pos = parser.toks[parser.i]
     if kind != "eof":
         raise ParseError(pos, f"end of input (got {tok!r})")
@@ -279,17 +281,16 @@ def parse_expr(text: str) -> Expr:
 
 
 class _Mismatch(Exception):
+    """Carries the mismatch verdict of the innermost offending node."""
+
     def __init__(self, path: tuple[int, ...], rule: str, message: str):
         super().__init__(message)
-        self.path = path
-        self.rule = rule
-        self.message = message
+        self.verdict = ShapeVerdict.mismatch(path, rule, message)
 
 
 def _as_matrix(shape: Shape) -> tuple[int, int]:
-    if shape.is_vector:
-        return shape.dims[0], 1
-    return shape.dims
+    """(rows, cols): a vector is a column, a scalar is 1-by-1."""
+    return (*shape.dims, 1, 1)[:2]
 
 
 def _collapse(rows: int, cols: int) -> Shape:
@@ -402,7 +403,7 @@ def infer_shape(expr: Expr, env: ShapeEnv, constraints: dict[str, list[Shape]] |
     try:
         ty = _infer(expr, env, (), cons)
     except _Mismatch as exc:
-        return ShapeVerdict.mismatch(exc.path, exc.rule, exc.message)
+        return exc.verdict
     bad = resolve_constraints(cons)
     if bad is not None:
         return bad
@@ -511,10 +512,9 @@ def audit_corpus() -> list[tuple[str, ShapeVerdict]]:
     rows: list[tuple[str, ShapeVerdict]] = []
 
     summand = parse_expr("Psi_i' * (q_i * c)")
-    env_faulty = ShapeEnv(bindings={"Psi_i": Shape.vector(2), "q_i": Shape.scalar(), "c": Shape.vector(3)})
-    rows.append(("eq8_original", infer_shape(summand, env_faulty)))
-    env_fixed = ShapeEnv(bindings={"Psi_i": Shape.vector(3), "q_i": Shape.scalar(), "c": Shape.vector(3)})
-    rows.append(("eq10star_corrected", infer_shape(summand, env_fixed)))
+    for eq_id, block in (("eq8_original", 2), ("eq10star_corrected", 3)):  # a block of length m = 2, then l = 3
+        env = ShapeEnv(bindings={"Psi_i": Shape.vector(block), "q_i": Shape.scalar(), "c": Shape.vector(3)})
+        rows.append((eq_id, infer_shape(summand, env)))
 
     env = corpus_env()
     rows.append(("eq23", infer_shape(parse_expr(EQ23_TEXT), env)))

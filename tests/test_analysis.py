@@ -108,6 +108,13 @@ def test_correlation_estimate_checks_its_fields(R, eigenvalues, error, match):
 # wiener_solution
 
 
+def test_correlation_estimate_keeps_frozen_copies_of_the_callers_arrays():
+    R, p, eigenvalues = np.eye(2), np.ones(2), np.ones(2)
+    est = CorrelationEstimate(R=R, p=p, eigenvalues=eigenvalues, sample_count=1)
+    for given, kept in ((R, est.R), (p, est.p), (eigenvalues, est.eigenvalues)):
+        assert given.flags.writeable and not kept.flags.writeable and not np.shares_memory(given, kept)
+
+
 def test_wiener_identity_correlation():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((2 * 10**5, 3))

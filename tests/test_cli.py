@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harxlab import analysis, cli
-from harxlab.filters import VARIANT_FIELDS, VARIANTS, FilterConfig
+from harxlab.filters import VARIANT_FIELDS, VARIANTS, FilterConfig, initial_state
+from harxlab.plant import generate_sequence
 
 SCENARIO = """\
 m = 3
@@ -551,6 +553,21 @@ def test_builtin_muscle_plant_reference(tmp_path):
     assert cli.main(["simulate", str(spec)]) == 0
     doc = json.loads((tmp_path / "out" / "lms_small_summary.json").read_text())
     assert doc["plant"]["m"] == 3 and doc["plant"]["l"] == 3
+
+
+def test_records_that_hold_arrays_hash_and_compare_by_identity(tmp_path):
+    # generated __eq__ and __hash__ would compare and hash the arrays inside: ValueError and TypeError
+    spec = cli.load_experiment_spec(write_spec(tmp_path))
+    data = generate_sequence(spec.plant, T=20)
+    cfg = FilterConfig(variant="lms", eta=0.05, dim=spec.plant.n)
+    records = [
+        spec.plant, data, initial_state(cfg), analysis.estimate_correlations(data),
+        analysis.simulate_seeds(spec.plant, 20, [1]), analysis.run_experiment(spec.plant, cfg, 20, 1),
+        analysis.binomial_report(2.0, 0.5, 0.5, 3), spec,
+    ]
+    for record in records:
+        assert {record: type(record)}[record] is type(record) and hash(record) == hash(record)
+        assert record == record and record != copy.copy(record)  # the copy holds the same arrays
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The contract of the shape-expression parser, beyond the cases in test_shapecheck.py."""
 
 import json
+import threading
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,3 +46,33 @@ def test_the_audited_texts_parse_to_their_golden_trees(monkeypatch):
     shapecheck.audit_corpus()
     assert parsed == json.loads((GOLDEN / "corpus_asts.json").read_text(encoding="utf-8"))
     assert len(parsed) == 9  # the eq8 summand, eq23, eq24, both sides of eq25, eq27 and three positions of F
+
+
+# nesting past the recursion limit: 3,000 brackets of either kind, 400 bracketed exponents, 5,000 signs
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "a" + ")" * 3000,
+    "|" * 3000 + "a" + "|" * 3000,
+    "a^.(" * 400 + "a" + ")" * 400,
+    "-" * 5000 + "a",
+], ids=["brackets", "bars", "exponents", "signs"])
+def test_nesting_past_the_recursion_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="recursion limit") as exc:
+        shapecheck.parse_expr(text)
+    assert 0 <= exc.value.position <= len(text)
+
+
+def parse_on_a_fresh_stack(text):
+    # a new thread's stack starts empty, as a script's does, so pytest's own frames do not count
+    trees = []
+    thread = threading.Thread(target=lambda: trees.append(shapecheck.parse_expr(text)))
+    thread.start()
+    thread.join()
+    return trees[0]
+
+
+def test_247_nested_brackets_still_parse():
+    assert parse_on_a_fresh_stack("(" * 247 + "a" + ")" * 247) == shapecheck.Sym("a")
+    tree = shapecheck.Sym("a")
+    for _ in range(247):
+        tree = shapecheck.ElemAbs(tree)
+    assert parse_on_a_fresh_stack("|" * 247 + "a" + "|" * 247) == tree
