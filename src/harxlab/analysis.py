@@ -15,14 +15,14 @@ from the summary :func:`run_batch` reduces block by block (a record's
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from .filters import FilterConfig, FilterState, fractional_power
-from .plant import Dataset, HarxPlant, generate_sequence
+from .plant import Dataset, HarxPlant, draw_signals, generate_sequence, regressor_rows, true_weight_vector
 
 if TYPE_CHECKING:
     from . import shapecheck
@@ -37,6 +37,8 @@ _PSD_RTOL = 1e-10
 _SINGULAR_RTOL = 1e-12
 # the size of the weight history of one time block of run_batch
 _BLOCK_BYTES = 256 * 1024
+# the size of the regressor rows one chunk of the correlation sums takes
+_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,20 +78,71 @@ class CorrelationEstimate:
         return float(self.eigenvalues[0])
 
 
-def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
-    """Sample-mean estimates R = (1/N) sum psi psi^T and p = (1/N) sum psi s."""
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot estimate correlations from zero samples")
-    X = dataset.X
-    N = X.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        R = X.T @ X / N
+def _correlations(chunks, N: int) -> CorrelationEstimate:
+    """R and p of N rows that arrive as (rows, outputs) chunks, in row order.
+
+    The chunks' sums X_c^T X_c and X_c^T s_c are added up in arrival order,
+    the first taken as it is, so a single chunk gives exactly one
+    ``X.T @ X``.  Every chunk is produced and summed under one errstate: an
+    overflow is reported once, after the last chunk, as DataOverflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = cross = None
+        for Xc, yc in chunks:
+            if gram is None:
+                gram, cross = Xc.T @ Xc, Xc.T @ yc
+            else:
+                gram += Xc.T @ Xc
+                cross += Xc.T @ yc
+        R = gram / N
         R = 0.5 * (R + R.T)  # exact symmetry despite BLAS rounding
-        p = X.T @ np.asarray(dataset.outputs, dtype=np.float64) / N
+        p = cross / N
     if not (np.isfinite(R).all() and np.isfinite(p).all()):
         raise DataOverflow("R or p is not finite: the data overflow float64")
     eig = np.linalg.eigvalsh(R)[::-1]
     return CorrelationEstimate(R=R, p=p, eigenvalues=eig, sample_count=N)
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows of n float64 regressors that fill ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * n))
+
+
+def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
+    """Sample-mean estimates R = (1/N) sum psi psi^T and p = (1/N) sum psi s,
+    summed over row slices of ``_CHUNK_BYTES``."""
+    if len(dataset) == 0:
+        raise EmptyDataset("cannot estimate correlations from zero samples")
+    X, y = dataset.X, np.asarray(dataset.outputs, dtype=np.float64)
+    N, step = X.shape[0], _chunk_rows(X.shape[1])
+    return _correlations(((X[a : a + step], y[a : a + step]) for a in range(0, N, step)), N)
+
+
+def stream_correlations(
+    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
+) -> CorrelationEstimate:
+    """``estimate_correlations(generate_sequence(plant, input_kind, T=T, rng=rng))``,
+    bit for bit, without the (T - m, n) regressor matrix.
+
+    Each ``_CHUNK_BYTES`` of regressor rows is built into one reused buffer,
+    and its outputs and sums are taken while it is in cache; only the inputs
+    and the noise are held whole.
+    """
+    inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
+    N, w = T - plant.m, true_weight_vector(plant)
+    step = _chunk_rows(plant.n)
+    buffer = np.empty((min(N, step), plant.n))
+
+    def chunks():
+        for a in range(0, N, step):
+            b = min(a + step, N)
+            Xc = regressor_rows(plant, inputs, a, b, buffer[: b - a])
+            yc = Xc @ w
+            if noise is not None:
+                yc += noise[a:b]
+            yield Xc, yc
+
+    return _correlations(chunks(), N)
 
 
 def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
@@ -141,7 +194,8 @@ class SeedData:
 
     ``X`` is (S, N, n), ``outputs`` (S, N), ``omega`` (S, n) the Wiener
     solution of each seed's own data, and ``lambda_max`` (S,) the largest
-    eigenvalue of each seed's correlation matrix.  All arrays are read-only.
+    eigenvalue of each seed's correlation matrix.  All four are read-only
+    views; the arrays they view stay as writable as the caller made them.
     """
 
     X: np.ndarray
@@ -150,8 +204,10 @@ class SeedData:
     lambda_max: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.X, self.outputs, self.omega, self.lambda_max):
-            arr.setflags(write=False)
+        for f in fields(self):
+            view = getattr(self, f.name)[...]
+            view.setflags(write=False)
+            object.__setattr__(self, f.name, view)
 
 
 def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gaussian") -> SeedData:

@@ -30,8 +30,7 @@ from . import analysis
 from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation
 from .filters import VARIANT_FIELDS, FilterConfig
 from .plant import (
-    INPUT_KINDS, HarxPlant, Section, generate_sequence, load_scenario, muscle_preset, read_sections, read_utf8,
-    true_weight_vector,
+    INPUT_KINDS, HarxPlant, Section, load_scenario, muscle_preset, read_sections, read_utf8, true_weight_vector,
 )
 
 OUTDIR_ENV = "HARXLAB_OUTDIR"
@@ -454,9 +453,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_wiener(args) -> int:
     spec = load_experiment_spec(args.spec)
-    data = generate_sequence(spec.plant, input_kind=spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0]))
     with _plant_data(spec):
-        est = analysis.estimate_correlations(data)
+        est = analysis.stream_correlations(
+            spec.plant, spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0])
+        )
         try:
             omega = analysis.wiener_solution(est, ridge=args.ridge)
         except ValueError as exc:

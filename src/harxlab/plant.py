@@ -129,6 +129,51 @@ def true_weight_vector(plant: HarxPlant) -> np.ndarray:
     return np.kron(plant.q, plant.c)
 
 
+def draw_signals(
+    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The random stream of a length-``T`` run: its read-only T input samples
+    and, for a noisy plant, its T - m output noise samples, already scaled.
+
+    The inputs are drawn first and the noise second, so a fixed seed
+    reproduces the run bit for bit.  ``input_kind`` is ``white_gaussian``
+    (standard normal) or ``uniform`` (on [-1, 1)); ``rng`` defaults to the
+    plant's seed.  Noise that overflows becomes inf without a warning; the
+    correlations report it.
+    """
+    if input_kind not in INPUT_KINDS:
+        raise ValueError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
+    if T <= plant.m:
+        raise BadLength(f"T must exceed the plant memory m={plant.m}; got T={T}")
+    if rng is None:
+        rng = np.random.default_rng(plant.seed)
+    if input_kind == "white_gaussian":
+        inputs = rng.standard_normal(T)
+    else:
+        inputs = rng.uniform(-1.0, 1.0, T)
+    inputs.setflags(write=False)
+    noise = None
+    if plant.noise_std > 0.0:
+        noise = rng.standard_normal(T - plant.m)
+        with np.errstate(over="ignore"):
+            noise *= plant.noise_std
+    return inputs, noise
+
+
+def regressor_rows(plant: HarxPlant, inputs: np.ndarray, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    """Write rows ``a`` to ``b`` (exclusive) of the regressor matrix of ``inputs``
+    into ``out``, a float64 (b - a, n) array or view, and return it.
+
+    Row k is the regressor at t = m + k; its block i is the basis of r(t - i).
+    A row depends on its own samples alone, so rows built a slice at a time
+    equal those built all at once.
+    """
+    m, l = plant.m, plant.basis.l
+    for i in range(1, m + 1):
+        plant.basis.evaluate_many(inputs[a + m - i : b + m - i], out=out[:, (i - 1) * l : i * l])
+    return out
+
+
 def generate_sequence(
     plant: HarxPlant,
     input_kind: str = "white_gaussian",
@@ -139,42 +184,24 @@ def generate_sequence(
 ) -> Dataset:
     """Simulate a length-``T`` run and return the T - m aligned pairs.
 
-    The random stream draws the T input samples first and the T - m output
-    noise samples second, so a fixed seed reproduces the dataset bit for bit.
-    ``input_kind`` is ``white_gaussian`` (standard normal) or ``uniform`` (on
-    [-1, 1)).  The regressors are written into ``out`` when given, a
-    C-contiguous float64 (T - m, n) buffer, and the dataset's ``X`` is then a
-    read-only view of it.
+    The inputs and noise are those of :func:`draw_signals`.  The regressors
+    are written into ``out`` when given, a C-contiguous float64 (T - m, n)
+    buffer, and the dataset's ``X`` is then a read-only view of it.
     """
-    if input_kind not in INPUT_KINDS:
-        raise ValueError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
-    if T <= plant.m:
-        raise BadLength(f"T must exceed the plant memory m={plant.m}; got T={T}")
-    m, l = plant.m, plant.basis.l
-    X = np.empty((T - m, plant.n)) if out is None else out
-    if X.shape != (T - m, plant.n) or X.dtype != np.float64 or not X.flags.c_contiguous:
+    inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
+    N = T - plant.m
+    X = np.empty((N, plant.n)) if out is None else out
+    if X.shape != (N, plant.n) or X.dtype != np.float64 or not X.flags.c_contiguous:
         raise DimensionMismatch(
-            f"out must be a C-contiguous float64 (T - m, n) = ({T - m}, {plant.n}) buffer, got {X.dtype} {X.shape}"
+            f"out must be a C-contiguous float64 (T - m, n) = ({N}, {plant.n}) buffer, got {X.dtype} {X.shape}"
         )
-    if rng is None:
-        rng = np.random.default_rng(plant.seed)
-    if input_kind == "white_gaussian":
-        inputs = rng.standard_normal(T)
-    else:
-        inputs = rng.uniform(-1.0, 1.0, T)
-
-    # row k of X is the regressor at t = m + k; block i is the basis of r(t - i)
-    for i in range(1, m + 1):
-        plant.basis.evaluate_many(inputs[m - i : T - i], out=X[:, (i - 1) * l : i * l])
+    regressor_rows(plant, inputs, 0, N, X)
     with np.errstate(over="ignore", invalid="ignore"):  # estimate_correlations reports an overflow, once
         outputs = X @ true_weight_vector(plant)
-        if plant.noise_std > 0.0:
-            noise = rng.standard_normal(T - m)
-            noise *= plant.noise_std
+        if noise is not None:
             outputs += noise
     X = X[...]  # a view, so a caller's buffer stays writable
     X.setflags(write=False)
-    inputs.setflags(write=False)
     outputs.setflags(write=False)
     return Dataset(inputs=inputs, X=X, outputs=outputs)
 

@@ -133,51 +133,91 @@ class ShapeVerdict:
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    A node's ``repr`` is the dataclass form, ``Add(a=Sym(name='x'), b=...)``,
+    and two nodes are equal when their trees are.  All three of ``repr``,
+    ``==`` and ``hash`` walk the tree with a stack of their own, so they work
+    at any depth a tree is built to.
+    """
 
     __slots__ = ()
 
+    def _preorder(self):
+        """Every node's class and every non-node field, in prefix order; each
+        class has a fixed number of fields, so the sequence fixes the tree."""
+        todo = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Expr):
+                yield type(item)
+                todo.extend(getattr(item, f.name) for f in reversed(fields(item)))
+            else:
+                yield item
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(self._preorder()) == tuple(other._preorder())
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        parts, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for i, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                pieces += [f"{', ' if i else ''}{f.name}=", value if isinstance(value, Expr) else repr(value)]
+            todo.extend(reversed([*pieces, ")"]))
+        return "".join(parts)
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ScalarLit(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Transpose(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ElemMul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ElemPow(Expr):
     a: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ElemAbs(Expr):
     a: Expr
 

@@ -19,12 +19,15 @@ from harxlab.analysis import (
     run_summary,
     simulate_seeds,
     stability_probe,
+    stream_correlations,
     sweep_cells,
     wiener_solution,
 )
 from harxlab.errors import DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from harxlab.filters import FilterConfig, initial_state
-from harxlab.plant import Dataset, HarxPlant, generate_sequence, muscle_preset, polynomial_basis, true_weight_vector
+from harxlab.plant import (
+    INPUT_KINDS, Dataset, HarxPlant, generate_sequence, muscle_preset, polynomial_basis, true_weight_vector,
+)
 
 
 def synthetic_dataset(X, outputs):
@@ -91,6 +94,34 @@ def test_correlations_law_of_large_numbers():
 def test_correlations_empty_dataset():
     with pytest.raises(EmptyDataset):
         estimate_correlations(synthetic_dataset(np.zeros((0, 3)), np.zeros(0)))
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+@pytest.mark.parametrize("input_kind", INPUT_KINDS)
+def test_streamed_correlations_equal_the_materialized_ones_bit_for_bit(input_kind, noise_std):
+    plant = replace(muscle_preset(), noise_std=noise_std)
+    T = plant.m + 3 * analysis._chunk_rows(plant.n) + 1234  # three whole chunks and a ragged fourth
+    data = generate_sequence(plant, input_kind, T=T, rng=np.random.default_rng(11))
+    want = estimate_correlations(data)
+    got = stream_correlations(plant, input_kind, T=T, rng=np.random.default_rng(11))
+    for field in ("R", "p", "eigenvalues"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.sample_count == want.sample_count == T - plant.m
+    # the chunk sums drift from one X.T @ X by roundoff alone
+    X, N = data.X, len(data)
+    np.testing.assert_allclose(got.R, X.T @ X / N, rtol=1e-12)
+    np.testing.assert_allclose(got.p, X.T @ data.outputs / N, rtol=1e-12)
+
+
+def test_correlations_of_one_chunk_are_one_gram_matrix():
+    plant = muscle_preset()
+    T = plant.m + analysis._chunk_rows(plant.n)  # exactly one full chunk
+    data = generate_sequence(plant, T=T, rng=np.random.default_rng(12))
+    X, N = data.X, len(data)
+    R = X.T @ X / N
+    for est in (estimate_correlations(data), stream_correlations(plant, T=T, rng=np.random.default_rng(12))):
+        assert est.R.tobytes() == (0.5 * (R + R.T)).tobytes()
+        assert est.p.tobytes() == (X.T @ data.outputs / N).tobytes()
 
 
 @pytest.mark.parametrize("R,eigenvalues,error,match", [
@@ -186,6 +217,13 @@ def test_simulate_seeds_holds_one_copy_of_the_regressors():
         assert np.array_equal(data.X[s], alone.X) and np.array_equal(data.outputs[s], alone.outputs)
     with pytest.raises(ValueError, match="at least one seed is required"):
         simulate_seeds(plant, 200, [])
+
+
+def test_seed_data_freezes_views_of_the_callers_arrays():
+    arrays = (np.zeros((1, 2, 3)), np.zeros((1, 2)), np.zeros((1, 3)), np.ones(1))
+    data = analysis.SeedData(*arrays)
+    for given, kept in zip(arrays, (data.X, data.outputs, data.omega, data.lambda_max)):
+        assert given.flags.writeable and not kept.flags.writeable and np.shares_memory(given, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from harxlab import analysis, cli
 from harxlab.filters import VARIANT_FIELDS, VARIANTS, FilterConfig, initial_state
-from harxlab.plant import generate_sequence
+from harxlab.plant import generate_sequence, load_scenario
 
 SCENARIO = """\
 m = 3
@@ -492,6 +492,38 @@ def test_overflowing_basis_reports_one_error_and_no_warning(tmp_path, scenario):
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {spec}:2: plant: R or p is not finite: the data overflow float64"]
     assert not (tmp_path / "out").exists()
+
+
+def test_overflow_after_the_first_chunk_reports_one_error_and_no_warning(tmp_path):
+    # r, r^2, ..., r^300 of one Gaussian input: R holds r^600, which overflows for |r| above
+    # about 3.26; seed 1 draws such an r only after the first chunk of rows
+    scenario = f"m = 1\nl = 300\nbasis = polynomial\nq = 1.0\nc = {', '.join(['1e-300'] * 300)}\n"
+    spec = write_spec(tmp_path, SPEC.replace("T = 300", "T = 2000"), scenario)
+    plant = load_scenario(tmp_path / "lin.scenario")
+    data = generate_sequence(plant, T=2000, rng=np.random.default_rng(1))
+    first = slice(analysis._chunk_rows(plant.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(data.X[first].T @ data.X[first]).all()
+        assert np.isfinite(data.X[first].T @ data.outputs[first]).all()
+        assert not np.isfinite(data.X.T @ data.X).all()
+    proc = python_m_cli("wiener", str(spec))  # stderr as a user sees it, warnings included
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {spec}:2: plant: R or p is not finite: the data overflow float64"]
+
+
+def test_wiener_holds_no_regressor_matrix(tmp_path, capsys):
+    text = SPEC.replace("lin.scenario", "builtin:muscle").replace("seeds = 1, 2, 3", "seeds = 1")
+    assert cli.main(["wiener", str(write_spec(tmp_path, text))]) == 0  # first-call allocations stay outside
+    spec = write_spec(tmp_path, text.replace("T = 300", "T = 200000"))
+    tracemalloc.start()
+    try:
+        assert cli.main(["wiener", str(spec)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # the inputs, the noise and one chunk of rows; X would take (T - m) * n * 8 = 14.4 MB
+    assert peak < (200000 - 3) * 9 * 8 / 3
 
 
 def test_singular_correlation_exit_2_names_plant_line(tmp_path, capsys):

@@ -76,3 +76,21 @@ def test_247_nested_brackets_still_parse():
     for _ in range(247):
         tree = shapecheck.ElemAbs(tree)
     assert parse_on_a_fresh_stack("|" * 247 + "a" + "|" * 247) == tree
+
+
+def nested_bars(depth, name="a"):
+    """The tree of ``"|-" * depth + name + "|" * depth``, built without the parser."""
+    tree = shapecheck.Sym(name)
+    for _ in range(depth):
+        tree = shapecheck.ElemAbs(shapecheck.Mul(shapecheck.ScalarLit(-1.0), tree))
+    return tree
+
+
+@pytest.mark.parametrize("depth", [170, 2000])
+def test_deep_trees_print_compare_and_hash(depth):
+    tree = nested_bars(depth)
+    if depth == 170:
+        assert parse_on_a_fresh_stack("|-" * depth + "a" + "|" * depth) == tree
+    assert repr(tree) == "ElemAbs(a=Mul(a=ScalarLit(value=-1.0), b=" * depth + "Sym(name='a')" + "))" * depth
+    assert tree == nested_bars(depth) and hash(tree) == hash(nested_bars(depth))
+    assert tree != nested_bars(depth, "b") and tree != nested_bars(depth - 1)
