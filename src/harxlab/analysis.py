@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from .filters import FilterConfig, FilterState, fractional_power
-from .plant import Dataset, HarxPlant, draw_signals, generate_sequence, regressor_rows, true_weight_vector
+from .plant import Dataset, HarxPlant, draw_signals, regressor_rows, true_weight_vector
 
 if TYPE_CHECKING:
     from . import shapecheck
@@ -104,8 +104,10 @@ def _correlations(chunks, N: int) -> CorrelationEstimate:
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows of n float64 regressors that fill ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (8 * n))
+    """Rows of n float64 regressors that fill about ``_CHUNK_BYTES``, a multiple
+    of 8: a matrix-vector product then gives a chunk's rows the bits it gives
+    them within the whole matrix."""
+    return max(8, _CHUNK_BYTES // (8 * n) // 8 * 8)
 
 
 def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
@@ -118,31 +120,42 @@ def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
     return _correlations(((X[a : a + step], y[a : a + step]) for a in range(0, N, step)), N)
 
 
-def stream_correlations(
-    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
-) -> CorrelationEstimate:
-    """``estimate_correlations(generate_sequence(plant, input_kind, T=T, rng=rng))``,
-    bit for bit, without the (T - m, n) regressor matrix.
+def _simulate(plant: HarxPlant, input_kind: str, T: int, rng, X=None, outputs=None) -> CorrelationEstimate:
+    """The correlations of a length-``T`` run, from one pass over its rows.
 
-    Each ``_CHUNK_BYTES`` of regressor rows is built into one reused buffer,
-    and its outputs and sums are taken while it is in cache; only the inputs
-    and the noise are held whole.
+    Each ``_CHUNK_BYTES`` of regressor rows is built, and its outputs and sums
+    are taken while it is in cache.  The rows and outputs go into ``X``
+    (T - m, n) and ``outputs`` (T - m,) when given, else into one reused
+    chunk buffer each; only the inputs and the noise are held whole.  The
+    result, and what fills ``X`` and ``outputs``, equal, bit for bit,
+    ``estimate_correlations`` of :func:`harxlab.plant.generate_sequence`.
     """
     inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
-    N, w = T - plant.m, true_weight_vector(plant)
-    step = _chunk_rows(plant.n)
-    buffer = np.empty((min(N, step), plant.n))
+    N, w, step = T - plant.m, true_weight_vector(plant), _chunk_rows(plant.n)
+    kept = X is not None
+    if not kept:
+        X, outputs = np.empty((min(N, step), plant.n)), np.empty(min(N, step))
 
     def chunks():
         for a in range(0, N, step):
             b = min(a + step, N)
-            Xc = regressor_rows(plant, inputs, a, b, buffer[: b - a])
-            yc = Xc @ w
+            rows = slice(a, b) if kept else slice(0, b - a)
+            Xc = regressor_rows(plant, inputs, a, b, X[rows])
+            yc = np.matmul(Xc, w, out=outputs[rows])
             if noise is not None:
                 yc += noise[a:b]
             yield Xc, yc
 
     return _correlations(chunks(), N)
+
+
+def stream_correlations(
+    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
+) -> CorrelationEstimate:
+    """``estimate_correlations(generate_sequence(plant, input_kind, T=T, rng=rng))``,
+    bit for bit, without the (T - m, n) regressor matrix: the rows pass
+    through one reused chunk buffer."""
+    return _simulate(plant, input_kind, T, rng)
 
 
 def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
@@ -213,23 +226,22 @@ class SeedData:
 def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gaussian") -> SeedData:
     """Simulate each seed's dataset once and solve its Wiener reference.
 
-    The seed drives the input and noise streams, so a seed's data is the same
-    whichever other seeds it is simulated with.
+    One pass of the chunk loop of :func:`stream_correlations` per seed fills
+    the seed's rows and outputs and sums its correlations.  The seed drives
+    the input and noise streams, so a seed's data is the same whichever
+    other seeds it is simulated with.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
-    # one copy of every seed's regressors, each seed's written in place; T <= m fails in generate_sequence
+    # one copy of every seed's rows, each seed's filled in place; T <= m fails in draw_signals
     X = np.empty((len(seeds), max(T - plant.m, 0), plant.n))
     outputs = np.empty(X.shape[:2])
     omega, lam = [], []
     for s, seed in enumerate(seeds):
-        data = generate_sequence(plant, input_kind=input_kind, T=T, rng=np.random.default_rng(seed), out=X[s])
-        outputs[s] = data.outputs
-        est = estimate_correlations(data)
+        est = _simulate(plant, input_kind, T, np.random.default_rng(seed), X[s], outputs[s])
         omega.append(wiener_solution(est, ridge=0.0))
         lam.append(est.lambda_max)
-        del data  # freed before the next seed is simulated
     return SeedData(X=X, outputs=outputs, omega=np.stack(omega), lambda_max=np.array(lam))
 
 
@@ -343,11 +355,12 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     slice too.  Their imaginary parts are Rs more rows after all R, in a
     block's weight history and in the final states alike.
 
-    Time runs in blocks of B steps, B fixed so that the first block's weight
-    history, (B + 2, L + Ls, n) for L live rows of which Ls are signed,
-    takes about ``_BLOCK_BYTES``.  Within a block only the recurrence runs,
-    each step writing into work buffers made once per block, so a step
-    allocates only what ``np.vecdot`` and :func:`fractional_power` return.
+    Time runs in blocks of B steps, each B set so that the block's weight
+    history, (B + 2, L + Ls, n) for its L live rows of which Ls are signed,
+    takes about ``_BLOCK_BYTES``, so blocks lengthen as rows stop.  Within a
+    block only the recurrence runs, each step writing into work buffers made
+    once per block, so a step allocates only what ``np.vecdot`` and
+    :func:`fractional_power` return.
     The curves are computed once per block from its history, and folded
     into each row's running summary numbers.  A row stops at its first curve
     entry that is non-finite or above 1e12: its curves end there, its final
@@ -398,7 +411,6 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     eta = column([cfg.eta for cfg in cfgs])
     beta = full([cfg.momentum for cfg in cfgs])
     guard = full([cfg.epsilon_guard for cfg in cfgs])
-    B = max(1, _BLOCK_BYTES // ((R + Rs) * n * 8))
 
     tally = _Tally(R)
     if curves:
@@ -413,8 +425,9 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size and t0 < N:
-            b, L = min(B, N - t0), live.size
+            L = live.size
             s0, s1 = np.searchsorted(live, [r0, r0 + Rs]).tolist()  # the live signed rows
+            b = min(max(1, _BLOCK_BYTES // ((L + s1 - s0) * n * 8)), N - t0)
             hist = np.concatenate([np.arange(L), np.arange(s0, s1)])  # the live row of each history row
             seeds, span = seed_of[live], slice(t0, t0 + b)
             Xb = np.take(X_by_time[span], seeds, axis=1)  # (b, L, n): each psi a contiguous (L, n)

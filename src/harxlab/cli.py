@@ -42,8 +42,9 @@ _FILTER_FIELDS = tuple(field for field in fields(FilterConfig) if field.name != 
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
-# the most a command may hold: a run's stacked regressors (seeds x (T - m) x n float64) and
-# kept curves, or the kept curves and their CSV texts while `simulate` renders them
+# the most a command may hold: the stacked regressors (seeds x (T - m) x n float64) and kept curves
+# of `simulate` and `sweep`, the kept curves and their CSV texts while `simulate` renders them, or
+# the inputs, the noise and one chunk of rows that `wiener` streams
 MAX_REGRESSOR_BYTES = 2**30
 # the most a curve CSV cell after a row's `iter` cell takes: %.17g, at most 24 characters, and its separator
 _CSV_CELL_BYTES = 25
@@ -209,7 +210,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
             raise section.fail(message, ignored[0])
         filters.append((name, _filter_config(given, section)))
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         experiment=exp,
         plant=plant,
         plant_ref=plant_ref,
@@ -220,13 +221,11 @@ def load_experiment_spec(path) -> ExperimentSpec:
         emit=emit,
         input_kind=input_kind,
     )
-    _check_memory(spec)
-    return spec
 
 
 def _check_memory(spec: ExperimentSpec, cfgs=()) -> int:
-    """The bytes a command would hold at most; fail on the T line if that is
-    more than MAX_REGRESSOR_BYTES.
+    """The bytes ``simulate`` or ``sweep`` would hold at most; fail on the T
+    line if that is more than MAX_REGRESSOR_BYTES.
 
     ``cfgs`` are the configs whose curves a command keeps: ``simulate`` keeps
     them only to render curve CSVs, ``sweep`` never.  While the filters run, a
@@ -245,6 +244,22 @@ def _check_memory(spec: ExperimentSpec, cfgs=()) -> int:
     render = curves * N * 8 + (csvs + 2) * (N + 1) * row + 3 * N * 32 if cfgs else 0
     if render > size:
         size, held = render, f"rendering {csvs} curve CSV(s) of {N} rows, with their {curves} curve(s),"
+    return _bounded(spec, size, held)
+
+
+def _check_stream_memory(spec: ExperimentSpec) -> int:
+    """The bytes ``wiener`` would hold at most, its T inputs, T - m noise
+    samples and one chunk of rows and their outputs; fail on the T line if
+    that is more than MAX_REGRESSOR_BYTES."""
+    N, n = spec.T - spec.plant.m, spec.plant.n
+    rows = min(N, analysis._chunk_rows(n))
+    held = f"the {spec.T} inputs, {N} noise samples and one chunk of {rows} rows of n + 1 = {n + 1} float64,"
+    return _bounded(spec, (spec.T + N + rows * (n + 1)) * 8, held)
+
+
+def _bounded(spec: ExperimentSpec, size: int, held: str) -> int:
+    """``size``, the bytes that ``held`` takes; fail on the T line if that is
+    more than MAX_REGRESSOR_BYTES."""
     if size > MAX_REGRESSOR_BYTES:
         message = f"T={spec.T} is too large: {held} would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
         raise spec.experiment.fail(message, "T")
@@ -410,6 +425,7 @@ def cmd_sweep(args) -> int:
     name, cfg = spec.filters[0]
     if param not in VARIANT_FIELDS[cfg.variant]:
         raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
+    _check_memory(spec)
     grid_fault = Section(ExperimentSpecError, "--grid")
     try:
         grid = [float(x) for x in args.grid.split(",")]
@@ -453,6 +469,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_wiener(args) -> int:
     spec = load_experiment_spec(args.spec)
+    _check_stream_memory(spec)
     with _plant_data(spec):
         est = analysis.stream_correlations(
             spec.plant, spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0])

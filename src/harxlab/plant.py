@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, HarxlabError, ScenarioError
+from .errors import BadLength, HarxlabError, ScenarioError
 
 INPUT_KINDS = ("white_gaussian", "uniform")
 
@@ -175,32 +175,20 @@ def regressor_rows(plant: HarxPlant, inputs: np.ndarray, a: int, b: int, out: np
 
 
 def generate_sequence(
-    plant: HarxPlant,
-    input_kind: str = "white_gaussian",
-    *,
-    T: int,
-    rng: np.random.Generator | None = None,
-    out: np.ndarray | None = None,
+    plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
 ) -> Dataset:
     """Simulate a length-``T`` run and return the T - m aligned pairs.
 
-    The inputs and noise are those of :func:`draw_signals`.  The regressors
-    are written into ``out`` when given, a C-contiguous float64 (T - m, n)
-    buffer, and the dataset's ``X`` is then a read-only view of it.
+    The inputs and noise are those of :func:`draw_signals`; the regressor
+    matrix is built whole and the outputs are one product with it.
     """
     inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
     N = T - plant.m
-    X = np.empty((N, plant.n)) if out is None else out
-    if X.shape != (N, plant.n) or X.dtype != np.float64 or not X.flags.c_contiguous:
-        raise DimensionMismatch(
-            f"out must be a C-contiguous float64 (T - m, n) = ({N}, {plant.n}) buffer, got {X.dtype} {X.shape}"
-        )
-    regressor_rows(plant, inputs, 0, N, X)
+    X = regressor_rows(plant, inputs, 0, N, np.empty((N, plant.n)))
     with np.errstate(over="ignore", invalid="ignore"):  # estimate_correlations reports an overflow, once
         outputs = X @ true_weight_vector(plant)
         if noise is not None:
             outputs += noise
-    X = X[...]  # a view, so a caller's buffer stays writable
     X.setflags(write=False)
     outputs.setflags(write=False)
     return Dataset(inputs=inputs, X=X, outputs=outputs)

@@ -113,6 +113,27 @@ def test_streamed_correlations_equal_the_materialized_ones_bit_for_bit(input_kin
     np.testing.assert_allclose(got.p, X.T @ data.outputs / N, rtol=1e-12)
 
 
+def test_chunks_are_a_multiple_of_8_rows():
+    for n in range(1, 21):
+        assert analysis._chunk_rows(n) % 8 == 0 and analysis._chunk_rows(n) * n * 8 <= analysis._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("m,l", [(3, 3), (2, 5), (3, 4), (3, 5)], ids=["n9", "n10", "n12", "n15"])
+def test_simulated_seeds_equal_the_materialized_dataset_byte_for_byte(m, l):
+    # a chunk's X_c @ w has the bits the whole X @ w gives its rows
+    rng = np.random.default_rng(m * l)
+    plant = HarxPlant(m=m, basis=polynomial_basis(l), q=rng.uniform(-1, 1, m), c=rng.uniform(-1, 1, l))
+    T = m + 3 * analysis._chunk_rows(plant.n) + 777  # three whole chunks and a ragged fourth
+    data, w, step = simulate_seeds(plant, T, [5, 6]), true_weight_vector(plant), analysis._chunk_rows(plant.n)
+    for s, seed in enumerate((5, 6)):
+        want = generate_sequence(plant, T=T, rng=np.random.default_rng(seed))
+        chunked = np.concatenate([want.X[a : a + step] @ w for a in range(0, len(want), step)])
+        assert chunked.tobytes() == (want.X @ w).tobytes()
+        assert data.X[s].tobytes() == want.X.tobytes()
+        assert data.outputs[s].tobytes() == want.outputs.tobytes()
+        assert data.lambda_max[s] == estimate_correlations(want).lambda_max
+
+
 def test_correlations_of_one_chunk_are_one_gram_matrix():
     plant = muscle_preset()
     T = plant.m + analysis._chunk_rows(plant.n)  # exactly one full chunk

@@ -218,9 +218,10 @@ def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
     largest = cli.MAX_REGRESSOR_BYTES // (3 * 9 * 8) + 3
     spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {largest}"))
     assert cli.load_experiment_spec(spec).T == largest  # parsing allocates no regressors
-    for T in (largest + 1, 10**12):
+    commands = (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"])
+    for T, argvs in ((largest + 1, commands[:2]), (10**12, commands)):  # `wiener` holds no regressors
         spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}"))
-        for argv in (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"]):
+        for argv in argvs:
             assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
             assert f"run.spec:3: T={T} is too large" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -232,7 +233,24 @@ ONE_FILTER = SPEC.replace("seeds = 1, 2, 3", "seeds = 1").split("[filter mom]")[
 
 
 class Reached(Exception):
-    """Raised by a mocked simulate_seeds: the command passed the memory bound."""
+    """Raised by a mocked simulation: the command passed the memory bound."""
+
+
+def test_wiener_memory_bound_counts_the_stream_exit_2_names_t_line(tmp_path, capsys):
+    # builtin:muscle (m = 3, n = 9): the stacked regressors of T = 15,000,000 would take 1.08 GB, while
+    # the stream holds the inputs and the noise, 240 MB, and one chunk of rows and outputs
+    muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle").replace("seeds = 1, 2, 3", "seeds = 1")
+    reached = mock.Mock(side_effect=Reached)
+    with mock.patch.object(analysis, "stream_correlations", reached):
+        spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 15000000"))
+        with pytest.raises(Reached):
+            cli.main(["wiener", str(spec)])
+        assert cli._check_stream_memory(cli.load_experiment_spec(spec)) == (2 * 15_000_000 - 3 + 7280 * 10) * 8
+        spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 1000000000"))
+        assert cli.main(["wiener", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "run.spec:3: T=1000000000 is too large: the 1000000000 inputs, 999999997 noise samples" in err
+    assert reached.call_count == 1
 
 
 def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, capsys):
@@ -248,7 +266,7 @@ def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, cap
         for T, emit, argv, refused in cases:
             text = ONE_FILTER.replace("T = 300", f"T = {T}").replace("emit = both", f"emit = {emit}")
             spec = write_spec(tmp_path, text, TINY_SCENARIO)
-            assert cli.load_experiment_spec(spec).T == T  # the regressors alone fit
+            assert cli.load_experiment_spec(spec).T == T  # loading a spec counts no memory
             if refused:
                 assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
                 err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harxlab.errors import BadLength, DimensionMismatch, ScenarioError
+from harxlab.errors import BadLength, ScenarioError
 from harxlab.plant import (
     HarxPlant,
     generate_sequence,
@@ -206,24 +206,14 @@ def test_generate_sequence_deterministic():
     np.testing.assert_array_equal(a.X, b.X)
 
 
-def test_generate_sequence_fills_a_callers_buffer():
+def test_generate_sequence_stacks_the_delay_blocks():
     plant = make_plant(3, 3, [0.6, -0.3, 0.1], [1.0, 0.5, -0.25], noise_std=0.3, seed=4)
-    fresh = generate_sequence(plant, T=500, rng=np.random.default_rng(8))
+    data = generate_sequence(plant, T=500, rng=np.random.default_rng(8))
     # the delay blocks are the basis of the whole input, shifted by one sample per delay
-    F = plant.basis.evaluate_many(fresh.inputs)
+    F = plant.basis.evaluate_many(data.inputs)
     blocks = np.concatenate([F[plant.m - i : 500 - i] for i in range(1, plant.m + 1)], axis=1)
-    assert fresh.X.tobytes() == blocks.tobytes()
-    buffer = np.full((2, 500 - plant.m, plant.n), np.nan)
-    data = generate_sequence(plant, T=500, rng=np.random.default_rng(8), out=buffer[1])
-    for field in ("inputs", "X", "outputs"):
-        assert getattr(data, field).tobytes() == getattr(fresh, field).tobytes()
-    assert np.shares_memory(data.X, buffer) and not data.X.flags.writeable and buffer.flags.writeable
-    assert np.isnan(buffer[0]).all()
-    bad = (np.empty((497, plant.n + 1)), np.empty((496, plant.n)), np.empty((497, plant.n), dtype=np.float32),
-           np.empty((plant.n, 497)).T)
-    for out in bad:
-        with pytest.raises(DimensionMismatch, match="C-contiguous float64"):
-            generate_sequence(plant, T=500, out=out)
+    assert data.X.tobytes() == blocks.tobytes()
+    assert not data.X.flags.writeable and not data.outputs.flags.writeable
 
 
 def test_generate_sequence_custom_samples_and_uniform():
