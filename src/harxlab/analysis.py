@@ -359,8 +359,11 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     history, (B + 2, L + Ls, n) for its L live rows of which Ls are signed,
     takes about ``_BLOCK_BYTES``, so blocks lengthen as rows stop.  Within a
     block only the recurrence runs, each step writing into work buffers made
-    once per block, so a step allocates only what ``np.vecdot`` and
-    :func:`fractional_power` return.
+    once per block, one factor buffer per factor group among them, so a step
+    allocates only what ``np.vecdot`` returns and what
+    :func:`fractional_power` takes on the way (a signed group's complex copy,
+    a norm group's norms).  A group whose guards are all 0 is passed no
+    guard, which gives the same bits and skips the floor.
     The curves are computed once per block from its history, and folded
     into each row's running summary numbers.  A row stops at its first curve
     entry that is non-finite or above 1e12: its curves end there, its final
@@ -442,25 +445,26 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             eta_err = scaled[:, 0]  # the (L,) view eta * err is written through
             grad_re, grad_im = grad[:L], grad[L:]  # the real-part rows' gradient, the imaginary rows' after it
             bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
-            scale_at = [
-                (kind, e, slice(lo, hi), guard_b[lo:hi], grad[lo:hi], grad_im[lo - s0 : hi - s0] if cplx else None)
-                for (kind, e), cplx, lo, hi in zip(groups, complex_group, bounds, bounds[1:])
-                if lo < hi
-            ]
+            scale_at = []  # per live group: its rows, guards (None if all 0), factor buffer and gradient views
+            for (kind, e), cplx, lo, hi in zip(groups, complex_group, bounds, bounds[1:]):
+                if lo < hi:
+                    g = guard_b[lo:hi]
+                    f = np.empty((hi - lo, 1 if kind == "euclidean_norm" else n), np.complex128 if cplx else None)
+                    views = (f.real, f.imag, grad_im[lo - s0 : hi - s0]) if cplx else (f, None, None)
+                    scale_at.append((kind, e, slice(lo, hi), g if g.any() else None, f, grad[lo:hi], *views))
+            subtract, multiply, add, vecdot, power = np.subtract, np.multiply, np.add, np.vecdot, fractional_power
             W_prev, W = H[0], H[1]
             for psi, d, err, re, W_new in zip(Xb, db, E, H[1:, :L], H[2:]):
-                np.subtract(d, np.vecdot(psi, re), out=err)
-                np.multiply(eta_b, err, out=eta_err)
-                np.multiply(scaled, psi, out=grad_re)
-                for kind, e, at, g, grad_at, imag_at in scale_at:
-                    f = fractional_power(kind, re[at], g, e)
-                    np.add(1.0, f, out=f)
-                    if imag_at is not None:  # a complex factor: the imaginary rows first, from the unscaled gradient
-                        np.multiply(grad_at, f.imag, out=imag_at)
-                        f = f.real
-                    np.multiply(grad_at, f, out=grad_at)
-                np.multiply(beta_b, np.subtract(W, W_prev, out=scratch), out=scratch)
-                W_prev, W = W, np.add(np.add(W, scratch, out=scratch), grad, out=W_new)
+                subtract(d, vecdot(psi, re), err)
+                multiply(eta_b, err, eta_err)
+                multiply(scaled, psi, grad_re)
+                for kind, e, at, g, f, grad_at, f_re, f_im, imag_at in scale_at:
+                    add(1.0, power(kind, re[at], g, e, f), f)
+                    if f_im is not None:  # a complex factor: the imaginary rows first, from the unscaled gradient
+                        multiply(grad_at, f_im, imag_at)
+                    multiply(grad_at, f_re, grad_at)
+                multiply(beta_b, subtract(W, W_prev, scratch), scratch)
+                W_prev, W = W, add(add(W, scratch, scratch), grad, W_new)
 
             # the block's diagnostics, from its history; Xb's buffer holds the temporaries
             m_b = np.multiply(E, E)

@@ -162,11 +162,17 @@ def predict_error(state: FilterState, reg, desired: float) -> float:
     return float(desired - psi @ np.ascontiguousarray(state.w.real))
 
 
-def fractional_power(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
+def fractional_power(
+    kind: str, re: np.ndarray, guard: np.ndarray | None, exponent: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """The factor of a (..., n) block of real weight rows sharing one kind and
     exponent; ``guard``, (..., 1) or (..., n), holds each row's
     ``epsilon_guard``.  A full-width guard spares np.maximum its broadcast;
-    the maximum is exact, so both shapes give the same bits.
+    the maximum is exact, so both shapes give the same bits.  ``guard=None``
+    floors nothing, which is what a zero guard gives bit for bit: |w_j| and
+    ||w|| are never -0.0, and NaN stays NaN either way.  With ``out``, a
+    buffer of the result's shape and dtype (complex128 for ``signed``), the
+    factor is written into it and ``out`` is returned.
 
     * ``signed``: component-wise principal-branch power of the weights, which
       is complex wherever a weight is negative.  0**(1-v) is 0 for v < 1 and
@@ -180,11 +186,18 @@ def fractional_power(kind: str, re: np.ndarray, guard: np.ndarray, exponent: flo
     float power.
     """
     if kind == "signed":
-        return np.power(re.astype(np.complex128), exponent)
+        return np.power(re.astype(np.complex128), exponent, out)
     if kind == "elementwise_abs":
-        return np.power(np.maximum(np.abs(re), guard), exponent)
-    base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[..., 0])
-    return np.reshape([b**exponent for b in base.ravel().tolist()], (*base.shape, 1))
+        base = np.abs(re, out)
+        if guard is not None:
+            np.maximum(base, guard, out=base)
+        return np.power(base, exponent, base)
+    base = np.sqrt(np.vecdot(re, re))
+    if guard is not None:
+        base = np.maximum(base, guard[..., 0])
+    out = np.empty((*base.shape, 1)) if out is None else out
+    out[..., 0].flat = [b**exponent for b in base.ravel().tolist()]
+    return out
 
 
 def fractional_factor(state: FilterState, cfg: FilterConfig) -> np.ndarray | float:

@@ -111,6 +111,35 @@ def test_mixed_batch_matches_step_oracle():
     assert diverged == len(KINDS) * len(SEEDS)
 
 
+def test_guard_skip_matches_step_oracle(monkeypatch):
+    # one block holds a group whose guards mix 0 and 0.05 beside an all-zero-guard group of each kind:
+    # the mixed group floors through its guards, each other group skips the floor
+    make = lambda variant, interp="elementwise_abs", **kw: FilterConfig(  # noqa: E731
+        variant=variant, eta=0.01, dim=PLANT.n, beta=0.2, power_interpretation=interp, **kw)
+    mixed = [make("mflms_modulus", v=0.5), make("mflms_modulus", v=0.5, epsilon_guard=0.05)]
+    zero = [make("flms_signed", v=0.75), make("mflms_modulus", v=0.75),
+            make("mflms_modulus", "euclidean_norm", v=0.75), make("lms")]
+    guards = []
+
+    def spy(kind, re, guard, e, out):
+        guards.append((kind, e, guard))
+        return fractional_power(kind, re, guard, e, out)
+
+    monkeypatch.setattr(analysis, "fractional_power", spy)
+    monkeypatch.setattr(analysis, "_BLOCK_BYTES", 1 << 30)  # the whole run in one block
+    cfgs = mixed + zero
+    batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+    for cfg, records in zip(cfgs, batch):
+        for s, rec in enumerate(records):
+            assert not assert_matches_oracle(rec, cfg, s)
+    # the guard moves the mixed group's second row away from its first
+    assert not np.array_equal(batch[0][0].mse_curve, batch[1][0].mse_curve)
+    floored = {(kind, e): guard is not None for kind, e, guard in guards}
+    assert floored == {("elementwise_abs", 0.5): True, ("signed", 0.25): False,
+                       ("elementwise_abs", 0.25): False, ("euclidean_norm", 0.25): False}
+    assert len(guards) == 4 * (T - PLANT.m)
+
+
 def test_batch_hands_out_only_read_only_arrays():
     # one mixed batch of the six kinds, on a copy of omega the test writes into afterwards
     omega = DATA.omega.copy()

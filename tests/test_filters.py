@@ -9,6 +9,7 @@ from harxlab.filters import (
     VARIANTS,
     FilterState,
     fractional_factor,
+    fractional_power,
     initial_state,
     predict_error,
     step,
@@ -106,6 +107,44 @@ def test_factor_epsilon_guard_floor():
 def test_factor_is_zero_without_a_fractional_term():
     for variant in ("lms", "momentum_lms"):
         assert fractional_factor(state_of([1.0]), cfg_of(variant, 1, v=0.5)) == 0.0
+
+
+# (L, n) rows holding NaN, +-inf, signed zeros, negatives, values below the guard and large values
+HARD_ROWS = np.array([
+    [np.nan, 1.0, -2.0],
+    [np.inf, -np.inf, 0.5],
+    [0.0, -0.0, 0.0],
+    [-3.0, 0.01, -0.001],
+    [1e300, -1e200, 1e-300],
+    [4.0, 9.0, 16.0],
+])
+
+
+@pytest.mark.parametrize("kind", ["signed", "elementwise_abs", "euclidean_norm"])
+@pytest.mark.parametrize("exponent", [0.5, 0.25, 0.0])
+def test_power_into_out_equals_the_allocating_call(kind, exponent):
+    L, n = HARD_ROWS.shape
+    shape = (L, 1 if kind == "euclidean_norm" else n)
+    zero, positive = np.zeros((L, n)), np.full((L, n), 0.05)
+    with np.errstate(all="ignore"):
+        for guard in (zero, positive, None):
+            want = fractional_power(kind, HARD_ROWS, guard, exponent)
+            buf = np.empty(shape, np.complex128 if kind == "signed" else np.float64)
+            got = fractional_power(kind, HARD_ROWS, guard, exponent, out=buf)
+            assert got is buf and got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        unguarded = fractional_power(kind, HARD_ROWS, None, exponent)
+        # no guard is a zero guard, bit for bit, NaN and the signs of zeros included
+        assert unguarded.tobytes() == fractional_power(kind, HARD_ROWS, zero, exponent).tobytes()
+        floored = fractional_power(kind, HARD_ROWS, positive, exponent)
+        base = np.abs(HARD_ROWS) if kind != "euclidean_norm" else np.sqrt(np.vecdot(HARD_ROWS, HARD_ROWS))[:, None]
+    if kind == "signed":  # the signed factor reads no guard
+        assert floored.tobytes() == unguarded.tobytes()
+        return
+    below = base < 0.05  # NaN is below nothing, and stays NaN under either guard
+    np.testing.assert_array_equal(floored[below], 0.05**exponent)
+    assert floored[~below].tobytes() == unguarded[~below].tobytes()
+    assert below.any() and (~below).any()
 
 
 # ---------------------------------------------------------------------------
