@@ -334,9 +334,10 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
 
         w' = w + momentum (w - w_prev) + eta e psi (1 + factor)
 
-    with the factor from :func:`harxlab.filters.fractional_power`, the code
-    ``step`` calls too, and no factor (0) for a config without one.  Every
-    row steps in one float64 time loop.  A row whose factor kind is
+    with the factor ``step`` takes from
+    :func:`harxlab.filters.fractional_power`, made by the same ufunc calls,
+    and no factor (0) for a config without one.  Every row steps in one
+    float64 time loop.  A row whose factor kind is
     ``signed`` keeps its weights' real and imaginary parts in two real rows,
     and its final state is the complex128 vector rebuilt exactly from them;
     every other row is real throughout, so its imaginary parts are exactly
@@ -344,9 +345,13 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     terms ``0 * x``, with x finite up to the step a row stops at.  Such a
     term can change only the sign of a zero, and that sign never reaches a
     weight: no weight is ever -0.0, as a sum is -0.0 only when both of its
-    terms are, and every weight starts at +0.0.  Inner products and norms
-    are one BLAS dot per contiguous row (``np.vecdot``), so no row's sums
-    depend on the other rows.  A record therefore equals, bit for bit, what
+    terms are, and every weight starts at +0.0.  The imaginary part f_im of a
+    signed factor scales the gradient as it is, where ``step``'s
+    ``1 + factor`` passes it through ``0.0 + f_im``.  The two differ only for
+    f_im = -0.0, which turns a finite gradient entry into a zero of the other
+    sign, and by the same argument that sign never reaches a weight either.
+    Inner products and norms are one BLAS dot per contiguous row
+    (``np.vecdot``), so no row's sums depend on the other rows.  A record therefore equals, bit for bit, what
     a loop over ``step`` gives.
 
     The R = C S rows are ordered by factor group, so that a group's live
@@ -359,11 +364,19 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     history, (B + 2, L + Ls, n) for its L live rows of which Ls are signed,
     takes about ``_BLOCK_BYTES``, so blocks lengthen as rows stop.  Within a
     block only the recurrence runs, each step writing into work buffers made
-    once per block, one factor buffer per factor group among them, so a step
-    allocates only what ``np.vecdot`` returns and what
-    :func:`fractional_power` takes on the way (a signed group's complex copy,
-    a norm group's norms).  A group whose guards are all 0 is passed no
-    guard, which gives the same bits and skips the floor.
+    once per block.  One of them, F (live factor rows, n), holds 1 + Re(factor)
+    of every factor row: each live group writes its Re(factor) into its rows,
+    and one add of 1 and one multiply then scale every factor row's gradient.
+    A signed group and an ``elementwise_abs`` group whose guards are all 0 make
+    :func:`fractional_power`'s ufunc calls themselves, bound once per block:
+    np.power of the complex copy of Re(w) into the group's complex buffer,
+    whose imaginary part scales the unscaled gradient into the imaginary rows
+    before its real part is copied into F; or np.abs and np.power in place in
+    F, with no floor, which is what a zero guard gives bit for bit.  The other
+    groups, guarded or ``euclidean_norm``, call :func:`fractional_power`, with
+    no guard where every guard is 0.  So a step allocates only what
+    ``np.vecdot`` returns, a signed group's complex copy of Re(w) and what
+    :func:`fractional_power` takes on the way (a norm group's norms).
     The curves are computed once per block from its history, and folded
     into each row's running summary numbers.  A row stops at its first curve
     entry that is non-finite or above 1e12: its curves end there, its final
@@ -445,24 +458,39 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             eta_err = scaled[:, 0]  # the (L,) view eta * err is written through
             grad_re, grad_im = grad[:L], grad[L:]  # the real-part rows' gradient, the imaginary rows' after it
             bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
-            scale_at = []  # per live group: its rows, guards (None if all 0), factor buffer and gradient views
-            for (kind, e), cplx, lo, hi in zip(groups, complex_group, bounds, bounds[1:]):
-                if lo < hi:
-                    g = guard_b[lo:hi]
-                    f = np.empty((hi - lo, 1 if kind == "euclidean_norm" else n), np.complex128 if cplx else None)
-                    views = (f.real, f.imag, grad_im[lo - s0 : hi - s0]) if cplx else (f, None, None)
-                    scale_at.append((kind, e, slice(lo, hi), g if g.any() else None, f, grad[lo:hi], *views))
-            subtract, multiply, add, vecdot, power = np.subtract, np.multiply, np.add, np.vecdot, fractional_power
+            F = np.empty((bounds[-1], n))  # 1 + Re(factor) of each live factor row, which scales its gradient
+            grad_f = grad[: bounds[-1]]
+            signed_at, abs_at, power_at = [], [], []  # per live group, by the path its factor takes
+            for (kind, e), lo, hi in zip(groups, bounds, bounds[1:]):
+                if lo == hi:
+                    continue
+                at, g = slice(lo, hi), guard_b[lo:hi]
+                if kind == "signed":
+                    f = np.empty((hi - lo, n), np.complex128)
+                    signed_at.append((at, e, f, f.real, f.imag, grad[at], grad_im[lo - s0 : hi - s0], F[at]))
+                elif kind == "elementwise_abs" and not g.any():
+                    abs_at.append((at, e, F[at]))
+                else:  # a guarded or Euclidean factor, written into F[at] or a (rows, 1) buffer
+                    f = np.empty((hi - lo, 1)) if kind == "euclidean_norm" else F[at]
+                    power_at.append((kind, at, e, g if g.any() else None, f, F[at]))
+            subtract, multiply, add, vecdot, absolute, power, complex128 = (
+                np.subtract, np.multiply, np.add, np.vecdot, np.absolute, np.power, np.complex128)
             W_prev, W = H[0], H[1]
             for psi, d, err, re, W_new in zip(Xb, db, E, H[1:, :L], H[2:]):
                 subtract(d, vecdot(psi, re), err)
                 multiply(eta_b, err, eta_err)
                 multiply(scaled, psi, grad_re)
-                for kind, e, at, g, f, grad_at, f_re, f_im, imag_at in scale_at:
-                    add(1.0, power(kind, re[at], g, e, f), f)
-                    if f_im is not None:  # a complex factor: the imaginary rows first, from the unscaled gradient
-                        multiply(grad_at, f_im, imag_at)
-                    multiply(grad_at, f_re, grad_at)
+                for at, e, f, f_re, f_im, grad_at, imag_at, F_at in signed_at:
+                    power(re[at].astype(complex128), e, f)
+                    multiply(grad_at, f_im, imag_at)  # the imaginary rows, from the unscaled gradient
+                    F_at[...] = f_re
+                for at, e, F_at in abs_at:
+                    power(absolute(re[at], F_at), e, F_at)
+                for kind, at, e, g, f, F_at in power_at:
+                    F_at[...] = fractional_power(kind, re[at], g, e, f)
+                if grad_f.size:
+                    add(1.0, F, F)
+                    multiply(grad_f, F, grad_f)
                 multiply(beta_b, subtract(W, W_prev, scratch), scratch)
                 W_prev, W = W, add(add(W, scratch, scratch), grad, W_new)
 

@@ -16,9 +16,11 @@ Four variants read one recursion, w' = w + momentum (w - w_prev) + eta e psi
 
 :func:`step` is the pure transition ``(state, config, regressor, desired) ->
 (new_state, record)``: inputs are never mutated, so a recorded sequence
-replays bit-identically.  :func:`fractional_power` is the one implementation
-of the factor, shared by :func:`step` and the batched kernel
-:func:`harxlab.analysis.run_batch`.
+replays bit-identically.  :func:`fractional_power` is the oracle's one
+implementation of the factor, which :func:`step` calls.  The batched kernel
+:func:`harxlab.analysis.run_batch` calls it for guarded and Euclidean-norm
+factors, and makes its ufunc calls itself for the signed and unguarded
+element-wise ones, so that a step spends no Python call on them.
 """
 
 from __future__ import annotations
@@ -172,7 +174,10 @@ def fractional_power(
     floors nothing, which is what a zero guard gives bit for bit: |w_j| and
     ||w|| are never -0.0, and NaN stays NaN either way.  With ``out``, a
     buffer of the result's shape and dtype (complex128 for ``signed``), the
-    factor is written into it and ``out`` is returned.
+    factor is written into it and ``out`` is returned.  :func:`step` and
+    :func:`harxlab.analysis.run_batch` call it; the kernel makes the same
+    ufunc calls itself for a ``signed`` block and an ``elementwise_abs`` block
+    with no guard.
 
     * ``signed``: component-wise principal-branch power of the weights, which
       is complex wherever a weight is negative.  0**(1-v) is 0 for v < 1 and

@@ -40,13 +40,16 @@ DIVERGING_ETA = 5.0
 
 
 def configs(variant, interp):
-    """Three configs of one kind: two with distinct v (0.5 takes np.power's sqrt
-    fast path) and one that diverges within a few steps."""
+    """Four configs of one kind: two with distinct v (0.5 takes np.power's sqrt
+    fast path), one that diverges within a few steps, and one at v = 1, whose
+    exponent 0 takes np.power's x**0 path (for a complex base, its zero-exponent
+    case)."""
     make = lambda **kw: FilterConfig(variant=variant, dim=PLANT.n, power_interpretation=interp, **kw)  # noqa: E731
     return [
         make(eta=0.01, beta=0.2, v=0.5, epsilon_guard=0.05),
         make(eta=0.02, beta=0.4, v=0.75),
         make(eta=DIVERGING_ETA, beta=0.3, v=0.9),
+        make(eta=0.01, beta=0.1, v=1.0),
     ]
 
 
@@ -113,7 +116,8 @@ def test_mixed_batch_matches_step_oracle():
 
 def test_guard_skip_matches_step_oracle(monkeypatch):
     # one block holds a group whose guards mix 0 and 0.05 beside an all-zero-guard group of each kind:
-    # the mixed group floors through its guards, each other group skips the floor
+    # the mixed group floors through its guards, each other group skips the floor; the signed and the
+    # all-zero elementwise group make fractional_power's ufunc calls themselves, with no floor
     make = lambda variant, interp="elementwise_abs", **kw: FilterConfig(  # noqa: E731
         variant=variant, eta=0.01, dim=PLANT.n, beta=0.2, power_interpretation=interp, **kw)
     mixed = [make("mflms_modulus", v=0.5), make("mflms_modulus", v=0.5, epsilon_guard=0.05)]
@@ -135,9 +139,8 @@ def test_guard_skip_matches_step_oracle(monkeypatch):
     # the guard moves the mixed group's second row away from its first
     assert not np.array_equal(batch[0][0].mse_curve, batch[1][0].mse_curve)
     floored = {(kind, e): guard is not None for kind, e, guard in guards}
-    assert floored == {("elementwise_abs", 0.5): True, ("signed", 0.25): False,
-                       ("elementwise_abs", 0.25): False, ("euclidean_norm", 0.25): False}
-    assert len(guards) == 4 * (T - PLANT.m)
+    assert floored == {("elementwise_abs", 0.5): True, ("euclidean_norm", 0.25): False}
+    assert len(guards) == 2 * (T - PLANT.m)
 
 
 def test_batch_hands_out_only_read_only_arrays():
@@ -204,7 +207,7 @@ def test_batch_composition_invariance(batch_spec):
 
 @pytest.mark.parametrize("variant,interp", KINDS)
 def test_diverged_row_freezes_at_its_stopping_step(variant, interp):
-    steady, _, diverging = configs(variant, interp)
+    steady, _, diverging, _ = configs(variant, interp)
     records = run_batch([steady, diverging], DATA.X[:2], DATA.outputs[:2], DATA.omega[:2])
     for s in range(2):
         rec = records[1][s]

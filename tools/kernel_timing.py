@@ -2,7 +2,8 @@
 
 Usage, from inside a harxlab checkout:
 
-    python3 tools/kernel_timing.py [--root DIR] [--workload W ...] [--seed N] [--repeat K]
+    python3 tools/kernel_timing.py [--root DIR [--root DIR2]] [--workload W ...] [--seed N]
+                                   [--repeat K] [--pairs P]
 
 DIR defaults to the checkout beside this script; its ``src/`` is imported and
 its ``bench/workloads.py`` read without writing bytecode, and each workload's
@@ -14,9 +15,17 @@ and the 2/lambda_max reference, without curves.  One warm-up call, then K
 timed calls of ``analysis.run_batch`` give the median, also per step (the
 longest row's iterations) and per row-step (every row's iterations summed).
 Where the batch keeps curves, the median of K renderings of all its records
-by ``analysis.run_record_csv`` is printed too.  ``wiener`` runs no filter and
-is skipped.  Run it on two checkouts to size a kernel change before the
-end-to-end benchmark does.
+by ``analysis.run_record_csv`` is printed too.  K defaults to 20 for
+``simulate`` and 200 for ``sweep``, whose 6 ms batch reads the wrong way
+round between two processes at 50 calls.  ``wiener`` runs no filter and is
+skipped.
+
+With two ``--root`` options, P pairs (default 5) of fresh processes time the
+two checkouts, each process as above on one checkout; the side that runs
+first alternates from pair to pair.  Per timing it prints each side's median
+over its processes and the median over pairs of the second side's time over
+the first's.  This sizes a kernel change before the end-to-end benchmark
+does.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -31,6 +41,7 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = {"simulate": 20, "sweep": 200}  # the default K per command
 
 
 def median_s(call, repeat: int) -> float:
@@ -52,7 +63,8 @@ def batch_of(workload, spec, data):
     return [replace(spec.filters[0][1], eta=eta) for eta in etas], False
 
 
-def time_workload(workload, seed: int, repeat: int, analysis, cli) -> list[str]:
+def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> list[str]:
+    repeat = repeat or REPEAT[workload.command]
     with tempfile.TemporaryDirectory(prefix="kernel_timing_") as tmp:
         spec = cli.load_experiment_spec(workload.write_inputs(seed, Path(tmp)))
     data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
@@ -65,39 +77,71 @@ def time_workload(workload, seed: int, repeat: int, analysis, cli) -> list[str]:
     steps, row_steps = max(iterations), sum(iterations)
     lines = [
         f"{workload.name}  run_batch  {t * 1e3:.2f} ms  rows {len(records)}  steps {steps}  "
-        f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step"
+        f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step  (median of {repeat})"
     ]
     if curves:
         t = median_s(lambda: [analysis.run_record_csv(rec) for rec in records], repeat)
-        lines.append(f"{workload.name}  run_record_csv  {t * 1e3:.2f} ms  ({len(records)} CSVs)")
+        lines.append(f"{workload.name}  run_record_csv  {t * 1e3:.2f} ms  ({len(records)} CSVs, median of {repeat})")
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=ROOT, help="the harxlab checkout to time")
-    parser.add_argument("--workload", action="append", help="a workload name; repeatable (default: all)")
-    parser.add_argument("--seed", type=int, default=1, help="the benchmark seed")
-    parser.add_argument("--repeat", type=int, default=20, help="timed calls per median")
-    args = parser.parse_args(argv)
-
+def time_in_process(root: Path, names, seed: int, repeat: int | None) -> None:
+    """Print the timings of ``names`` on the checkout at ``root``, imported into this process."""
     sys.dont_write_bytecode = True
-    sys.path.insert(0, str(args.root.resolve() / "src"))
+    sys.path.insert(0, str(root.resolve() / "src"))
     from harxlab import analysis, cli
 
-    spec = importlib.util.spec_from_file_location("bench_workloads", args.root / "bench" / "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
     spec.loader.exec_module(module)
-    names = args.workload or list(module.WORKLOADS)
-    print(f"harxlab from {Path(analysis.__file__).parent}, seed {args.seed}, median of {args.repeat}")
-    for name in names:
+    print(f"harxlab from {Path(analysis.__file__).parent}, seed {seed}")
+    for name in names or list(module.WORKLOADS):
         workload = module.WORKLOADS[name]
         if workload.command == "wiener":
             print(f"{name}  runs no filter")
             continue
-        for line in time_workload(workload, args.seed, args.repeat, analysis, cli):
+        for line in time_workload(workload, seed, repeat, analysis, cli):
             print(line)
+
+
+def time_pairs(roots, names, seed: int, repeat: int | None, pairs: int) -> None:
+    """Time the two checkouts ``roots`` in ``pairs`` alternating pairs of fresh processes."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed)]
+    argv += [arg for name in names or () for arg in ("--workload", name)]
+    argv += ["--repeat", str(repeat)] if repeat else []
+    times = [{}, {}]  # per side: (workload, timing) -> the milliseconds of each of its processes
+    for k in range(pairs):
+        for i in (0, 1) if k % 2 == 0 else (1, 0):
+            out = subprocess.run([*argv, "--root", str(roots[i])], check=True, capture_output=True, text=True)
+            for line in out.stdout.splitlines()[1:]:
+                workload, timing, ms = line.split()[:3]
+                if timing in ("run_batch", "run_record_csv"):  # not "runs no filter"
+                    times[i].setdefault((workload, timing), []).append(float(ms))
+    print(f"A = {roots[0]}\nB = {roots[1]}\n{pairs} pairs, seed {seed}")
+    for key, a in times[0].items():
+        b = times[1][key]
+        ratio = statistics.median(y / x for x, y in zip(a, b))
+        print(f"{key[0]}  {key[1]}  A {statistics.median(a):.2f} ms  B {statistics.median(b):.2f} ms  "
+              f"B/A {ratio:.4f}  (B faster in {sum(y < x for x, y in zip(a, b))} of {pairs})")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, action="append",
+                        help="a harxlab checkout to time; give two to compare them (default: this one)")
+    parser.add_argument("--workload", action="append", help="a workload name; repeatable (default: all)")
+    parser.add_argument("--seed", type=int, default=1, help="the benchmark seed")
+    parser.add_argument("--repeat", type=int, help="timed calls per median (default: 20, 200 for sweep)")
+    parser.add_argument("--pairs", type=int, default=5, help="process pairs with two --root options")
+    args = parser.parse_args(argv)
+    roots = args.root or [ROOT]
+    if len(roots) > 2:
+        parser.error("at most two --root options")
+    if len(roots) == 2:
+        time_pairs(roots, args.workload, args.seed, args.repeat, args.pairs)
+    else:
+        time_in_process(roots[0], args.workload, args.seed, args.repeat)
     return 0
 
 
