@@ -366,16 +366,23 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     block only the recurrence runs, each step writing into work buffers made
     once per block.  One of them, F (live factor rows, n), holds 1 + Re(factor)
     of every factor row: each live group writes its Re(factor) into its rows,
-    and one add of 1 and one multiply then scale every factor row's gradient.
-    A signed group and an ``elementwise_abs`` group whose guards are all 0 make
-    :func:`fractional_power`'s ufunc calls themselves, bound once per block:
-    np.power of the complex copy of Re(w) into the group's complex buffer,
-    whose imaginary part scales the unscaled gradient into the imaginary rows
-    before its real part is copied into F; or np.abs and np.power in place in
-    F, with no floor, which is what a zero guard gives bit for bit.  The other
-    groups, guarded or ``euclidean_norm``, call :func:`fractional_power`, with
-    no guard where every guard is 0.  So a step allocates only what
-    ``np.vecdot`` returns, a signed group's complex copy of Re(w) and what
+    and one add of a buffer of ones (F + 1 is 1 + F, with no Python float
+    converted per call) and one multiply then scale every factor row's
+    gradient.  A signed group and an ``elementwise_abs`` group whose guards are
+    all 0 make :func:`fractional_power`'s ufunc calls themselves, bound once
+    per block, each exponent a 0-d array made once per block: complex128 for a
+    signed group, as np.power would cast a float64 one at every call, float64
+    otherwise.  It holds the value np.power converts the Python float to, so
+    np.power keeps its scalar paths (sqrt for 0.5) and gives the same bits.  A
+    signed group copies Re(w) into the real part of its complex input buffer,
+    whose imaginary part stays +0.0 as ``astype(complex128)`` makes it, and
+    np.power writes into its complex output buffer, whose imaginary part
+    scales the unscaled gradient into the imaginary rows before its real part
+    is copied into F.  An all-zero-guard ``elementwise_abs`` group makes np.abs
+    and np.power in place in F, with no floor, which is what a zero guard
+    gives bit for bit.  The other groups, guarded or ``euclidean_norm``, call
+    :func:`fractional_power`, with no guard where every guard is 0.  So a step
+    allocates only what ``np.vecdot`` returns and what
     :func:`fractional_power` takes on the way (a norm group's norms).
     The curves are computed once per block from its history, and folded
     into each row's running summary numbers.  A row stops at its first curve
@@ -459,29 +466,32 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             grad_re, grad_im = grad[:L], grad[L:]  # the real-part rows' gradient, the imaginary rows' after it
             bounds = np.searchsorted(group_of[live], np.arange(len(groups) + 1)).tolist()
             F = np.empty((bounds[-1], n))  # 1 + Re(factor) of each live factor row, which scales its gradient
+            one = np.ones_like(F)  # the 1 added to Re(factor), as a buffer: no float converted per step
             grad_f = grad[: bounds[-1]]
             signed_at, abs_at, power_at = [], [], []  # per live group, by the path its factor takes
             for (kind, e), lo, hi in zip(groups, bounds, bounds[1:]):
                 if lo == hi:
                     continue
                 at, g = slice(lo, hi), guard_b[lo:hi]
-                if kind == "signed":
-                    f = np.empty((hi - lo, n), np.complex128)
-                    signed_at.append((at, e, f, f.real, f.imag, grad[at], grad_im[lo - s0 : hi - s0], F[at]))
+                if kind == "signed":  # Re(w) goes into z's real part; its imaginary part stays +0.0
+                    z, f = np.zeros((2, hi - lo, n), np.complex128)
+                    signed_at.append((at, z.real, z, np.array(e, np.complex128), f, f.real, f.imag, grad[at],
+                                      grad_im[lo - s0 : hi - s0], F[at]))
                 elif kind == "elementwise_abs" and not g.any():
-                    abs_at.append((at, e, F[at]))
+                    abs_at.append((at, np.array(e), F[at]))
                 else:  # a guarded or Euclidean factor, written into F[at] or a (rows, 1) buffer
                     f = np.empty((hi - lo, 1)) if kind == "euclidean_norm" else F[at]
                     power_at.append((kind, at, e, g if g.any() else None, f, F[at]))
-            subtract, multiply, add, vecdot, absolute, power, complex128 = (
-                np.subtract, np.multiply, np.add, np.vecdot, np.absolute, np.power, np.complex128)
+            subtract, multiply, add, vecdot, absolute, power = (
+                np.subtract, np.multiply, np.add, np.vecdot, np.absolute, np.power)
             W_prev, W = H[0], H[1]
             for psi, d, err, re, W_new in zip(Xb, db, E, H[1:, :L], H[2:]):
                 subtract(d, vecdot(psi, re), err)
                 multiply(eta_b, err, eta_err)
                 multiply(scaled, psi, grad_re)
-                for at, e, f, f_re, f_im, grad_at, imag_at, F_at in signed_at:
-                    power(re[at].astype(complex128), e, f)
+                for at, z_re, z, e, f, f_re, f_im, grad_at, imag_at, F_at in signed_at:
+                    z_re[...] = re[at]
+                    power(z, e, f)
                     multiply(grad_at, f_im, imag_at)  # the imaginary rows, from the unscaled gradient
                     F_at[...] = f_re
                 for at, e, F_at in abs_at:
@@ -489,7 +499,7 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
                 for kind, at, e, g, f, F_at in power_at:
                     F_at[...] = fractional_power(kind, re[at], g, e, f)
                 if grad_f.size:
-                    add(1.0, F, F)
+                    add(F, one, F)
                     multiply(grad_f, F, grad_f)
                 multiply(beta_b, subtract(W, W_prev, scratch), scratch)
                 W_prev, W = W, add(add(W, scratch, scratch), grad, W_new)

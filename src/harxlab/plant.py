@@ -124,9 +124,10 @@ def true_weight_vector(plant: HarxPlant) -> np.ndarray:
     """Kronecker interleaving of taps and coefficients.
 
     Element (i-1)*l + (k-1) equals q_i * c_k, matching the block-by-delay
-    regressor layout.
+    regressor layout: the raveled outer product, each entry the one product
+    ``np.kron`` makes too, in a fraction of its time.
     """
-    return np.kron(plant.q, plant.c)
+    return np.outer(plant.q, plant.c).ravel()
 
 
 def draw_signals(

@@ -160,6 +160,11 @@ def test_run_experiment_is_a_batch_of_one():
     # a signed row alone: its complex state rebuilt from its two real rows, byte for byte
     cfg = configs("flms_signed", "elementwise_abs")[0]
     assert_matches_oracle(run_experiment(PLANT, cfg, T, SEEDS[2]), cfg, 2)
+    # an unguarded v = 0.5 row alone, with no guarded row to join: the inline abs path at np.power's sqrt case;
+    # on this seed an exponent that skips the sqrt path moves the row's bits (most 1-ulp changes of the
+    # factor vanish in 1 + factor)
+    cfg = FilterConfig(variant="mflms_modulus", eta=0.03, dim=PLANT.n, beta=0.2, v=0.5)
+    assert_matches_oracle(run_experiment(PLANT, cfg, T, SEEDS[3]), cfg, 3)
 
 
 POOL = [cfg for variant, interp in KINDS for cfg in configs(variant, interp)]
@@ -340,6 +345,9 @@ def test_power_takes_each_rows_exponent_as_a_scalar():
         assert groups == [(interp, 0.25), (interp, 0.5)] and group_of.tolist() == [1, 0, 1]
     base = np.abs(base)
     assert np.any(np.power(base, 0.5) != np.power(base, np.full((3, 1, 1), 0.5)))  # the fast path exists
+    assert np.power(base, np.array(0.5)).tobytes() == np.power(base, 0.5).tobytes()  # a 0-d exponent keeps it
+    z = (base - 1.0).astype(np.complex128)  # and so does a signed group's complex one, on negative bases too
+    assert np.power(z, np.array(0.5, np.complex128)).tobytes() == np.power(z, 0.5).tobytes()
 
 
 def test_run_batch_rejects_bad_shapes():

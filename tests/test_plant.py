@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,17 @@ def test_true_weights_direct_substitution():
     np.testing.assert_array_equal(
         true_weight_vector(make_plant(2, 2, [2.0, 3.0], [1.0, -1.0])), [2.0, -2.0, 3.0, -3.0]
     )
+    # the bits of np.kron, on magnitudes 1e-200 to 1e200 whose products underflow or overflow to inf
+    # (which no HarxPlant accepts, so the taps go in bare)
+    rng = np.random.default_rng(5)
+    overflowed = 0
+    for _ in range(500):
+        q, c = (rng.standard_normal(size) * 10.0 ** rng.integers(-200, 201, size) for size in rng.integers(1, 6, 2))
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = true_weight_vector(SimpleNamespace(q=q, c=c)), np.kron(q, c)
+        assert got.tobytes() == want.tobytes()
+        overflowed += np.isinf(want).any()
+    assert overflowed > 10
 
 
 def test_true_weights_scalar_product():

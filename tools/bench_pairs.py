@@ -13,8 +13,13 @@ PYTHONDONTWRITEBYTECODE=1; the side that runs first alternates from pair to
 pair.  Per end-to-end metric of BENCHMARK.json the result holds each side's
 median, quartiles and runs, the pairs the change won (ties count for
 neither), the change of the median in percent, and the parent's
-interquartile range.  It is printed as JSON, and with ``--out`` it is also
+interquartile range, read over the pairs in which both runs are correct
+and report every metric: a pair with a failed run (say, a seed whose
+reference check fails) stays in the record's ``correct`` and ``failed``
+fields and in its ``incomplete_seeds``, but not in the metrics.  It is printed as JSON, and with ``--out`` it is also
 put into FILE's ``results`` list, replacing an earlier entry of the workload.
+After the JSON, one line per metric on standard error gives both medians,
+the change in percent, the pairs won and the parent's IQR.
 """
 
 from __future__ import annotations
@@ -99,6 +104,8 @@ def main(argv=None) -> int:
                       + ", ".join(f"{m} {v:.6g}" for m, v in values.items()), file=sys.stderr)
 
     every = runs["parent"] + runs["change"]
+    complete = [k for k in range(args.pairs)
+                if all(runs[s][k]["correct"] and set(better) <= set(runs[s][k]["metrics"]) for s in runs)]
     entry = {
         "workload": args.workload,
         "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
@@ -106,13 +113,20 @@ def main(argv=None) -> int:
         "correct": all(r["correct"] for r in every),
         "failed": sum(r["failed"] for r in every),
         "attempted": sum(r["attempted"] for r in every),
+        "incomplete_seeds": [args.seed0 + k for k in range(args.pairs) if k not in complete],
         "metrics": {
-            name: compare(*([r["metrics"][name]["value"] for r in runs[s]] for s in ("parent", "change")), how)
+            name: compare(*([runs[s][k]["metrics"][name]["value"] for k in complete] for s in ("parent", "change")),
+                          how)
             for name, how in better.items()
-            if all(name in r["metrics"] for r in every)
+            if complete
         },
     }
     print(json.dumps(entry, indent=1))
+    for name, m in entry["metrics"].items():
+        pct = "n/a" if m["median_change_pct"] is None else f"{m['median_change_pct']:+.2f}%"
+        print(f"{args.workload} {name}: parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} "
+              f"({pct}), change better in {m['change_better_pairs']} of {len(complete)} pairs, "
+              f"parent IQR {m['parent_iqr']:.6g}", file=sys.stderr)
     if args.out:
         out = Path(args.out)
         doc = json.loads(out.read_text("utf-8")) if out.exists() else {

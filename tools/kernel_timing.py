@@ -15,10 +15,11 @@ and the 2/lambda_max reference, without curves.  One warm-up call, then K
 timed calls of ``analysis.run_batch`` give the median, also per step (the
 longest row's iterations) and per row-step (every row's iterations summed).
 Where the batch keeps curves, the median of K renderings of all its records
-by ``analysis.run_record_csv`` is printed too.  K defaults to 20 for
-``simulate`` and 200 for ``sweep``, whose 6 ms batch reads the wrong way
-round between two processes at 50 calls.  ``wiener`` runs no filter and is
-skipped.
+by ``analysis.run_record_csv`` is printed too, each from an empty template
+cache, so that it counts the templates a fresh ``simulate`` builds.  K
+defaults to 20 for ``simulate`` and 200 for ``sweep``, whose 6 ms batch reads
+the wrong way round between two processes at 50 calls.  ``wiener`` runs no
+filter and is skipped.
 
 With two ``--root`` options, P pairs (default 5) of fresh processes time the
 two checkouts, each process as above on one checkout; the side that runs
@@ -80,7 +81,11 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
         f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step  (median of {repeat})"
     ]
     if curves:
-        t = median_s(lambda: [analysis.run_record_csv(rec) for rec in records], repeat)
+        def render():
+            analysis._csv_template.cache_clear()
+            return [analysis.run_record_csv(rec) for rec in records]
+
+        t = median_s(render, repeat)
         lines.append(f"{workload.name}  run_record_csv  {t * 1e3:.2f} ms  ({len(records)} CSVs, median of {repeat})")
     return lines
 
