@@ -45,10 +45,13 @@ _CHUNK_BYTES = 512 * 1024
 class CorrelationEstimate:
     """Empirical R = E[psi psi^T] and p = E[psi s], with the spectrum of R.
 
-    Eigenvalues are sorted descending; tiny negatives (down to -1e-10 *
-    lambda_max) are tolerated as sampling/roundoff noise on a PSD matrix, and
-    R must be symmetric to within 1e-12 * max|R|.  The estimate owns copies
-    of its arrays and freezes them.
+    After the shapes are checked, R and p must be finite (else
+    DataOverflow) and R symmetric to within 1e-12 * max|R|.  Eigenvalues
+    are sorted descending; tiny negatives (down to -1e-10 * lambda_max) are
+    tolerated as sampling/roundoff noise on a PSD matrix.  These are the
+    checks :func:`_checked` makes for every seed of :func:`simulate_seeds`,
+    made in this order, on a stack of one.  The estimate owns copies of its
+    arrays and freezes them.
     """
 
     R: np.ndarray
@@ -57,50 +60,92 @@ class CorrelationEstimate:
     sample_count: int
 
     def __post_init__(self):
-        R = np.array(self.R, dtype=np.float64)
-        p = np.array(self.p, dtype=np.float64)
-        eig = np.array(self.eigenvalues, dtype=np.float64)
+        R, p, eig = (np.array(arr, dtype=np.float64) for arr in (self.R, self.p, self.eigenvalues))
         for arr, name in ((R, "R"), (p, "p"), (eig, "eigenvalues")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        n = p.shape[0]
-        if R.shape != (n, n) or eig.shape != (n,):
+        if p.ndim != 1 or R.shape != p.shape * 2 or eig.shape != p.shape:  # p (n,), R (n, n), eig (n,)
             raise DimensionMismatch(f"inconsistent estimate shapes: R {R.shape}, p {p.shape}, eig {eig.shape}")
-        if float(np.max(np.abs(R - R.T))) > _SYMMETRY_RTOL * float(np.max(np.abs(R))):
-            raise ValueError("R must be symmetric to within 1e-12 * max|R|")
-        if np.any(np.diff(eig) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        if float(eig[-1]) < -_PSD_RTOL * max(float(eig[0]), 0.0):
-            raise ValueError(f"R is not PSD up to tolerance: min eigenvalue {eig[-1]}, lambda_max {eig[0]}")
+        _checked(R[None], p[None], eig[None])
 
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[0])
 
 
-def _correlations(chunks, N: int) -> CorrelationEstimate:
-    """R and p of N rows that arrive as (rows, outputs) chunks, in row order.
+def _checked(R, p, eig, ridge=None):
+    """Check the correlations of S runs, stacked as R (S, n, n), p (S, n) and
+    the eigenvalues of R (S, n), and with a ridge solve (R + ridge I) omega
+    = p for each.
 
-    The chunks' sums X_c^T X_c and X_c^T s_c are added up in arrival order,
-    the first taken as it is, so a single chunk gives exactly one
-    ``X.T @ X``.  Every chunk is produced and summed under one errstate: an
-    overflow is reported once, after the last chunk, as DataOverflow.
+    Every run gets the checks of one run, in this order: R and p finite; R
+    symmetric; the eigenvalues sorted descending; R PSD up to tolerance; and
+    with a ridge, R + ridge I not singular.  The first run that fails a
+    check raises the first check it fails, as if each run were checked
+    alone, one after another: a singular run raises before a later run that
+    overflows.  One ``solve`` call takes the whole stack, and numpy's linalg
+    calls LAPACK once per matrix, so each run's omega has the bits it has
+    alone.  Returns omega (S, n), or None without a ridge.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = cross = None
-        for Xc, yc in chunks:
-            if gram is None:
-                gram, cross = Xc.T @ Xc, Xc.T @ yc
-            else:
-                gram += Xc.T @ Xc
-                cross += Xc.T @ yc
+        lo, hi = eig[:, -1], eig[:, 0]
+        checks = [  # (which runs fail, the error, its message), in the order the checks are made
+            (~(np.isfinite(R).all(axis=(1, 2)) & np.isfinite(p).all(axis=1)), DataOverflow,
+             "R or p is not finite: the data overflow float64"),
+            (np.abs(R - R.transpose(0, 2, 1)).max(axis=(1, 2)) > _SYMMETRY_RTOL * np.abs(R).max(axis=(1, 2)),
+             ValueError, "R must be symmetric to within 1e-12 * max|R|"),
+            ((eig[:, 1:] > eig[:, :-1]).any(axis=1), ValueError, "eigenvalues must be sorted descending"),
+            (lo < -_PSD_RTOL * np.maximum(hi, 0.0), ValueError,
+             "R is not PSD up to tolerance: min eigenvalue {lo}, lambda_max {hi}"),
+        ]
+        if ridge is not None:
+            checks.append((lo + ridge <= _SINGULAR_RTOL * (hi + ridge), SingularCorrelation, "smallest eigenvalue "
+                           "{lo:.3e} + ridge {ridge:.3e} is not above 1e-12 * (lambda_max {hi:.3e} + ridge)"))
+        failed = np.array([fails for fails, _, _ in checks])  # (checks, S)
+        if failed.any():
+            s, check = np.argwhere(failed.T)[0]  # the first run that fails, and the first check it fails
+            _, error, message = checks[check]
+            raise error(message.format(lo=lo[s], hi=hi[s], ridge=ridge))
+        return None if ridge is None else np.linalg.solve(R + ridge * np.eye(R.shape[-1]), p[..., None])[..., 0]
+
+
+def _correlations(runs, N: int):
+    """R, p and the eigenvalues of R, stacked over ``runs``, each an iterable
+    of the (rows, outputs) chunks of N rows, in row order.
+
+    A run's chunk sums X_c^T X_c and X_c^T s_c are added up in arrival
+    order, the first taken as it is, so a single chunk gives exactly one
+    ``X.T @ X``; each run's chunks are produced and summed before the next
+    run's.  R = X^T X / N is made exactly symmetric despite BLAS rounding,
+    and p = X^T s / N.  Every chunk is produced and summed under one
+    errstate: an overflow stays in R or p, for :func:`_checked` to report.
+    One ``eigvalsh`` call takes the whole stack, each matrix's eigenvalues
+    with the bits they have alone; it sees a zero matrix in place of a
+    non-finite R, which never gets past :func:`_checked`.
+    """
+    sums = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunks in runs:
+            gram = cross = None
+            for Xc, yc in chunks:
+                if gram is None:
+                    gram, cross = Xc.T @ Xc, Xc.T @ yc
+                else:
+                    gram += Xc.T @ Xc
+                    cross += Xc.T @ yc
+            sums.append((gram, cross))
+        gram, cross = map(np.array, zip(*sums))
         R = gram / N
-        R = 0.5 * (R + R.T)  # exact symmetry despite BLAS rounding
-        p = cross / N
-    if not (np.isfinite(R).all() and np.isfinite(p).all()):
-        raise DataOverflow("R or p is not finite: the data overflow float64")
-    eig = np.linalg.eigvalsh(R)[::-1]
-    return CorrelationEstimate(R=R, p=p, eigenvalues=eig, sample_count=N)
+        R = 0.5 * (R + R.transpose(0, 2, 1))
+        # descending, copied to be contiguous: an operand with negative strides takes buffered-iteration scratch
+        eig = np.linalg.eigvalsh(np.where(np.isfinite(R).all(axis=(1, 2))[:, None, None], R, 0.0))[:, ::-1].copy()
+        return R, cross / N, eig
+
+
+def _estimate(chunks, N: int) -> CorrelationEstimate:
+    """The checked estimate of one run's N rows, which arrive as ``chunks``."""
+    R, p, eig = _correlations([chunks], N)
+    return CorrelationEstimate(R=R[0], p=p[0], eigenvalues=eig[0], sample_count=N)
 
 
 def _chunk_rows(n: int) -> int:
@@ -117,36 +162,31 @@ def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
         raise EmptyDataset("cannot estimate correlations from zero samples")
     X, y = dataset.X, np.asarray(dataset.outputs, dtype=np.float64)
     N, step = X.shape[0], _chunk_rows(X.shape[1])
-    return _correlations(((X[a : a + step], y[a : a + step]) for a in range(0, N, step)), N)
+    return _estimate(((X[a : a + step], y[a : a + step]) for a in range(0, N, step)), N)
 
 
-def _simulate(plant: HarxPlant, input_kind: str, T: int, rng, X=None, outputs=None) -> CorrelationEstimate:
-    """The correlations of a length-``T`` run, from one pass over its rows.
+def _simulate(plant: HarxPlant, input_kind: str, T: int, rng, X=None, outputs=None):
+    """Yield the (rows, outputs) chunks of a length-``T`` run, for :func:`_correlations`.
 
-    Each ``_CHUNK_BYTES`` of regressor rows is built, and its outputs and sums
-    are taken while it is in cache.  The rows and outputs go into ``X``
-    (T - m, n) and ``outputs`` (T - m,) when given, else into one reused
-    chunk buffer each; only the inputs and the noise are held whole.  The
-    result, and what fills ``X`` and ``outputs``, equal, bit for bit,
-    ``estimate_correlations`` of :func:`harxlab.plant.generate_sequence`.
+    Its inputs and noise are drawn, and held whole, when the first chunk is
+    asked for.  Each ``_CHUNK_BYTES`` of regressor rows is then built and
+    its outputs taken, for their sums to be taken while they are in cache.
+    The rows and outputs go into ``X`` (T - m, n) and ``outputs`` (T - m,)
+    when given, else into one reused chunk buffer each.  They equal, bit
+    for bit, those :func:`harxlab.plant.generate_sequence` gives.
     """
     inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
     N, w, step = T - plant.m, true_weight_vector(plant), _chunk_rows(plant.n)
-    kept = X is not None
-    if not kept:
+    if X is None:
         X, outputs = np.empty((min(N, step), plant.n)), np.empty(min(N, step))
-
-    def chunks():
-        for a in range(0, N, step):
-            b = min(a + step, N)
-            rows = slice(a, b) if kept else slice(0, b - a)
-            Xc = regressor_rows(plant, inputs, a, b, X[rows])
-            yc = np.matmul(Xc, w, out=outputs[rows])
-            if noise is not None:
-                yc += noise[a:b]
-            yield Xc, yc
-
-    return _correlations(chunks(), N)
+    for a in range(0, N, step):
+        b = min(a + step, N)
+        rows = slice(a, b) if len(X) == N else slice(0, b - a)  # a chunk buffer takes each chunk at its top
+        Xc = regressor_rows(plant, inputs, a, b, X[rows])
+        yc = np.matmul(Xc, w, out=outputs[rows])
+        if noise is not None:
+            yc += noise[a:b]
+        yield Xc, yc
 
 
 def stream_correlations(
@@ -155,7 +195,7 @@ def stream_correlations(
     """``estimate_correlations(generate_sequence(plant, input_kind, T=T, rng=rng))``,
     bit for bit, without the (T - m, n) regressor matrix: the rows pass
     through one reused chunk buffer."""
-    return _simulate(plant, input_kind, T, rng)
+    return _estimate(_simulate(plant, input_kind, T, rng), T - plant.m)
 
 
 def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
@@ -164,18 +204,14 @@ def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
     No silent regularization: with the default ridge of zero a rank-deficient
     R raises SingularCorrelation instead of returning a least-norm answer.
     R + ridge I counts as singular when its smallest eigenvalue is not above
-    1e-12 times its largest.
+    1e-12 times its largest.  The estimate goes through :func:`_checked`, the
+    checks :func:`simulate_seeds` makes for every seed, as a stack of one:
+    the estimate's own checks (which it passed when it was made) come first,
+    then the singularity check, then one ``solve``.
     """
     if not 0.0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    lowest, highest = float(est.eigenvalues[-1]) + ridge, est.lambda_max + ridge
-    if lowest <= _SINGULAR_RTOL * highest:
-        raise SingularCorrelation(
-            f"smallest eigenvalue {est.eigenvalues[-1]:.3e} + ridge {ridge:.3e} is not above "
-            f"1e-12 * (lambda_max {est.lambda_max:.3e} + ridge)"
-        )
-    n = est.p.shape[0]
-    return np.linalg.solve(est.R + ridge * np.eye(n), est.p)
+    return _checked(est.R[None], est.p[None], est.eigenvalues[None], ridge)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +263,18 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     """Simulate each seed's dataset once and solve its Wiener reference.
 
     One pass of the chunk loop of :func:`stream_correlations` per seed fills
-    the seed's rows and outputs and sums its correlations.  The seed drives
+    the seed's rows and outputs and sums its correlations; its inputs and
+    noise are drawn for that pass and dropped after it.  The seed drives
     the input and noise streams, so a seed's data is the same whichever
-    other seeds it is simulated with.
+    other seeds it is simulated with.  After the last seed, one stacked
+    pass scales R and p, takes one ``eigvalsh`` of the (S, n, n) stack
+    (:func:`_correlations`), makes the checks of ``CorrelationEstimate`` and
+    ``wiener_solution`` (ridge 0) and one ``solve`` (:func:`_checked`).
+    Every seed's ``omega`` and ``lambda_max`` have the bits
+    ``wiener_solution`` and ``estimate_correlations`` give that seed alone,
+    and an error is the one the seeds would raise checked one by one: the
+    first seed that fails a check raises the first check it fails
+    (finite, symmetric, sorted, PSD, singular).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -237,12 +282,10 @@ def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gau
     # one copy of every seed's rows, each seed's filled in place; T <= m fails in draw_signals
     X = np.empty((len(seeds), max(T - plant.m, 0), plant.n))
     outputs = np.empty(X.shape[:2])
-    omega, lam = [], []
-    for s, seed in enumerate(seeds):
-        est = _simulate(plant, input_kind, T, np.random.default_rng(seed), X[s], outputs[s])
-        omega.append(wiener_solution(est, ridge=0.0))
-        lam.append(est.lambda_max)
-    return SeedData(X=X, outputs=outputs, omega=np.stack(omega), lambda_max=np.array(lam))
+    runs = (_simulate(plant, input_kind, T, np.random.default_rng(seed), X[s], outputs[s])
+            for s, seed in enumerate(seeds))
+    R, p, eig = _correlations(runs, X.shape[1])
+    return SeedData(X=X, outputs=outputs, omega=_checked(R, p, eig, ridge=0.0), lambda_max=eig[:, 0])
 
 
 def _factor_groups(cfgs) -> tuple[list[tuple[str, float]], np.ndarray]:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from harxlab.analysis import (
     sweep_cells,
     wiener_solution,
 )
-from harxlab.errors import DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
+from harxlab.errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
 from harxlab.filters import FilterConfig, initial_state
 from harxlab.plant import (
     INPUT_KINDS, Dataset, HarxPlant, generate_sequence, muscle_preset, polynomial_basis, true_weight_vector,
@@ -118,20 +119,24 @@ def test_chunks_are_a_multiple_of_8_rows():
         assert analysis._chunk_rows(n) % 8 == 0 and analysis._chunk_rows(n) * n * 8 <= analysis._CHUNK_BYTES
 
 
-@pytest.mark.parametrize("m,l", [(3, 3), (2, 5), (3, 4), (3, 5)], ids=["n9", "n10", "n12", "n15"])
-def test_simulated_seeds_equal_the_materialized_dataset_byte_for_byte(m, l):
+@pytest.mark.parametrize("m,l,T,seeds", [
+    (3, 3, None, (5, 6)), (2, 5, None, (5, 6)), (3, 4, None, (5, 6)), (3, 5, None, (5, 6)), (3, 3, 300, range(25)),
+], ids=["n9", "n10", "n12", "n15", "n9-T300-25seeds"])
+def test_simulated_seeds_equal_the_materialized_dataset_byte_for_byte(m, l, T, seeds):
     # a chunk's X_c @ w has the bits the whole X @ w gives its rows
     rng = np.random.default_rng(m * l)
     plant = HarxPlant(m=m, basis=polynomial_basis(l), q=rng.uniform(-1, 1, m), c=rng.uniform(-1, 1, l))
-    T = m + 3 * analysis._chunk_rows(plant.n) + 777  # three whole chunks and a ragged fourth
-    data, w, step = simulate_seeds(plant, T, [5, 6]), true_weight_vector(plant), analysis._chunk_rows(plant.n)
-    for s, seed in enumerate((5, 6)):
+    T = T or m + 3 * analysis._chunk_rows(plant.n) + 777  # by default three whole chunks and a ragged fourth
+    data, w, step = simulate_seeds(plant, T, seeds), true_weight_vector(plant), analysis._chunk_rows(plant.n)
+    for s, seed in enumerate(seeds):
         want = generate_sequence(plant, T=T, rng=np.random.default_rng(seed))
         chunked = np.concatenate([want.X[a : a + step] @ w for a in range(0, len(want), step)])
         assert chunked.tobytes() == (want.X @ w).tobytes()
         assert data.X[s].tobytes() == want.X.tobytes()
         assert data.outputs[s].tobytes() == want.outputs.tobytes()
-        assert data.lambda_max[s] == estimate_correlations(want).lambda_max
+        est = estimate_correlations(want)
+        assert data.lambda_max[s].tobytes() == np.float64(est.lambda_max).tobytes()
+        assert data.omega[s].tobytes() == wiener_solution(est).tobytes()
 
 
 def test_correlations_of_one_chunk_are_one_gram_matrix():
@@ -158,6 +163,12 @@ def test_correlation_estimate_checks_its_fields(R, eigenvalues, error, match):
 
 # ---------------------------------------------------------------------------
 # wiener_solution
+
+
+def test_correlation_estimate_takes_p_as_a_vector():
+    for p in (np.zeros((2, 1)), np.float64(0.0)):
+        with pytest.raises(DimensionMismatch, match="inconsistent estimate shapes"):
+            CorrelationEstimate(R=np.eye(2), p=p, eigenvalues=np.ones(2), sample_count=1)
 
 
 def test_correlation_estimate_keeps_frozen_copies_of_the_callers_arrays():
@@ -238,6 +249,24 @@ def test_simulate_seeds_holds_one_copy_of_the_regressors():
         assert np.array_equal(data.X[s], alone.X) and np.array_equal(data.outputs[s], alone.outputs)
     with pytest.raises(ValueError, match="at least one seed is required"):
         simulate_seeds(plant, 200, [])
+
+
+def test_simulate_seeds_raises_the_first_failing_seeds_first_failing_check():
+    # r, r^2, ..., r^300 of one Gaussian input: R holds r^600, which overflows for |r| above about 3.26;
+    # seed 1 draws such an r, seed 2 does not, and its R is singular
+    plant = HarxPlant(m=1, basis=polynomial_basis(300), q=np.array([1.0]), c=np.full(300, 1e-300))
+    singular, overflowing, T = 2, 1, 2000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataOverflow):
+            stream_correlations(plant, T=T, rng=np.random.default_rng(overflowing))
+        with pytest.raises(SingularCorrelation) as alone:
+            wiener_solution(stream_correlations(plant, T=T, rng=np.random.default_rng(singular)))
+        with pytest.raises(SingularCorrelation) as first:
+            simulate_seeds(plant, T, [singular, overflowing])
+        assert str(first.value) == str(alone.value)
+        with pytest.raises(DataOverflow, match="R or p is not finite"):
+            simulate_seeds(plant, T, [overflowing, singular])
 
 
 def test_seed_data_freezes_views_of_the_callers_arrays():

@@ -1,0 +1,32 @@
+"""Smoke tests of the measuring scripts in tools/: each runs and prints the lines other tools and the docs read."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def run_tool(*argv: str) -> list[str]:
+    proc = subprocess.run([sys.executable, str(TOOLS / argv[0]), *argv[1:]], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_code_lines_prints_the_package_total():
+    total = re.fullmatch(r"total\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+)", run_tool("code_lines.py")[-1])
+    assert total
+    code, docstring, comment, blank, lines = map(int, total.groups())
+    assert code > 0 and code + docstring + comment + blank == lines
+
+
+def test_kernel_timing_times_the_seed_layer_and_the_kernel():
+    timings = {}
+    for line in run_tool("kernel_timing.py", "--workload", "sweep_many_seeds", "--repeat", "1")[1:]:
+        workload, timing, ms, unit = line.split()[:4]
+        assert workload == "sweep_many_seeds" and unit == "ms", line
+        timings[timing] = float(ms)
+    assert set(timings) == {"simulate_seeds", "run_batch"}
+    assert all(ms > 0.0 for ms in timings.values())

@@ -1,4 +1,4 @@
-"""Time the update kernel and the curve CSVs of the benchmark's workloads, warm, in process.
+"""Time the correlations layer, the update kernel and the curve CSVs of the benchmark's workloads, warm, in process.
 
 Usage, from inside a harxlab checkout:
 
@@ -8,25 +8,30 @@ Usage, from inside a harxlab checkout:
 DIR defaults to the checkout beside this script; its ``src/`` is imported and
 its ``bench/workloads.py`` read without writing bytecode, and each workload's
 spec is written into a temporary directory, so nothing is written into
-``bench/``.  For each workload that runs filters, the batch its command runs
-is built once from the spec: ``simulate`` runs every filter, keeping curves
-when its ``emit`` writes CSVs; ``sweep --param eta`` runs the grid's configs
-and the 2/lambda_max reference, without curves.  One warm-up call, then K
-timed calls of ``analysis.run_batch`` give the median, also per step (the
-longest row's iterations) and per row-step (every row's iterations summed).
-Where the batch keeps curves, the median of K renderings of all its records
-by ``analysis.run_record_csv`` is printed too, each from an empty template
-cache, so that it counts the templates a fresh ``simulate`` builds.  K
-defaults to 20 for ``simulate`` and 200 for ``sweep``, whose 6 ms batch reads
-the wrong way round between two processes at 50 calls.  ``wiener`` runs no
-filter and is skipped.
+``bench/``.  Each timing is the median of K timed calls after one warm-up
+call.  K defaults to 20, and to 200 for ``sweep``, whose 6 ms batch reads
+the wrong way round between two processes at 50 calls.
+
+- ``simulate`` and ``sweep``: ``analysis.simulate_seeds`` on the spec's
+  plant, T and seeds (the simulation, the correlations and every seed's
+  Wiener solve), then ``analysis.run_batch`` on the batch the command runs,
+  built once from the spec: ``simulate`` runs every filter, keeping curves
+  when its ``emit`` writes CSVs; ``sweep --param eta`` runs the grid's
+  configs and the 2/lambda_max reference, without curves.  The batch's
+  time is also given per step (the longest row's iterations) and per
+  row-step (every row's iterations summed).  Where the batch keeps curves,
+  the rendering of all its records by ``analysis.run_record_csv`` is timed
+  too, each from an empty template cache, so that it counts the templates a
+  fresh ``simulate`` builds.
+- ``wiener``: ``analysis.stream_correlations`` on the spec's plant and T,
+  seeded with its first seed, as ``harxlab wiener`` calls it.
 
 With two ``--root`` options, P pairs (default 5) of fresh processes time the
 two checkouts, each process as above on one checkout; the side that runs
 first alternates from pair to pair.  Per timing it prints each side's median
 over its processes and the median over pairs of the second side's time over
-the first's.  This sizes a kernel change before the end-to-end benchmark
-does.
+the first's.  This sizes a change to one of these layers before the
+end-to-end benchmark does.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-REPEAT = {"simulate": 20, "sweep": 200}  # the default K per command
+REPEAT = {"simulate": 20, "sweep": 200, "wiener": 20}  # the default K per command
 
 
 def median_s(call, repeat: int) -> float:
@@ -68,7 +75,16 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
     repeat = repeat or REPEAT[workload.command]
     with tempfile.TemporaryDirectory(prefix="kernel_timing_") as tmp:
         spec = cli.load_experiment_spec(workload.write_inputs(seed, Path(tmp)))
-    data = analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)
+    if workload.command == "wiener":
+        stream = lambda: analysis.stream_correlations(  # noqa: E731
+            spec.plant, spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0]))
+        t = median_s(stream, repeat)
+        return [f"{workload.name}  stream_correlations  {t * 1e3:.3f} ms  (T {spec.T}, median of {repeat})"]
+    simulate = lambda: analysis.simulate_seeds(spec.plant, spec.T, spec.seeds, spec.input_kind)  # noqa: E731
+    data = simulate()
+    t = median_s(simulate, repeat)
+    lines = [f"{workload.name}  simulate_seeds  {t * 1e3:.3f} ms  (T {spec.T}, {len(spec.seeds)} seeds, "
+             f"median of {repeat})"]
     cfgs, curves = batch_of(workload, spec, data)
     run = lambda: analysis.run_batch(cfgs, data.X, data.outputs, data.omega, curves=curves)  # noqa: E731
     batch = run()
@@ -76,17 +92,17 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
     iterations = [(rec.summary if curves else rec)["iterations"] for rec in records]
     t = median_s(run, repeat)
     steps, row_steps = max(iterations), sum(iterations)
-    lines = [
-        f"{workload.name}  run_batch  {t * 1e3:.2f} ms  rows {len(records)}  steps {steps}  "
+    lines.append(
+        f"{workload.name}  run_batch  {t * 1e3:.3f} ms  rows {len(records)}  steps {steps}  "
         f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step  (median of {repeat})"
-    ]
+    )
     if curves:
         def render():
             analysis._csv_template.cache_clear()
             return [analysis.run_record_csv(rec) for rec in records]
 
         t = median_s(render, repeat)
-        lines.append(f"{workload.name}  run_record_csv  {t * 1e3:.2f} ms  ({len(records)} CSVs, median of {repeat})")
+        lines.append(f"{workload.name}  run_record_csv  {t * 1e3:.3f} ms  ({len(records)} CSVs, median of {repeat})")
     return lines
 
 
@@ -102,11 +118,7 @@ def time_in_process(root: Path, names, seed: int, repeat: int | None) -> None:
     spec.loader.exec_module(module)
     print(f"harxlab from {Path(analysis.__file__).parent}, seed {seed}")
     for name in names or list(module.WORKLOADS):
-        workload = module.WORKLOADS[name]
-        if workload.command == "wiener":
-            print(f"{name}  runs no filter")
-            continue
-        for line in time_workload(workload, seed, repeat, analysis, cli):
+        for line in time_workload(module.WORKLOADS[name], seed, repeat, analysis, cli):
             print(line)
 
 
@@ -121,13 +133,12 @@ def time_pairs(roots, names, seed: int, repeat: int | None, pairs: int) -> None:
             out = subprocess.run([*argv, "--root", str(roots[i])], check=True, capture_output=True, text=True)
             for line in out.stdout.splitlines()[1:]:
                 workload, timing, ms = line.split()[:3]
-                if timing in ("run_batch", "run_record_csv"):  # not "runs no filter"
-                    times[i].setdefault((workload, timing), []).append(float(ms))
+                times[i].setdefault((workload, timing), []).append(float(ms))
     print(f"A = {roots[0]}\nB = {roots[1]}\n{pairs} pairs, seed {seed}")
     for key, a in times[0].items():
         b = times[1][key]
         ratio = statistics.median(y / x for x, y in zip(a, b))
-        print(f"{key[0]}  {key[1]}  A {statistics.median(a):.2f} ms  B {statistics.median(b):.2f} ms  "
+        print(f"{key[0]}  {key[1]}  A {statistics.median(a):.3f} ms  B {statistics.median(b):.3f} ms  "
               f"B/A {ratio:.4f}  (B faster in {sum(y < x for x, y in zip(a, b))} of {pairs})")
 
 
