@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
-from .filters import FilterConfig, FilterState, fractional_power
+from .filters import FilterConfig, FilterState
 from .plant import Dataset, HarxPlant, draw_signals, regressor_rows, true_weight_vector
 
 if TYPE_CHECKING:
@@ -378,9 +378,9 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
         w' = w + momentum (w - w_prev) + eta e psi (1 + factor)
 
     with the factor ``step`` takes from
-    :func:`harxlab.filters.fractional_power`, made by the same ufunc calls,
-    and no factor (0) for a config without one.  Every row steps in one
-    float64 time loop.  A row whose factor kind is
+    :func:`harxlab.filters.fractional_power`, made here by the same ufunc
+    calls, and no factor (0) for a config without one.  Every row steps in
+    one float64 time loop.  A row whose factor kind is
     ``signed`` keeps its weights' real and imaginary parts in two real rows,
     and its final state is the complex128 vector rebuilt exactly from them;
     every other row is real throughout, so its imaginary parts are exactly
@@ -411,22 +411,24 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     of every factor row: each live group writes its Re(factor) into its rows,
     and one add of a buffer of ones (F + 1 is 1 + F, with no Python float
     converted per call) and one multiply then scale every factor row's
-    gradient.  A signed group and an ``elementwise_abs`` group whose guards are
-    all 0 make :func:`fractional_power`'s ufunc calls themselves, bound once
-    per block, each exponent a 0-d array made once per block: complex128 for a
-    signed group, as np.power would cast a float64 one at every call, float64
-    otherwise.  It holds the value np.power converts the Python float to, so
-    np.power keeps its scalar paths (sqrt for 0.5) and gives the same bits.  A
-    signed group copies Re(w) into the real part of its complex input buffer,
-    whose imaginary part stays +0.0 as ``astype(complex128)`` makes it, and
-    np.power writes into its complex output buffer, whose imaginary part
-    scales the unscaled gradient into the imaginary rows before its real part
-    is copied into F.  An all-zero-guard ``elementwise_abs`` group makes np.abs
-    and np.power in place in F, with no floor, which is what a zero guard
-    gives bit for bit.  The other groups, guarded or ``euclidean_norm``, call
-    :func:`fractional_power`, with no guard where every guard is 0.  So a step
-    allocates only what ``np.vecdot`` returns and what
-    :func:`fractional_power` takes on the way (a norm group's norms).
+    gradient.  Each group makes the oracle's ufunc calls itself, bound once
+    per block, into buffers made once per block; each np.power exponent is a
+    0-d array: complex128 for a signed group, as np.power would cast a
+    float64 one at every call, float64 otherwise.  It holds the value
+    np.power converts the Python float to, so np.power keeps its scalar paths
+    (sqrt for 0.5) and gives the same bits.  A signed group copies Re(w) into
+    the real part of its complex input buffer, whose imaginary part stays
+    +0.0 as ``astype(complex128)`` makes it, and np.power writes into its
+    complex output buffer, whose imaginary part scales the unscaled gradient
+    into the imaginary rows before its real part is copied into F.  An
+    ``elementwise_abs`` group makes np.abs, np.maximum with its guards and
+    np.power in place in F.  A ``euclidean_norm`` group writes each row's
+    norm into a buffer of its rows, floors it with np.maximum, and writes
+    each row's Python float power over the row in F.  A group whose guards
+    are all 0 skips the floor: |w_j| and ||w|| are never -0.0, and NaN
+    stays NaN, so a zero guard floors nothing, bit for bit.  So a step
+    allocates only what the error's ``np.vecdot`` returns and, in a
+    ``euclidean_norm`` group, the array its row powers are converted to.
     The curves are computed once per block from its history, and folded
     into each row's running summary numbers.  A row stops at its first curve
     entry that is non-finite or above 1e12: its curves end there, its final
@@ -522,11 +524,12 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
                                       grad_im[lo - s0 : hi - s0], F[at]))
                 elif kind == "elementwise_abs" and not g.any():
                     abs_at.append((at, np.array(e), F[at]))
-                else:  # a guarded or Euclidean factor, written into F[at] or a (rows, 1) buffer
-                    f = np.empty((hi - lo, 1)) if kind == "euclidean_norm" else F[at]
-                    power_at.append((kind, at, e, g if g.any() else None, f, F[at]))
-            subtract, multiply, add, vecdot, absolute, power = (
-                np.subtract, np.multiply, np.add, np.vecdot, np.absolute, np.power)
+                elif kind == "elementwise_abs":  # floored at its guards in F[at]
+                    power_at.append((at, np.array(e), g, None, F[at]))
+                else:  # each row's norm, floored where a guard is not 0, its power broadcast through F[at].T
+                    power_at.append((at, e, g[:, 0] if g.any() else None, np.empty(hi - lo), F[at].T))
+            subtract, multiply, add, vecdot, absolute, power, maximum, sqrt = (
+                np.subtract, np.multiply, np.add, np.vecdot, np.absolute, np.power, np.maximum, np.sqrt)
             W_prev, W = H[0], H[1]
             for psi, d, err, re, W_new in zip(Xb, db, E, H[1:, :L], H[2:]):
                 subtract(d, vecdot(psi, re), err)
@@ -539,8 +542,15 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
                     F_at[...] = f_re
                 for at, e, F_at in abs_at:
                     power(absolute(re[at], F_at), e, F_at)
-                for kind, at, e, g, f, F_at in power_at:
-                    F_at[...] = fractional_power(kind, re[at], g, e, f)
+                for at, e, g, norm, F_at in power_at:
+                    if norm is None:
+                        power(maximum(absolute(re[at], F_at), g, out=F_at), e, F_at)
+                        continue
+                    x = re[at]
+                    sqrt(vecdot(x, x, out=norm), norm)
+                    if g is not None:
+                        maximum(norm, g, out=norm)
+                    F_at[...] = [b**e for b in norm.tolist()]
                 if grad_f.size:
                     add(F, one, F)
                     multiply(grad_f, F, grad_f)

@@ -17,10 +17,7 @@ Four variants read one recursion, w' = w + momentum (w - w_prev) + eta e psi
 :func:`step` is the pure transition ``(state, config, regressor, desired) ->
 (new_state, record)``: inputs are never mutated, so a recorded sequence
 replays bit-identically.  :func:`fractional_power` is the oracle's one
-implementation of the factor, which :func:`step` calls.  The batched kernel
-:func:`harxlab.analysis.run_batch` calls it for guarded and Euclidean-norm
-factors, and makes its ufunc calls itself for the signed and unguarded
-element-wise ones, so that a step spends no Python call on them.
+implementation of the factor, which :func:`step` calls.
 """
 
 from __future__ import annotations
@@ -164,20 +161,11 @@ def predict_error(state: FilterState, reg, desired: float) -> float:
     return float(desired - psi @ np.ascontiguousarray(state.w.real))
 
 
-def fractional_power(
-    kind: str, re: np.ndarray, guard: np.ndarray | None, exponent: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def fractional_power(kind: str, re: np.ndarray, guard: np.ndarray, exponent: float) -> np.ndarray:
     """The factor of a (..., n) block of real weight rows sharing one kind and
     exponent; ``guard``, (..., 1) or (..., n), holds each row's
     ``epsilon_guard``.  A full-width guard spares np.maximum its broadcast;
-    the maximum is exact, so both shapes give the same bits.  ``guard=None``
-    floors nothing, which is what a zero guard gives bit for bit: |w_j| and
-    ||w|| are never -0.0, and NaN stays NaN either way.  With ``out``, a
-    buffer of the result's shape and dtype (complex128 for ``signed``), the
-    factor is written into it and ``out`` is returned.  :func:`step` and
-    :func:`harxlab.analysis.run_batch` call it; the kernel makes the same
-    ufunc calls itself for a ``signed`` block and an ``elementwise_abs`` block
-    with no guard.
+    the maximum is exact, so both shapes give the same bits.
 
     * ``signed``: component-wise principal-branch power of the weights, which
       is complex wherever a weight is negative.  0**(1-v) is 0 for v < 1 and
@@ -191,18 +179,11 @@ def fractional_power(
     float power.
     """
     if kind == "signed":
-        return np.power(re.astype(np.complex128), exponent, out)
+        return np.power(re.astype(np.complex128), exponent)
     if kind == "elementwise_abs":
-        base = np.abs(re, out)
-        if guard is not None:
-            np.maximum(base, guard, out=base)
-        return np.power(base, exponent, base)
-    base = np.sqrt(np.vecdot(re, re))
-    if guard is not None:
-        base = np.maximum(base, guard[..., 0])
-    out = np.empty((*base.shape, 1)) if out is None else out
-    out[..., 0].flat = [b**exponent for b in base.ravel().tolist()]
-    return out
+        return np.power(np.maximum(np.abs(re), guard), exponent)
+    base = np.maximum(np.sqrt(np.vecdot(re, re)), guard[..., 0])
+    return np.array([b**exponent for b in base.ravel().tolist()]).reshape(*base.shape, 1)
 
 
 def fractional_factor(state: FilterState, cfg: FilterConfig) -> np.ndarray | float:

@@ -12,7 +12,6 @@ coefficients ``c``.
 from __future__ import annotations
 
 import contextlib
-import importlib.resources
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +313,8 @@ def muscle_preset() -> HarxPlant:
     The tap values are synthetic: the structure is the modeled part, the
     numbers are a reproducible placeholder.
     """
+    import importlib.resources  # here, so that importing harxlab loads neither it nor tempfile
+
     text = importlib.resources.files("harxlab").joinpath("scenarios/muscle.scenario").read_text("utf-8")
     return parse_scenario(text, path="builtin:muscle")
 

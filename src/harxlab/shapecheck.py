@@ -321,11 +321,11 @@ def parse_expr(text: str) -> Expr:
 
 
 class _Mismatch(Exception):
-    """Carries the mismatch verdict of the innermost offending node."""
+    """The rule a node breaks and the message; the walk adds the node's ``path``."""
 
-    def __init__(self, path: tuple[int, ...], rule: str, message: str):
+    def __init__(self, rule: str, message: str):
         super().__init__(message)
-        self.verdict = ShapeVerdict.mismatch(path, rule, message)
+        self.rule, self.path = rule, ()
 
 
 def _as_matrix(shape: Shape) -> tuple[int, int]:
@@ -350,29 +350,50 @@ _NO_UNKNOWN = {
 }
 
 
-def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[Shape]]) -> Shape | str:
+def _infer(e: Expr, env: ShapeEnv, cons: dict[str, list[Shape]]) -> Shape | str:
     """The shape of ``e``, or the name of the audited unknown symbol when ``e``
-    is an (optionally scalar-scaled) occurrence of it.  Children are inferred in
-    field order, so the leftmost mismatch wins; one block places an unknown child."""
-    if isinstance(e, Sym):
-        if e.name in env.unknown:
-            return e.name
-        try:
-            return env.bindings[e.name]
-        except KeyError:
-            raise UnboundSymbol(f"symbol {e.name!r} has no declared shape") from None
+    is an (optionally scalar-scaled) occurrence of it.  The tree is walked
+    with a stack of its own, so it works at any depth a tree is built to.
+    Children are inferred in field order, so the leftmost mismatch wins.  A
+    node's place is a link (parent's place, child index), unrolled into a
+    path only for a mismatch."""
+    done, todo = [], [(e, None, None)]  # (node, place, its child count once its children are pushed)
+    while todo:
+        node, place, count = todo.pop()
+        if isinstance(node, Sym):
+            if node.name not in env.unknown and node.name not in env.bindings:
+                raise UnboundSymbol(f"symbol {node.name!r} has no declared shape")
+            done.append(node.name if node.name in env.unknown else env.bindings[node.name])
+        elif isinstance(node, ScalarLit):
+            done.append(Shape.scalar())
+        elif count is None:
+            children = [getattr(node, f.name) for f in fields(node)]
+            todo.append((node, place, len(children)))
+            todo.extend((child, (place, i), None) for i, child in reversed(list(enumerate(children))))
+        else:
+            shapes = done[-count:]
+            del done[-count:]
+            try:
+                done.append(_combine(node, shapes, cons))
+            except _Mismatch as exc:
+                path = []
+                while place is not None:
+                    place, i = place
+                    path.append(i)
+                exc.path = tuple(reversed(path))
+                raise
+    return done[0]
 
-    if isinstance(e, ScalarLit):
-        return Shape.scalar()
 
-    shapes = [_infer(getattr(e, f.name), env, path + (i,), cons) for i, f in enumerate(fields(e))]
+def _combine(e: Expr, shapes: list, cons: dict[str, list[Shape]]) -> Shape | str:
+    """The shape of node ``e`` from its children's ``shapes``; one block places an unknown child."""
     unknowns = [s for s in shapes if isinstance(s, str)]
     if unknowns:
         unk = unknowns[0]
         if type(e) in _NO_UNKNOWN:
-            raise _Mismatch(path, "unknown-position", _NO_UNKNOWN[type(e)].format(unk))
+            raise _Mismatch("unknown-position", _NO_UNKNOWN[type(e)].format(unk))
         if len(unknowns) == 2:
-            raise _Mismatch(path, "unknown-position", "cannot relate two unknown symbols")
+            raise _Mismatch("unknown-position", "cannot relate two unknown symbols")
         (known,) = (s for s in shapes if not isinstance(s, str))
         if isinstance(e, Add):  # the unknown takes the other side's shape
             cons.setdefault(unk, []).append(known)
@@ -382,7 +403,7 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
         if known.is_vector:  # a product with a column vector only works for a scalar factor
             cons.setdefault(unk, []).append(Shape.scalar())
             return known
-        raise _Mismatch(path, "unknown-position", f"cannot pin the shape of {unk} multiplied with {known}")
+        raise _Mismatch("unknown-position", f"cannot pin the shape of {unk} multiplied with {known}")
 
     ta, tb = shapes[0], shapes[-1]  # tb is ta again for a one-child node
     if isinstance(e, Mul):
@@ -392,7 +413,6 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
             return ta
         if ta.is_vector and tb.is_vector and (ta.dims[0] > 1 or tb.dims[0] > 1):
             raise _Mismatch(
-                path,
                 "mul-vector-vector",
                 f"cannot multiply {ta} and {tb}: the plain product of two vectors is "
                 "undefined (transpose one side for a dyad or an inner product)",
@@ -400,7 +420,7 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
         (ra, ca), (rb, cb) = _as_matrix(ta), _as_matrix(tb)
         if ca != rb:
             raise _Mismatch(
-                path, "mul-inner-dim", f"cannot multiply {ta} and {tb}: inner dimensions {ca} and {rb} differ"
+                "mul-inner-dim", f"cannot multiply {ta} and {tb}: inner dimensions {ca} and {rb} differ"
             )
         return _collapse(ra, cb)
 
@@ -411,13 +431,13 @@ def _infer(e: Expr, env: ShapeEnv, path: tuple[int, ...], cons: dict[str, list[S
         return Shape.matrix(cols, rows)
 
     if isinstance(e, Add) and ta != tb:
-        raise _Mismatch(path, "add-shape", f"cannot add {ta} and {tb}")
+        raise _Mismatch("add-shape", f"cannot add {ta} and {tb}")
     if isinstance(e, ElemMul) and not (ta.is_vector and tb.is_vector and ta.dims == tb.dims):
         raise _Mismatch(
-            path, "elemmul-operands", f"component-wise product needs two vectors of equal length, got {ta} and {tb}"
+            "elemmul-operands", f"component-wise product needs two vectors of equal length, got {ta} and {tb}"
         )
     if isinstance(e, ElemPow) and tb.kind != "scalar":
-        raise _Mismatch(path, "elempow-exponent", f"component-wise power needs a scalar exponent, got {tb}")
+        raise _Mismatch("elempow-exponent", f"component-wise power needs a scalar exponent, got {tb}")
     return ta  # +, .*, ^. and |...| keep the shape of their first operand
 
 
@@ -441,9 +461,9 @@ def infer_shape(expr: Expr, env: ShapeEnv, constraints: dict[str, list[Shape]] |
     """
     cons = {} if constraints is None else constraints
     try:
-        ty = _infer(expr, env, (), cons)
+        ty = _infer(expr, env, cons)
     except _Mismatch as exc:
-        return exc.verdict
+        return ShapeVerdict.mismatch(exc.path, exc.rule, str(exc))
     bad = resolve_constraints(cons)
     if bad is not None:
         return bad

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harxlab import analysis
+from harxlab import analysis, filters
 from harxlab.analysis import (
     DIVERGENCE_THRESHOLD,
     LEAK_EPS,
@@ -19,7 +19,7 @@ from harxlab.analysis import (
     simulate_seeds,
 )
 from harxlab.errors import DimensionMismatch
-from harxlab.filters import FilterConfig, fractional_power, initial_state, step
+from harxlab.filters import FilterConfig, FilterState, fractional_power, initial_state, step
 from harxlab.plant import HarxPlant, polynomial_basis
 
 # n = 4 with negative true weights: flms_signed leaks
@@ -115,32 +115,33 @@ def test_mixed_batch_matches_step_oracle():
 
 
 def test_guard_skip_matches_step_oracle(monkeypatch):
-    # one block holds a group whose guards mix 0 and 0.05 beside an all-zero-guard group of each kind:
-    # the mixed group floors through its guards, each other group skips the floor; the signed and the
-    # all-zero elementwise group make fractional_power's ufunc calls themselves, with no floor
+    # one batch of every factor path: element-wise and Euclidean groups whose guards mix 0 and 0.05 (floored)
+    # beside all-zero-guard groups of each (no floor), a signed group and a row without a factor; the kernel
+    # makes every factor itself, so it never calls the oracle's fractional_power
     make = lambda variant, interp="elementwise_abs", **kw: FilterConfig(  # noqa: E731
         variant=variant, eta=0.01, dim=PLANT.n, beta=0.2, power_interpretation=interp, **kw)
-    mixed = [make("mflms_modulus", v=0.5), make("mflms_modulus", v=0.5, epsilon_guard=0.05)]
+    mixed = [make("mflms_modulus", interp, v=0.5, epsilon_guard=guard)
+             for interp in ("elementwise_abs", "euclidean_norm") for guard in (0.0, 0.05)]
     zero = [make("flms_signed", v=0.75), make("mflms_modulus", v=0.75),
             make("mflms_modulus", "euclidean_norm", v=0.75), make("lms")]
-    guards = []
-
-    def spy(kind, re, guard, e, out):
-        guards.append((kind, e, guard))
-        return fractional_power(kind, re, guard, e, out)
-
-    monkeypatch.setattr(analysis, "fractional_power", spy)
-    monkeypatch.setattr(analysis, "_BLOCK_BYTES", 1 << 30)  # the whole run in one block
     cfgs = mixed + zero
-    batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
-    for cfg, records in zip(cfgs, batch):
-        for s, rec in enumerate(records):
-            assert not assert_matches_oracle(rec, cfg, s)
-    # the guard moves the mixed group's second row away from its first
-    assert not np.array_equal(batch[0][0].mse_curve, batch[1][0].mse_curve)
-    floored = {(kind, e): guard is not None for kind, e, guard in guards}
-    assert floored == {("elementwise_abs", 0.5): True, ("euclidean_norm", 0.25): False}
-    assert len(guards) == 2 * (T - PLANT.m)
+    assert len(_factor_groups(cfgs)[0]) == 5
+    assert not hasattr(analysis, "fractional_power")  # nor holds a name bound to it at import
+
+    def never(*args):
+        raise AssertionError("run_batch called filters.fractional_power")
+
+    for block_bytes in (analysis._BLOCK_BYTES, 1 << 12):  # 2 blocks, and 2 steps a block
+        with monkeypatch.context() as patch:
+            patch.setattr(filters, "fractional_power", never)
+            patch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+            batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+        for cfg, records in zip(cfgs, batch):
+            for s, rec in enumerate(records):
+                assert not assert_matches_oracle(rec, cfg, s)
+    # the guard moves each mixed group's second row away from its first
+    for c in (0, 2):
+        assert not np.array_equal(batch[c][0].mse_curve, batch[c + 1][0].mse_curve)
 
 
 def test_batch_hands_out_only_read_only_arrays():
@@ -320,6 +321,36 @@ def test_real_rows_stay_real(variant, interp):
             assert np.all(rec.imag_curve == 0.0)
             assert rec.final_state.complex_events == 0
             assert np.all(rec.final_state.w.imag == 0.0) and np.all(rec.final_state.w_prev.imag == 0.0)
+
+
+def test_signed_rows_imaginary_state_feeds_back_on_nothing():
+    # the error and the factor read only Re(w), so replacing Im(w) and Im(w_prev) by random values at
+    # step 500 leaves every later error, real weight and weight error bit for bit as they were
+    cfg = configs("flms_signed", "elementwise_abs")[1]
+    data = simulate_seeds(PLANT, 1200, [7])
+    X, d, omega = data.X[0], data.outputs[0], data.omega[0]
+    rng = np.random.default_rng(11)
+
+    def loop(scramble_at):
+        state, runs = initial_state(cfg), []
+        for t, (psi, desired) in enumerate(zip(X, d)):
+            if t == scramble_at:
+                assert np.any(state.w.imag != 0.0)  # the row leaks before the scramble
+                noise = rng.standard_normal((2, PLANT.n))
+                state = FilterState(w=state.w.real + 1j * noise[0], w_prev=state.w_prev.real + 1j * noise[1],
+                                    iteration=state.iteration, complex_events=state.complex_events)
+            state, rec = step(state, cfg, psi, float(desired))
+            runs.append((rec.error, state.w.real.copy(), np.linalg.norm(state.w.real - omega), state.w.imag.copy()))
+        return [np.array(column) for column in zip(*runs)]
+
+    (err, w_re, werr, w_im), (err_s, w_re_s, werr_s, w_im_s) = loop(None), loop(500)
+    for kept, scrambled in ((err, err_s), (w_re, w_re_s), (werr, werr_s)):
+        assert kept.tobytes() == scrambled.tobytes()
+    assert np.all(np.any(w_im[500:] != w_im_s[500:], axis=1))  # while every later imaginary part moved
+    rec = run_batch([cfg], data.X, data.outputs, data.omega)[0][0]
+    assert not rec.diverged and rec.mse_curve.size == len(d)
+    assert rec.mse_curve.tobytes() == (err_s * err_s).tobytes()
+    assert rec.weight_error_curve.tobytes() == werr_s.tobytes()
 
 
 def test_power_takes_each_rows_exponent_as_a_scalar():

@@ -120,23 +120,39 @@ HARD_ROWS = np.array([
 ])
 
 
+def into_out(kind, rows, guard, exponent):
+    """The factor by the ufunc calls harxlab.analysis.run_batch makes, into buffers made beforehand, each
+    np.power exponent a 0-d array; ``guard`` None skips the floor, as the kernel does where every guard is 0."""
+    if kind == "signed":
+        z, f = np.zeros((2, *rows.shape), np.complex128)
+        z.real[...] = rows
+        return np.power(z, np.array(exponent, np.complex128), f)
+    if kind == "elementwise_abs":
+        f = np.empty(rows.shape)
+        base = np.abs(rows, f) if guard is None else np.maximum(np.abs(rows, f), guard, out=f)
+        return np.power(base, np.array(exponent), f)
+    norm, f = np.empty(rows.shape[0]), np.empty((rows.shape[0], 1))
+    np.sqrt(np.vecdot(rows, rows, out=norm), norm)
+    if guard is not None:
+        np.maximum(norm, guard[:, 0], out=norm)
+    f.T[...] = [x**exponent for x in norm.tolist()]
+    return f
+
+
 @pytest.mark.parametrize("kind", ["signed", "elementwise_abs", "euclidean_norm"])
 @pytest.mark.parametrize("exponent", [0.5, 0.25, 0.0])
 def test_power_into_out_equals_the_allocating_call(kind, exponent):
+    # the batched kernel's calls give fractional_power's bits on values no run reaches (a run stops at a
+    # non-finite entry): NaN, +-inf, signed zeros and large values
     L, n = HARD_ROWS.shape
-    shape = (L, 1 if kind == "euclidean_norm" else n)
     zero, positive = np.zeros((L, n)), np.full((L, n), 0.05)
     with np.errstate(all="ignore"):
-        for guard in (zero, positive, None):
-            want = fractional_power(kind, HARD_ROWS, guard, exponent)
-            buf = np.empty(shape, np.complex128 if kind == "signed" else np.float64)
-            got = fractional_power(kind, HARD_ROWS, guard, exponent, out=buf)
-            assert got is buf and got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        unguarded = fractional_power(kind, HARD_ROWS, None, exponent)
-        # no guard is a zero guard, bit for bit, NaN and the signs of zeros included
-        assert unguarded.tobytes() == fractional_power(kind, HARD_ROWS, zero, exponent).tobytes()
+        unguarded = fractional_power(kind, HARD_ROWS, zero, exponent)
         floored = fractional_power(kind, HARD_ROWS, positive, exponent)
+        for guard, want in ((zero, unguarded), (positive, floored), (None, unguarded)):
+            got = into_out(kind, HARD_ROWS, guard, exponent)
+            # skipping the floor is a zero guard, bit for bit, NaN and the signs of zeros included
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         base = np.abs(HARD_ROWS) if kind != "euclidean_norm" else np.sqrt(np.vecdot(HARD_ROWS, HARD_ROWS))[:, None]
     if kind == "signed":  # the signed factor reads no guard
         assert floored.tobytes() == unguarded.tobytes()

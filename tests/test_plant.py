@@ -1,3 +1,6 @@
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +251,25 @@ def test_muscle_preset_values():
     np.testing.assert_allclose(plant.q, [0.6, 0.3, 0.1])
     np.testing.assert_allclose(plant.c, [1.0, 0.5, 0.25])
     assert plant.noise_std == 0.01
+
+
+def test_importing_the_cli_loads_no_resource_reader():
+    # in an interpreter without site, whose modules come only from the imports: importlib.resources, and
+    # tempfile through it, load only when muscle_preset reads the shipped scenario
+    import harxlab
+
+    paths = [str(Path(harxlab.__file__).parents[1]), str(Path(np.__file__).parents[1])]
+    script = (
+        f"import sys; sys.path[:0] = {paths!r}\n"
+        "import harxlab.cli\n"
+        "print(sorted({'importlib.resources', 'tempfile'} & sys.modules.keys()))\n"
+        "from harxlab.plant import muscle_preset\n"
+        "plant = muscle_preset()\n"
+        "print(plant.m, plant.n, 'importlib.resources' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "3 9 True"]
 
 
 def test_scenario_roundtrip_and_errors():

@@ -385,6 +385,19 @@ def test_innermost_node_reported():
     assert node == Mul(Sym("Psi"), Sym("Omega"))
 
 
+@pytest.mark.parametrize("op", ["+", ".*"])
+def test_inference_works_at_any_depth_the_parser_builds(op):
+    # parse_expr builds a 5000-term chain left-deep, 5000 nodes down; inference walks it with its own stack
+    chain = lambda first, rest: parse_expr(first + f" {op} {rest}" * 5000)  # noqa: E731
+    assert infer_shape(chain("Psi", "Psi"), BASE_ENV) == ShapeVerdict.well_formed(V(9))
+    # a mismatch at the bottom of the chain is the leftmost, and wins over the one at its top
+    bad = chain("R", "Psi")
+    bad = Add(bad, Sym("R")) if op == "+" else ElemMul(bad, Sym("R"))
+    verdict = infer_shape(bad, BASE_ENV)
+    assert verdict.outcome == "mismatch" and verdict.node_path == (0,) * 5000
+    assert verdict.rule_violated == ("add-shape" if op == "+" else "elemmul-operands")
+
+
 # ---------------------------------------------------------------------------
 # audit corpus
 

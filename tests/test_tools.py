@@ -30,3 +30,14 @@ def test_kernel_timing_times_the_seed_layer_and_the_kernel():
         timings[timing] = float(ms)
     assert set(timings) == {"simulate_seeds", "run_batch"}
     assert all(ms > 0.0 for ms in timings.values())
+
+
+def test_kernel_timing_times_the_factor_paths_no_workload_takes():
+    timings = {}
+    for line in run_tool("kernel_timing.py", "--workload", "simulate_long", "--repeat", "1")[1:]:
+        workload, timing, ms, unit = line.split()[:4]
+        assert workload == "simulate_long" and unit == "ms", line
+        timings[timing] = float(ms)
+    assert list(timings) == ["simulate_seeds", "run_batch", "run_record_csv", "run_batch_guarded",
+                             "run_batch_euclidean"]
+    assert all(ms > 0.0 for ms in timings.values())

@@ -22,7 +22,11 @@ the wrong way round between two processes at 50 calls.
   row-step (every row's iterations summed).  Where the batch keeps curves,
   the rendering of all its records by ``analysis.run_record_csv`` is timed
   too, each from an empty template cache, so that it counts the templates a
-  fresh ``simulate`` builds.
+  fresh ``simulate`` builds.  ``simulate`` then times two more batches on
+  the same data, each of the spec's ``mflms_modulus`` config alone, for the
+  factor paths no workload takes: ``run_batch_guarded`` with an
+  ``epsilon_guard`` of 0.05 and ``run_batch_euclidean`` with the
+  ``euclidean_norm`` reading.
 - ``wiener``: ``analysis.stream_correlations`` on the spec's plant and T,
   seeded with its first seed, as ``harxlab wiener`` calls it.
 
@@ -86,16 +90,20 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
     lines = [f"{workload.name}  simulate_seeds  {t * 1e3:.3f} ms  (T {spec.T}, {len(spec.seeds)} seeds, "
              f"median of {repeat})"]
     cfgs, curves = batch_of(workload, spec, data)
-    run = lambda: analysis.run_batch(cfgs, data.X, data.outputs, data.omega, curves=curves)  # noqa: E731
-    batch = run()
-    records = [rec for runs in batch for rec in runs]
-    iterations = [(rec.summary if curves else rec)["iterations"] for rec in records]
-    t = median_s(run, repeat)
-    steps, row_steps = max(iterations), sum(iterations)
-    lines.append(
-        f"{workload.name}  run_batch  {t * 1e3:.3f} ms  rows {len(records)}  steps {steps}  "
-        f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step  (median of {repeat})"
-    )
+
+    def time_batch(timing, batch):
+        run = lambda: analysis.run_batch(batch, data.X, data.outputs, data.omega, curves=curves)  # noqa: E731
+        records = [rec for runs in run() for rec in runs]
+        iterations = [(rec.summary if curves else rec)["iterations"] for rec in records]
+        t = median_s(run, repeat)
+        steps, row_steps = max(iterations), sum(iterations)
+        lines.append(
+            f"{workload.name}  {timing}  {t * 1e3:.3f} ms  rows {len(records)}  steps {steps}  "
+            f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step  (median of {repeat})"
+        )
+        return records
+
+    records = time_batch("run_batch", cfgs)
     if curves:
         def render():
             analysis._csv_template.cache_clear()
@@ -103,6 +111,10 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
 
         t = median_s(render, repeat)
         lines.append(f"{workload.name}  run_record_csv  {t * 1e3:.3f} ms  ({len(records)} CSVs, median of {repeat})")
+    if workload.command == "simulate":  # the factor paths no workload takes, on the modulus config
+        modulus = next(cfg for cfg in cfgs if cfg.variant == "mflms_modulus")
+        time_batch("run_batch_guarded", [replace(modulus, epsilon_guard=0.05)])
+        time_batch("run_batch_euclidean", [replace(modulus, power_interpretation="euclidean_norm")])
     return lines
 
 
