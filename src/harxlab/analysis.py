@@ -15,12 +15,12 @@ from the summary :func:`run_batch` reduces block by block (a record's
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation
+from .errors import DataOverflow, DimensionMismatch, DomainError, EmptyDataset, SingularCorrelation, record
 from .filters import FilterConfig, FilterState
 from .plant import Dataset, HarxPlant, draw_signals, regressor_rows, true_weight_vector
 
@@ -41,7 +41,7 @@ _BLOCK_BYTES = 256 * 1024
 _CHUNK_BYTES = 512 * 1024
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class CorrelationEstimate:
     """Empirical R = E[psi psi^T] and p = E[psi s], with the spectrum of R.
 
@@ -214,7 +214,7 @@ def wiener_solution(est: CorrelationEstimate, ridge: float = 0.0) -> np.ndarray:
     return _checked(est.R[None], est.p[None], est.eigenvalues[None], ridge)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RunRecord:
     """Learning curves of one run, the final filter state and the run's summary.
 
@@ -237,7 +237,7 @@ class RunRecord:
     summary: dict
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SeedData:
     """Every seed's dataset, simulated once and stacked for :func:`run_batch`.
 
@@ -253,10 +253,10 @@ class SeedData:
     lambda_max: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            view = getattr(self, f.name)[...]
+        for name in self.__match_args__:
+            view = getattr(self, name)[...]
             view.setflags(write=False)
-            object.__setattr__(self, f.name, view)
+            object.__setattr__(self, name, view)
 
 
 def simulate_seeds(plant: HarxPlant, T: int, seeds, input_kind: str = "white_gaussian") -> SeedData:
@@ -668,7 +668,7 @@ def binomial_vector_verdict(n: int) -> shapecheck.ShapeVerdict:
     return shapecheck.eq25_verdict(n)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class BinomialReport:
     """Scalar truncation residuals plus the vector-case shape verdict."""
 
@@ -715,7 +715,7 @@ def sweep_cells(cfgs, data: SeedData) -> list[dict]:
     return [seed_aggregate(summaries) for summaries in batch]
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class StabilityProbe:
     """One :func:`seed_aggregate` cell per grid step size, then the cell at
     the classical reference point 2 / lambda_max, with lambda_max measured

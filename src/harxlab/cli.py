@@ -21,13 +21,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
-from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation
+from .errors import DataOverflow, ExperimentSpecError, HarxlabError, ScenarioError, SingularCorrelation, record
 from .filters import VARIANT_FIELDS, FilterConfig
 from .plant import (
     INPUT_KINDS, HarxPlant, Section, load_scenario, muscle_preset, read_sections, read_utf8, true_weight_vector,
@@ -101,8 +101,13 @@ def _dumps(doc) -> str:
 # [filter NAME]      variant, eta, beta, v, power_interpretation, epsilon_guard
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ExperimentSpec:
+    """A validated experiment spec: the plant and the ``plant`` value that
+    named it, the ``(name, config)`` of each ``[filter NAME]`` in file
+    order, and the run length, seeds, output directory (beside the spec),
+    ``emit`` mode and input kind."""
+
     experiment: Section  # the [experiment] section, which places a fault of the spec on its key's line
     plant: HarxPlant
     plant_ref: str
@@ -336,7 +341,7 @@ def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, summaries) 
     aggregate = analysis.seed_aggregate(per_seed)
     del aggregate["diverged_fraction"]  # the summary reports the count
     return {
-        "config": {"name": name, **asdict(cfg)},
+        "config": {"name": name, **vars(cfg)},
         "plant": {
             "scenario": spec.plant_ref,
             "m": spec.plant.m,
@@ -431,7 +436,7 @@ def cmd_sweep(args) -> int:
         grid = [float(x) for x in args.grid.split(",")]
     except ValueError:
         raise grid_fault.fail(f"{param} values must be comma-separated numbers, got {args.grid!r}") from None
-    configs = [_filter_config({**asdict(cfg), param: value}, grid_fault) for value in grid]
+    configs = [_filter_config({**vars(cfg), param: value}, grid_fault) for value in grid]
 
     labels = [_g(value) for value in grid]
     lambda_max = None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, record
 
 VARIANTS = ("lms", "momentum_lms", "flms_signed", "mflms_modulus")
 POWER_INTERPRETATIONS = ("elementwise_abs", "euclidean_norm")
@@ -91,7 +91,7 @@ class FilterConfig:
         return ("signed" if self.variant == "flms_signed" else self.power_interpretation, 1.0 - self.v)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class FilterState:
     """Current and previous weights plus complex-leak bookkeeping.
 
@@ -123,7 +123,7 @@ class FilterState:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class StepRecord:
     """Per-step diagnostics: the prediction error and the norm of the
     imaginary weight mass after the step (zero for the real-only variants)."""

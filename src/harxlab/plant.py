@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, HarxlabError, ScenarioError
+from .errors import BadLength, HarxlabError, ScenarioError, record
 
 INPUT_KINDS = ("white_gaussian", "uniform")
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class BasisSet:
     """The monomial basis r, r**2, ..., r**l applied to delayed input samples."""
 
@@ -102,7 +102,7 @@ class HarxPlant:
         return self.m * self.basis.l
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Dataset:
     """Aligned identification data from one simulated run.
 

@@ -41,3 +41,11 @@ def test_kernel_timing_times_the_factor_paths_no_workload_takes():
     assert list(timings) == ["simulate_seeds", "run_batch", "run_record_csv", "run_batch_guarded",
                              "run_batch_euclidean"]
     assert all(ms > 0.0 for ms in timings.values())
+
+
+def test_kernel_timing_times_the_import_of_the_cli_in_a_fresh_interpreter():
+    lines = run_tool("kernel_timing.py", "--workload", "setup", "--repeat", "1")[1:]
+    assert len(lines) == 1
+    workload, timing, ms, unit = lines[0].split()[:4]
+    assert (workload, timing, unit) == ("setup", "import_cli", "ms") and float(ms) > 0.0
+    assert lines[0].endswith("(median of 1 fresh interpreters)")

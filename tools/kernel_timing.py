@@ -1,4 +1,5 @@
-"""Time the correlations layer, the update kernel and the curve CSVs of the benchmark's workloads, warm, in process.
+"""Time the correlations layer, the update kernel and the curve CSVs of the benchmark's workloads, warm, in process,
+and the import of harxlab.cli, in fresh interpreters.
 
 Usage, from inside a harxlab checkout:
 
@@ -10,7 +11,9 @@ its ``bench/workloads.py`` read without writing bytecode, and each workload's
 spec is written into a temporary directory, so nothing is written into
 ``bench/``.  Each timing is the median of K timed calls after one warm-up
 call.  K defaults to 20, and to 200 for ``sweep``, whose 6 ms batch reads
-the wrong way round between two processes at 50 calls.
+the wrong way round between two processes at 50 calls.  W is a workload of
+``bench/workloads.py`` or ``setup``; the default is every workload, then
+``setup``.
 
 - ``simulate`` and ``sweep``: ``analysis.simulate_seeds`` on the spec's
   plant, T and seeds (the simulation, the correlations and every seed's
@@ -29,6 +32,13 @@ the wrong way round between two processes at 50 calls.
   ``euclidean_norm`` reading.
 - ``wiener``: ``analysis.stream_correlations`` on the spec's plant and T,
   seeded with its first seed, as ``harxlab wiener`` calls it.
+- ``setup``: ``import harxlab; from harxlab import cli`` (``import_cli``),
+  the median of K (default 20) fresh interpreters, each of which first
+  loads numpy and the standard modules ``bench/worker.py`` imports before
+  harxlab.  They run under PYTHONDONTWRITEBYTECODE=1, with one BLAS
+  thread as in the benchmark, on a copy of ``src/harxlab`` without
+  bytecode, so each compiles harxlab from source as the benchmark's fresh
+  checkouts do.
 
 With two ``--root`` options, P pairs (default 5) of fresh processes time the
 two checkouts, each process as above on one checkout; the side that runs
@@ -42,6 +52,8 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,7 +65,18 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEAT = {"simulate": 20, "sweep": 200, "wiener": 20}  # the default K per command
+REPEAT = {"simulate": 20, "sweep": 200, "wiener": 20, "setup": 20}  # the default K per command, and for setup
+# what a fresh interpreter runs for `setup import_cli`: bench/worker.py's imports before harxlab, then the timed import
+IMPORT_CLI = """\
+import contextlib, hashlib, io, json, os, resource, sys, time
+from pathlib import Path
+import numpy
+sys.path.insert(0, sys.argv[1])
+t = time.perf_counter()
+import harxlab
+from harxlab import cli
+print(time.perf_counter() - t)
+"""
 
 
 def median_s(call, repeat: int) -> float:
@@ -118,6 +141,19 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
     return lines
 
 
+def time_setup(root: Path, repeat: int | None) -> list[str]:
+    """The median time of importing ``root``'s harxlab.cli in ``repeat`` fresh interpreters (IMPORT_CLI)."""
+    repeat = repeat or REPEAT["setup"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    with tempfile.TemporaryDirectory(prefix="kernel_timing_") as tmp:
+        shutil.copytree(root / "src" / "harxlab", Path(tmp) / "harxlab", ignore=shutil.ignore_patterns("__pycache__"))
+        times = [float(subprocess.run([sys.executable, "-c", IMPORT_CLI, tmp], env=env, check=True,
+                                      capture_output=True, text=True).stdout) for _ in range(repeat)]
+    return [f"setup  import_cli  {statistics.median(times) * 1e3:.3f} ms  "
+            f"(median of {repeat} fresh interpreters)"]
+
+
 def time_in_process(root: Path, names, seed: int, repeat: int | None) -> None:
     """Print the timings of ``names`` on the checkout at ``root``, imported into this process."""
     sys.dont_write_bytecode = True
@@ -129,8 +165,10 @@ def time_in_process(root: Path, names, seed: int, repeat: int | None) -> None:
     sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
     spec.loader.exec_module(module)
     print(f"harxlab from {Path(analysis.__file__).parent}, seed {seed}")
-    for name in names or list(module.WORKLOADS):
-        for line in time_workload(module.WORKLOADS[name], seed, repeat, analysis, cli):
+    for name in names or [*module.WORKLOADS, "setup"]:
+        lines = time_setup(root, repeat) if name == "setup" else time_workload(
+            module.WORKLOADS[name], seed, repeat, analysis, cli)
+        for line in lines:
             print(line)
 
 
@@ -158,9 +196,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, action="append",
                         help="a harxlab checkout to time; give two to compare them (default: this one)")
-    parser.add_argument("--workload", action="append", help="a workload name; repeatable (default: all)")
+    parser.add_argument("--workload", action="append",
+                        help="a workload name or setup; repeatable (default: every workload, then setup)")
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed")
-    parser.add_argument("--repeat", type=int, help="timed calls per median (default: 20, 200 for sweep)")
+    parser.add_argument("--repeat", type=int,
+                        help="timed calls or interpreters per median (default: 20, 200 for sweep)")
     parser.add_argument("--pairs", type=int, default=5, help="process pairs with two --root options")
     args = parser.parse_args(argv)
     roots = args.root or [ROOT]
