@@ -151,8 +151,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
             if exp is not None:
                 raise section.fail("duplicate [experiment] section")
             exp = section
-        elif section.name.startswith("filter"):
-            parts = section.name.split(None, 1)
+        elif (parts := section.name.split(None, 1))[:1] == ["filter"]:
             if len(parts) != 2 or not re.fullmatch(_NAME, parts[1]):
                 raise section.fail("filter section must be named like [filter NAME]")
             if parts[1] in filter_sections:

@@ -84,8 +84,8 @@ def record(cls=None, *, eq=False):
     unknown or repeated argument, sets them and then calls
     ``__post_init__``, which may set a field with ``object.__setattr__``.
     Assignment and ``del`` raise FrozenInstanceError, and ``repr`` is the
-    dataclass form.  With ``eq``, ``==`` and ``hash`` go by the tuple of
-    the fields, as a dataclass's do; without, by identity.
+    dataclass form (:func:`_repr`).  With ``eq``, ``==`` and ``hash`` go by
+    the tuple of the fields, as a dataclass's do; without, by identity.
     """
     if cls is None:
         return lambda cls: record(cls, eq=eq)
@@ -103,12 +103,30 @@ def record(cls=None, *, eq=False):
         post_init(self)
 
     cls.__init__, cls.__setattr__, cls.__delattr__, cls.__match_args__ = __init__, _frozen, _frozen, names
-    cls.__repr__ = lambda self: f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+    cls.__repr__ = _repr
     if eq:
         fields = lambda self: tuple(getattr(self, name) for name in names)  # noqa: E731
         cls.__eq__ = lambda self, other: fields(self) == fields(other) if type(other) is type(self) else NotImplemented
         cls.__hash__ = lambda self: hash(fields(self))
     return cls
+
+
+def _repr(self) -> str:
+    """The dataclass form, ``Add(a=Sym(name='x'), b=...)``.  A field that is
+    itself a record is written inline by the same loop, with a stack of its
+    own, so a tree of records prints at any depth."""
+    parts, todo = [], [self]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        pieces = [f"{type(item).__qualname__}("]
+        for i, name in enumerate(item.__match_args__):
+            value = getattr(item, name)
+            pieces += [f"{', ' if i else ''}{name}=", value if type(value).__repr__ is _repr else repr(value)]
+        todo.extend(reversed([*pieces, ")"]))
+    return "".join(parts)
 
 
 def _call_faults(name, names, defaults, args, kwargs) -> str:

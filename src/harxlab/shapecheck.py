@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, fields
 
-from .errors import ParseError, UnboundSymbol
+from .errors import ParseError, UnboundSymbol, record
 
 # ---------------------------------------------------------------------------
 # Shapes
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class Shape:
     """Dimension tag: scalar, vector(n), or matrix(r, c), told apart by the
     number of ``dims`` (0, 1 or 2).
@@ -77,7 +76,7 @@ class Shape:
         return f"{self.kind}({','.join(str(d) for d in self.dims)})"
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class ShapeEnv:
     """Symbol table for inference.
 
@@ -90,7 +89,7 @@ class ShapeEnv:
     unknown: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class ShapeVerdict:
     """Inference outcome: exactly one of well_formed / mismatch / unsatisfiable.
 
@@ -135,13 +134,12 @@ class ShapeVerdict:
 class Expr:
     """Base class for expression nodes.
 
-    A node's ``repr`` is the dataclass form, ``Add(a=Sym(name='x'), b=...)``,
-    and two nodes are equal when their trees are.  All three of ``repr``,
-    ``==`` and ``hash`` walk the tree with a stack of their own, so they work
-    at any depth a tree is built to.
+    Each node class is a :func:`~harxlab.errors.record`, so a node's ``repr``
+    is the dataclass form, ``Add(a=Sym(name='x'), b=...)``, while ``==`` and
+    ``hash`` are this class's: two nodes are equal when their trees are.  All
+    three walk the tree with a stack of their own, so they work at any depth
+    a tree is built to.
     """
-
-    __slots__ = ()
 
     def _preorder(self):
         """Every node's class and every non-node field, in prefix order; each
@@ -151,7 +149,7 @@ class Expr:
             item = todo.pop()
             if isinstance(item, Expr):
                 yield type(item)
-                todo.extend(getattr(item, f.name) for f in reversed(fields(item)))
+                todo.extend(getattr(item, name) for name in reversed(item.__match_args__))
             else:
                 yield item
 
@@ -163,61 +161,47 @@ class Expr:
     def __hash__(self):
         return hash(tuple(self._preorder()))
 
-    def __repr__(self) -> str:
-        parts, todo = [], [self]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            pieces = [f"{type(item).__qualname__}("]
-            for i, f in enumerate(fields(item)):
-                value = getattr(item, f.name)
-                pieces += [f"{', ' if i else ''}{f.name}=", value if isinstance(value, Expr) else repr(value)]
-            todo.extend(reversed([*pieces, ")"]))
-        return "".join(parts)
 
-
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class ScalarLit(Expr):
     value: float
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class Transpose(Expr):
     a: Expr
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class ElemMul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class ElemPow(Expr):
     a: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@record
 class ElemAbs(Expr):
     a: Expr
 
@@ -367,7 +351,7 @@ def _infer(e: Expr, env: ShapeEnv, cons: dict[str, list[Shape]]) -> Shape | str:
         elif isinstance(node, ScalarLit):
             done.append(Shape.scalar())
         elif count is None:
-            children = [getattr(node, f.name) for f in fields(node)]
+            children = [getattr(node, name) for name in node.__match_args__]
             todo.append((node, place, len(children)))
             todo.extend((child, (place, i), None) for i, child in reversed(list(enumerate(children))))
         else:

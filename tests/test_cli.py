@@ -562,6 +562,7 @@ SPEC_FAULTS = {
     "missing_scenario": (SPEC.replace("lin.scenario", "gone.scenario"), ["simulate"], "{spec}:2: plant: [Errno 2]"),
     "second_experiment": (SPEC + "[experiment]\n", ["simulate"], "{spec}:16: duplicate [experiment] section"),
     "bare_filter": (SPEC + "[filter]\n", ["simulate"], "{spec}:16: filter section must be named like [filter NAME]"),
+    "filter_prefix": (SPEC + "[filterbank lms]\n", ["simulate"], "{spec}:16: unknown section [filterbank lms]"),
     "no_experiment": (SPEC[SPEC.index("[filter"):], ["simulate"], "{spec}: missing [experiment] section"),
     "no_filter": (
         SPEC[: SPEC.index("[filter")], ["simulate"], "{spec}: at least one [filter NAME] section is required"

@@ -1,5 +1,5 @@
-"""The frozen records of the CLI path: built by ``errors.record`` without generated code, and behaving as the
-frozen dataclasses they replace."""
+"""The frozen records of the CLI path and of the shape checker: built by ``errors.record`` without generated code,
+and behaving as the frozen dataclasses they replace."""
 
 import dataclasses
 from pathlib import Path
@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harxlab import analysis, cli, errors, filters, plant
+from harxlab import analysis, cli, errors, filters, plant, shapecheck
 from harxlab.analysis import BinomialReport, CorrelationEstimate, RunRecord, SeedData, StabilityProbe
 from harxlab.errors import ExperimentSpecError
 from harxlab.filters import FilterConfig, FilterState, StepRecord, initial_state
 from harxlab.plant import BasisSet, Dataset, Section, polynomial_basis
+from harxlab.shapecheck import Shape, ShapeVerdict
 
 
 def test_only_the_public_configs_are_built_by_generated_code():
@@ -20,7 +21,7 @@ def test_only_the_public_configs_are_built_by_generated_code():
         return any(getattr(getattr(value, "__code__", None), "co_filename", None) == "<string>"
                    for value in vars(cls).values())
 
-    modules = (errors, filters, plant, analysis, cli)
+    modules = (errors, filters, plant, analysis, cli, shapecheck)
     classes = [obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module.__name__]
     assert len(classes) > 20
@@ -49,8 +50,12 @@ RECORDS = [
                           "input_kind"),
      (Section(ExperimentSpecError, "run.spec"), None, "lin.scenario", (), 100, (1,), Path("out"), "both",
       "white_gaussian")),
+    (Shape, ("dims",), ((2, 3),)),
+    (ShapeVerdict, ("outcome", "shape", "node_path", "rule_violated", "message", "symbol", "constraint_a",
+                    "constraint_b"),
+     ("unsatisfiable", Shape(), (0, 1), "add-shape", "cannot add", "F", Shape((3,)), Shape((3, 3)))),
 ]
-EQ_RECORDS = {StepRecord, BasisSet, StabilityProbe}
+EQ_RECORDS = {StepRecord, BasisSet, StabilityProbe, Shape, ShapeVerdict}
 
 
 @pytest.mark.parametrize("cls, names, values", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
@@ -64,8 +69,8 @@ def test_records_behave_as_frozen_dataclasses(cls, names, values):
             assert np.array_equal(getattr(rec, name), value) if isinstance(value, np.ndarray) else (
                 getattr(rec, name) is value or getattr(rec, name) == value)
 
-    for args, kwargs, fault in [
-        ((), {}, f"missing .*'{names[0]}'"),
+    required = [] if names[0] in vars(cls) else [((), {}, f"missing .*'{names[0]}'")]  # Shape() is the scalar
+    for args, kwargs, fault in required + [
         (values, {"unknown": 1}, "unexpected keyword argument 'unknown'"),
         (values, {names[0]: values[0]}, f"multiple values for argument '{names[0]}'"),
         ((*values, None), {}, "positional arguments but"),
@@ -90,12 +95,19 @@ def test_filter_state_takes_its_defaults():
 def test_record_reprs_are_the_dataclass_form():
     assert repr(polynomial_basis(3)) == "BasisSet(l=3)"
     assert repr(StepRecord(0.25, 0.0)) == "StepRecord(error=0.25, imag_norm=0.0)"
+    assert repr(Shape()) == "Shape(dims=())" and Shape() == Shape.scalar()
+    # a field that is itself a record prints inline, in a field that is not (a tuple) by its own repr
+    assert repr(ShapeVerdict.unsatisfiable("F", Shape(), Shape((2, 2)))) == (
+        "ShapeVerdict(outcome='unsatisfiable', shape=None, node_path=None, rule_violated=None, message=None, "
+        "symbol='F', constraint_a=Shape(dims=()), constraint_b=Shape(dims=(2, 2)))")
+    assert repr(StabilityProbe((BasisSet(2),), 2.0)) == "StabilityProbe(cells=(BasisSet(l=2),), lambda_max=2.0)"
 
 
 @pytest.mark.parametrize("cls, values, other", [
     (BasisSet, (3,), (2,)),
     (StepRecord, (0.5, 0.0), (0.5, 1e-300)),
     (StabilityProbe, ((), 2.0), ((), 3.0)),
+    (Shape, ((2, 3),), ((3, 2),)),
 ], ids=lambda arg: arg.__name__ if isinstance(arg, type) else None)
 def test_value_records_compare_and_hash_by_their_fields(cls, values, other):
     rec = cls(*values)

@@ -64,9 +64,12 @@ def run(root: Path, workload, seed: int, workdir: Path) -> dict[str, bytes]:
 
 
 def relative_difference(a: str, b: str) -> float:
+    """0 for equal numbers (NaN on both sides included), inf where only one side is NaN or infinite."""
     x, y = float(a), float(b)
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf  # the quotient would be NaN, which max() skips unless it comes first
     return abs(x - y) / max(abs(x), abs(y))
 
 

@@ -34,13 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-
-def export(rev: str, directory: Path) -> Path:
-    """Extract the tree of ``rev`` into ``directory``; returns it."""
-    directory.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
-    return directory
+from artifacts_diff import export
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -51,7 +51,6 @@ end-to-end benchmark does.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import shutil
 import statistics
@@ -63,6 +62,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+
+from artifacts_diff import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = {"simulate": 20, "sweep": 200, "wiener": 20, "setup": 20}  # the default K per command, and for setup
@@ -160,14 +161,11 @@ def time_in_process(root: Path, names, seed: int, repeat: int | None) -> None:
     sys.path.insert(0, str(root.resolve() / "src"))
     from harxlab import analysis, cli
 
-    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
-    spec.loader.exec_module(module)
+    by_name = workloads(root)
     print(f"harxlab from {Path(analysis.__file__).parent}, seed {seed}")
-    for name in names or [*module.WORKLOADS, "setup"]:
+    for name in names or [*by_name, "setup"]:
         lines = time_setup(root, repeat) if name == "setup" else time_workload(
-            module.WORKLOADS[name], seed, repeat, analysis, cli)
+            by_name[name], seed, repeat, analysis, cli)
         for line in lines:
             print(line)
 
