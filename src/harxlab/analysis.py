@@ -168,24 +168,28 @@ def estimate_correlations(dataset: Dataset) -> CorrelationEstimate:
 def _simulate(plant: HarxPlant, input_kind: str, T: int, rng, X=None, outputs=None):
     """Yield the (rows, outputs) chunks of a length-``T`` run, for :func:`_correlations`.
 
-    Its inputs and noise are drawn, and held whole, when the first chunk is
-    asked for.  Each ``_CHUNK_BYTES`` of regressor rows is then built and
-    its outputs taken, for their sums to be taken while they are in cache.
-    The rows and outputs go into ``X`` (T - m, n) and ``outputs`` (T - m,)
-    when given, else into one reused chunk buffer each.  They equal, bit
-    for bit, those :func:`harxlab.plant.generate_sequence` gives.
+    Its inputs are drawn, and held whole, when the first chunk is asked
+    for.  Each ``_CHUNK_BYTES`` of regressor rows is then built, its outputs
+    taken and its noise drawn into one reused buffer and added to them, for
+    their sums to be taken while they are in cache; the noise is never held
+    whole.  The rows and outputs go into ``X`` (T - m, n) and ``outputs``
+    (T - m,) when given, else into one reused chunk buffer each.  They
+    equal, bit for bit, those :func:`harxlab.plant.generate_sequence` gives.
+    Overflowing noise stays inf under :func:`_correlations`' errstate.
     """
     inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
     N, w, step = T - plant.m, true_weight_vector(plant), _chunk_rows(plant.n)
     if X is None:
         X, outputs = np.empty((min(N, step), plant.n)), np.empty(min(N, step))
+    if noise is not None:
+        scratch = np.empty(min(N, step))
     for a in range(0, N, step):
         b = min(a + step, N)
         rows = slice(a, b) if len(X) == N else slice(0, b - a)  # a chunk buffer takes each chunk at its top
         Xc = regressor_rows(plant, inputs, a, b, X[rows])
         yc = np.matmul(Xc, w, out=outputs[rows])
         if noise is not None:
-            yc += noise[a:b]
+            yc += noise(scratch[: b - a])
         yield Xc, yc
 
 

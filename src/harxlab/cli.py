@@ -252,13 +252,15 @@ def _check_memory(spec: ExperimentSpec, cfgs=()) -> int:
 
 
 def _check_stream_memory(spec: ExperimentSpec) -> int:
-    """The bytes ``wiener`` would hold at most, its T inputs, T - m noise
-    samples and one chunk of rows and their outputs; fail on the T line if
-    that is more than MAX_REGRESSOR_BYTES."""
-    N, n = spec.T - spec.plant.m, spec.plant.n
+    """The bytes ``wiener`` would hold at most, its T inputs, one chunk of
+    rows, their outputs and their noise, and the chunk's basis window; fail
+    on the T line if that is more than MAX_REGRESSOR_BYTES."""
+    N, n, l = spec.T - spec.plant.m, spec.plant.n, spec.plant.basis.l
     rows = min(N, analysis._chunk_rows(n))
-    held = f"the {spec.T} inputs, {N} noise samples and one chunk of {rows} rows of n + 1 = {n + 1} float64,"
-    return _bounded(spec, (spec.T + N + rows * (n + 1)) * 8, held)
+    window = rows + spec.plant.m - 1
+    held = (f"the {spec.T} inputs, one chunk of {rows} rows of n + 2 = {n + 2} float64 (the rows, their outputs "
+            f"and noise) and a basis window of {window} x l = {window * l} float64,")
+    return _bounded(spec, (spec.T + rows * (n + 2) + window * l) * 8, held)
 
 
 def _bounded(spec: ExperimentSpec, size: int, held: str) -> int:
@@ -311,7 +313,7 @@ def _write_artifacts(
 def _write_out(path: str, text: str) -> None:
     """Write ``text`` to an ``--out`` path, all or nothing."""
     target = Path(path)
-    if not target.name:  # "/" or "."
+    if not target.name or path.endswith(("/", os.sep)):  # "/", "." or a directory's "name/"
         raise ExperimentSpecError("--out: cannot write: not a file name", path)
     _write_artifacts(target.parent, {target.name: text}, "--out: cannot write", path)
 

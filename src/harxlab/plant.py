@@ -131,15 +131,20 @@ def true_weight_vector(plant: HarxPlant) -> np.ndarray:
 
 def draw_signals(
     plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+):
     """The random stream of a length-``T`` run: its read-only T input samples
-    and, for a noisy plant, its T - m output noise samples, already scaled.
+    and, for a noisy plant, a function ``noise(out)`` that draws the run's
+    next ``len(out)`` output noise samples into ``out``, scaled, and returns
+    it (None for a noise-free plant).
 
-    The inputs are drawn first and the noise second, so a fixed seed
-    reproduces the run bit for bit.  ``input_kind`` is ``white_gaussian``
+    The inputs are drawn first and the T - m noise samples after them, so a
+    fixed seed reproduces the run bit for bit, however the noise is split
+    into calls: the generator gives the same normals, and ends in the same
+    state, drawn in pieces or at once.  ``input_kind`` is ``white_gaussian``
     (standard normal) or ``uniform`` (on [-1, 1)); ``rng`` defaults to the
-    plant's seed.  Noise that overflows becomes inf without a warning; the
-    correlations report it.
+    plant's seed.  Noise that overflows becomes inf; its callers draw it
+    under an errstate that ignores the overflow, and the correlations report
+    it.
     """
     if input_kind not in INPUT_KINDS:
         raise ValueError(f"input_kind must be one of {INPUT_KINDS}, got {input_kind!r}")
@@ -152,25 +157,36 @@ def draw_signals(
     else:
         inputs = rng.uniform(-1.0, 1.0, T)
     inputs.setflags(write=False)
-    noise = None
-    if plant.noise_std > 0.0:
-        noise = rng.standard_normal(T - plant.m)
-        with np.errstate(over="ignore"):
-            noise *= plant.noise_std
+    if plant.noise_std == 0.0:
+        return inputs, None
+
+    def noise(out: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=out)
+        out *= plant.noise_std
+        return out
+
     return inputs, noise
 
 
 def regressor_rows(plant: HarxPlant, inputs: np.ndarray, a: int, b: int, out: np.ndarray) -> np.ndarray:
-    """Write rows ``a`` to ``b`` (exclusive) of the regressor matrix of ``inputs``
-    into ``out``, a float64 (b - a, n) array or view, and return it.
+    """Write rows ``a`` to ``b`` (exclusive, b > a) of the regressor matrix of
+    ``inputs`` into ``out``, a float64 (b - a, n) array or view, and return it.
 
     Row k is the regressor at t = m + k; its block i is the basis of r(t - i).
-    A row depends on its own samples alone, so rows built a slice at a time
-    equal those built all at once.
+    The basis is evaluated once per sample, newest sample first, into a
+    (b - a + m - 1, l) window, so every row is a contiguous m * l slice of
+    it, one sample (l values) before the row above: all the rows are one
+    copy of a view with a negative row stride.  A one-delay plant's basis is
+    its rows, and goes straight into ``out``.  A row depends on its own
+    samples alone, so rows built a slice at a time equal those built all at
+    once.
     """
     m, l = plant.m, plant.basis.l
-    for i in range(1, m + 1):
-        plant.basis.evaluate_many(inputs[a + m - i : b + m - i], out=out[:, (i - 1) * l : i * l])
+    if m == 1:
+        return plant.basis.evaluate_many(inputs[a:b], out=out)
+    k = b - a
+    window = plant.basis.evaluate_many(inputs[a : b + m - 1][::-1])
+    np.copyto(out, np.ndarray((k, m * l), np.float64, window, (k - 1) * l * 8, (-l * 8, 8)))
     return out
 
 
@@ -179,8 +195,9 @@ def generate_sequence(
 ) -> Dataset:
     """Simulate a length-``T`` run and return the T - m aligned pairs.
 
-    The inputs and noise are those of :func:`draw_signals`; the regressor
-    matrix is built whole and the outputs are one product with it.
+    The inputs and noise are those of :func:`draw_signals`, the noise drawn
+    in one piece; the regressor matrix is built whole and the outputs are
+    one product with it.
     """
     inputs, noise = draw_signals(plant, input_kind, T=T, rng=rng)
     N = T - plant.m
@@ -188,7 +205,7 @@ def generate_sequence(
     with np.errstate(over="ignore", invalid="ignore"):  # estimate_correlations reports an overflow, once
         outputs = X @ true_weight_vector(plant)
         if noise is not None:
-            outputs += noise
+            outputs += noise(np.empty(N))
     X.setflags(write=False)
     outputs.setflags(write=False)
     return Dataset(inputs=inputs, X=X, outputs=outputs)

@@ -119,21 +119,31 @@ def test_chunks_are_a_multiple_of_8_rows():
         assert analysis._chunk_rows(n) % 8 == 0 and analysis._chunk_rows(n) * n * 8 <= analysis._CHUNK_BYTES
 
 
-@pytest.mark.parametrize("m,l,T,seeds", [
-    (3, 3, None, (5, 6)), (2, 5, None, (5, 6)), (3, 4, None, (5, 6)), (3, 5, None, (5, 6)), (3, 3, 300, range(25)),
-], ids=["n9", "n10", "n12", "n15", "n9-T300-25seeds"])
-def test_simulated_seeds_equal_the_materialized_dataset_byte_for_byte(m, l, T, seeds):
-    # a chunk's X_c @ w has the bits the whole X @ w gives its rows
+@pytest.mark.parametrize("m,l,T,seeds,noise_std,input_kind", [
+    (3, 3, None, (5, 6), 0.0, "white_gaussian"), (2, 5, None, (5, 6), 0.0, "white_gaussian"),
+    (3, 4, None, (5, 6), 0.0, "white_gaussian"), (3, 5, None, (5, 6), 0.0, "white_gaussian"),
+    (3, 3, 300, range(25), 0.0, "white_gaussian"),
+    (3, 3, None, (5, 6), 0.05, "white_gaussian"), (3, 3, 300, range(25), 0.05, "white_gaussian"),
+    (1, 1, None, (5, 6), 0.05, "white_gaussian"), (1, 2, None, (5, 6), 0.0, "white_gaussian"),
+    (1, 2, 300, range(25), 0.05, "white_gaussian"), (2, 3, None, (5, 6), 0.05, "uniform"),
+], ids=["n9", "n10", "n12", "n15", "n9-T300-25seeds", "n9-noisy", "n9-T300-25seeds-noisy", "m1-n1-noisy", "m1-n2",
+        "m1-n2-T300-25seeds-noisy", "n6-noisy-uniform"])
+def test_simulated_seeds_equal_the_materialized_dataset_byte_for_byte(m, l, T, seeds, noise_std, input_kind):
+    # a chunk's X_c @ w has the bits the whole X @ w gives its rows, and the noise drawn a chunk at a time
+    # the bits it has drawn at once
     rng = np.random.default_rng(m * l)
-    plant = HarxPlant(m=m, basis=polynomial_basis(l), q=rng.uniform(-1, 1, m), c=rng.uniform(-1, 1, l))
+    plant = HarxPlant(m=m, basis=polynomial_basis(l), q=rng.uniform(-1, 1, m), c=rng.uniform(-1, 1, l),
+                      noise_std=noise_std)
     T = T or m + 3 * analysis._chunk_rows(plant.n) + 777  # by default three whole chunks and a ragged fourth
-    data, w, step = simulate_seeds(plant, T, seeds), true_weight_vector(plant), analysis._chunk_rows(plant.n)
+    data, w = simulate_seeds(plant, T, seeds, input_kind), true_weight_vector(plant)
+    step = analysis._chunk_rows(plant.n)
     for s, seed in enumerate(seeds):
-        want = generate_sequence(plant, T=T, rng=np.random.default_rng(seed))
+        want = generate_sequence(plant, input_kind, T=T, rng=np.random.default_rng(seed))
         chunked = np.concatenate([want.X[a : a + step] @ w for a in range(0, len(want), step)])
         assert chunked.tobytes() == (want.X @ w).tobytes()
         assert data.X[s].tobytes() == want.X.tobytes()
         assert data.outputs[s].tobytes() == want.outputs.tobytes()
+        assert (noise_std > 0) == (want.outputs.tobytes() != (want.X @ w).tobytes())
         est = estimate_correlations(want)
         assert data.lambda_max[s].tobytes() == np.float64(est.lambda_max).tobytes()
         assert data.omega[s].tobytes() == wiener_solution(est).tobytes()

@@ -238,18 +238,26 @@ class Reached(Exception):
 
 def test_wiener_memory_bound_counts_the_stream_exit_2_names_t_line(tmp_path, capsys):
     # builtin:muscle (m = 3, n = 9): the stacked regressors of T = 15,000,000 would take 1.08 GB, while
-    # the stream holds the inputs and the noise, 240 MB, and one chunk of rows and outputs
+    # the stream holds the inputs, 120 MB, and one chunk of rows, outputs and noise and its basis window;
+    # the largest T it accepts is 2**27 - 7280 * 11 - 7282 * 3 = 134,115,802
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle").replace("seeds = 1, 2, 3", "seeds = 1")
     reached = mock.Mock(side_effect=Reached)
     with mock.patch.object(analysis, "stream_correlations", reached):
         spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 15000000"))
         with pytest.raises(Reached):
             cli.main(["wiener", str(spec)])
-        assert cli._check_stream_memory(cli.load_experiment_spec(spec)) == (2 * 15_000_000 - 3 + 7280 * 10) * 8
+        assert cli._check_stream_memory(cli.load_experiment_spec(spec)) == (15_000_000 + 7280 * 11 + 7282 * 3) * 8
+        largest, over = (cli.load_experiment_spec(write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}")))
+                         for T in (134_115_802, 134_115_803))
+        assert cli._check_stream_memory(largest) == cli.MAX_REGRESSOR_BYTES
+        with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=134115803 is too large"):
+            cli._check_stream_memory(over)
         spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 1000000000"))
         assert cli.main(["wiener", str(spec)]) == 2
         err = capsys.readouterr().err
-        assert "run.spec:3: T=1000000000 is too large: the 1000000000 inputs, 999999997 noise samples" in err
+        assert ("run.spec:3: T=1000000000 is too large: the 1000000000 inputs, one chunk of 7280 rows of n + 2 = 11 "
+                "float64 (the rows, their outputs and noise) and a basis window of 7282 x l = 21846 float64, would "
+                "take 8000815408 bytes, more than 1073741824") in err
     assert reached.call_count == 1
 
 
@@ -540,8 +548,10 @@ def test_wiener_holds_no_regressor_matrix(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    # the inputs, the noise and one chunk of rows; X would take (T - m) * n * 8 = 14.4 MB
+    # the inputs and one chunk of rows, outputs and noise; X would take (T - m) * n * 8 = 14.4 MB
     assert peak < (200000 - 3) * 9 * 8 / 3
+    # the noise is drawn a chunk at a time, never held whole beside the inputs: 2 * T * 8 = 3.2 MB
+    assert peak < 2 * 200000 * 8
 
 
 def test_singular_correlation_exit_2_names_plant_line(tmp_path, capsys):
@@ -739,6 +749,10 @@ def check_out_is_all_or_nothing(argv, tmp_path, capsys, monkeypatch):
         m.chdir(tmp_path)
         assert cli.main([*argv, "--out", "."]) == 2
         assert "error: .: --out: cannot write: not a file name" in capsys.readouterr().err
+        # a trailing separator names a directory, taken or not, never a file named after it
+        for out in ("taken/", "fresh/"):
+            assert cli.main([*argv, "--out", out]) == 2
+            assert f"error: {out}: --out: cannot write: not a file name" in capsys.readouterr().err
     assert doc.read_bytes() == written  # the earlier file, untouched
     assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left over
     assert (tmp_path / "notes.txt").read_text() == "mine" and not any((tmp_path / "taken").iterdir())

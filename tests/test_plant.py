@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from harxlab.errors import BadLength, ScenarioError
 from harxlab.plant import (
+    INPUT_KINDS,
     HarxPlant,
+    draw_signals,
     generate_sequence,
     muscle_preset,
     parse_scenario,
@@ -230,6 +233,25 @@ def test_generate_sequence_stacks_the_delay_blocks():
     blocks = np.concatenate([F[plant.m - i : 500 - i] for i in range(1, plant.m + 1)], axis=1)
     assert data.X.tobytes() == blocks.tobytes()
     assert not data.X.flags.writeable and not data.outputs.flags.writeable
+
+
+@pytest.mark.parametrize("input_kind", INPUT_KINDS)
+def test_noise_drawn_in_pieces_is_the_noise_drawn_at_once(input_kind):
+    plant = make_plant(2, 2, [1.0, 0.5], [1.0, 0.2], noise_std=0.3)
+    whole_rng, pieces_rng = np.random.default_rng(4), np.random.default_rng(4)
+    inputs, noise = draw_signals(plant, input_kind, T=1000, rng=whole_rng)
+    whole = noise(np.empty(998))
+    inputs_too, noise = draw_signals(plant, input_kind, T=1000, rng=pieces_rng)
+    pieces = np.concatenate([noise(np.empty(b - a)) for a, b in ((0, 1), (1, 500), (500, 998))])
+    assert inputs.tobytes() == inputs_too.tobytes() and not inputs.flags.writeable
+    assert whole.tobytes() == pieces.tobytes()
+    assert whole_rng.bit_generator.state == pieces_rng.bit_generator.state  # the same final state
+    # the stream: the T inputs, then the T - m normals, scaled
+    rng = np.random.default_rng(4)
+    want = rng.standard_normal(1000) if input_kind == "white_gaussian" else rng.uniform(-1.0, 1.0, 1000)
+    assert want.tobytes() == inputs.tobytes()
+    assert (0.3 * rng.standard_normal(998)).tobytes() == whole.tobytes()
+    assert draw_signals(replace(plant, noise_std=0.0), input_kind, T=1000)[1] is None
 
 
 def test_generate_sequence_custom_samples_and_uniform():
