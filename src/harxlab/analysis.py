@@ -197,8 +197,8 @@ def stream_correlations(
     plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
 ) -> CorrelationEstimate:
     """``estimate_correlations(generate_sequence(plant, input_kind, T=T, rng=rng))``,
-    bit for bit, without the (T - m, n) regressor matrix: the rows pass
-    through one reused chunk buffer."""
+    bit for bit, without the (T - m, n) regressor matrix or the whole noise:
+    the rows and the noise pass through reused chunk buffers."""
     return _estimate(_simulate(plant, input_kind, T, rng), T - plant.m)
 
 

@@ -12,6 +12,7 @@ coefficients ``c``.
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,7 @@ def true_weight_vector(plant: HarxPlant) -> np.ndarray:
 
 def draw_signals(
     plant: HarxPlant, input_kind: str = "white_gaussian", *, T: int, rng: np.random.Generator | None = None
-):
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray] | None]:
     """The random stream of a length-``T`` run: its read-only T input samples
     and, for a noisy plant, a function ``noise(out)`` that draws the run's
     next ``len(out)`` output noise samples into ``out``, scaled, and returns
