@@ -1,8 +1,9 @@
 """Command-line front-end: batch simulation, parameter sweeps, the equation
 shape audit, and Wiener-solution export.
 
-Exit codes: 0 success, 2 spec/parameter validation failure, 3 divergence
-when --fail-on-diverge is set, 4 audit regression.  Specs and the scenarios
+Exit codes: 0 success, 2 usage error or spec/parameter validation
+failure, 3 divergence when --fail-on-diverge is set, 4 audit regression.
+``main`` returns them and raises no SystemExit.  Specs and the scenarios
 they name are read by one reader (``plant.read_sections``), so a fault in
 either file exits 2 naming its file and line.  All artifacts are pure
 functions of the spec file: UTF-8, LF line endings, %.17g float cells in
@@ -13,7 +14,6 @@ written; ``simulate`` then removes the stale files of its own family.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import json
@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -498,41 +499,78 @@ def cmd_wiener(args) -> int:
 # entry points
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="harxlab",
-        description="Adaptive-filtering experiments on Hammerstein ARX plants, plus the equation shape audit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: harxlab simulate SPEC [--fail-on-diverge]
+       harxlab audit [--format text|json] [--out PATH]
+       harxlab sweep SPEC --param eta|beta|v --grid V1,V2,...
+       harxlab wiener SPEC [--ridge R] [--out PATH]
+       harxlab -h | --help
+"""
 
-    p_sim = sub.add_parser("simulate", help="run every (filter, seed) cell of an experiment spec")
-    p_sim.add_argument("spec", help="experiment spec file")
-    p_sim.add_argument("--fail-on-diverge", action="store_true", help="exit 3 if any run diverged")
-    p_sim.set_defaults(func=cmd_simulate)
+# each command: its function, whether it reads a SPEC path, and its options, each as (kind, default) where
+# the kind is None for a flag, a tuple of the values allowed, or a converter; a MISSING default is required
+COMMANDS = {
+    "simulate": (cmd_simulate, True, {"--fail-on-diverge": (None, False)}),
+    "audit": (cmd_audit, False, {"--format": (("text", "json"), "text"), "--out": (str, None)}),
+    "sweep": (cmd_sweep, True, {"--param": (SWEEP_PARAMS, MISSING), "--grid": (str, MISSING)}),
+    "wiener": (cmd_wiener, True, {"--ridge": (float, 0.0), "--out": (str, None)}),
+}
 
-    p_audit = sub.add_parser("audit", help="run the equation shape audit against the golden table")
-    p_audit.add_argument("--format", choices=("text", "json"), default="text")
-    p_audit.add_argument("--out", help="also write the JSON report to this path")
-    p_audit.set_defaults(func=cmd_audit)
 
-    p_sweep = sub.add_parser("sweep", help="sweep eta, beta, or v for the first filter config")
-    p_sweep.add_argument("spec", help="experiment spec file")
-    p_sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True)
-    p_sweep.add_argument("--grid", required=True, help="comma-separated parameter values")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_wiener = sub.add_parser("wiener", help="emit empirical correlations and the Wiener solution as JSON")
-    p_wiener.add_argument("spec", help="experiment spec file")
-    p_wiener.add_argument("--ridge", type=float, default=0.0)
-    p_wiener.add_argument("--out", help="also write the JSON document to this path")
-    p_wiener.set_defaults(func=cmd_wiener)
-    return parser
+def _read_argv(argv: list[str]):
+    """The command ``argv`` names and the namespace its function reads:
+    ``spec`` and one attribute per option (``--fail-on-diverge`` as
+    ``fail_on_diverge``).  Options match by full name, as ``--opt value`` or
+    ``--opt=value``, before or after the spec.  A ValueError names the
+    argument at fault."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"unknown command {argv[0]!r}" if argv else "missing command")
+    func, takes_spec, options = COMMANDS[argv[0]]
+    given, paths, rest = {}, [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("--"):
+            paths.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options or name in given:
+            raise ValueError(f"{'repeated' if name in given else 'unknown'} option {name} of {argv[0]}")
+        kind, _ = options[name]
+        if kind is None:
+            if eq:
+                raise ValueError(f"{name} takes no value, got {arg!r}")
+            value = True
+        elif not eq and (value := next(rest, "--")).startswith("--"):  # the value is the next argument
+            raise ValueError(f"{name} needs a value")
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+        given[name] = value
+    if len(paths) != takes_spec:
+        raise ValueError(f"unexpected argument {paths[takes_spec]!r}" if paths else f"{argv[0]} needs a SPEC path")
+    for name, (_, default) in options.items():
+        if default is MISSING and name not in given:
+            raise ValueError(f"{argv[0]} needs {name}")
+    values = {name[2:].replace("-", "_"): given.get(name, default) for name, (_, default) in options.items()}
+    return func, SimpleNamespace(spec=paths[0] if paths else None, **values)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        return args.func(args)
+        func, args = _read_argv(argv)
+    except ValueError as exc:
+        print(f"{USAGE}error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return func(args)
     except (ExperimentSpecError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -598,6 +598,45 @@ def test_spec_and_command_faults_exit_2_naming_where(tmp_path, capsys, text, arg
     assert not (tmp_path / "out").exists()
 
 
+# command lines the reader rejects, SPEC standing for the spec path and OUT for a file beside it:
+# (argv, the argument the error line names)
+USAGE_ERRORS = {
+    "no_command": ([], "command"),
+    "unknown_command": (["simulat", "SPEC"], "simulat"),
+    "no_spec": (["simulate"], "SPEC"),
+    "two_specs": (["simulate", "SPEC", "SPEC"], "run.spec"),
+    "unknown_option": (["simulate", "SPEC", "--loud"], "--loud"),
+    "abbreviation": (["simulate", "--fail", "SPEC"], "--fail"),
+    "no_value_at_the_end": (["wiener", "SPEC", "--out"], "--out"),
+    "param_gamma": (["sweep", "SPEC", "--param", "gamma", "--grid", "0.1"], "gamma"),
+    "no_grid": (["sweep", "SPEC", "--param", "eta"], "--grid"),
+    "ridge_abc": (["wiener", "SPEC", "--ridge", "abc"], "abc"),
+    "format_xml": (["audit", "--format=xml", "--out", "OUT"], "xml"),
+    "repeated_out": (["wiener", "--out", "OUT", "SPEC", "--out=OUT"], "--out"),
+}
+
+
+@pytest.mark.parametrize("argv,named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exit_2_names_the_argument(tmp_path, capsys, argv, named):
+    places = {"SPEC": str(write_spec(tmp_path)), "OUT": str(tmp_path / "doc.json")}
+    assert cli.main([places.get(arg, arg) for arg in argv]) == 2  # a raised SystemExit fails the test
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(cli.USAGE)
+    assert err[len(cli.USAGE):].startswith("error: ") and named in err[len(cli.USAGE):]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lin.scenario", "run.spec"]  # nothing written
+
+
+def test_help_prints_the_usage_exit_0(tmp_path, capsys):
+    for command, (_, _, options) in cli.COMMANDS.items():  # the usage names every command and option
+        assert f"harxlab {command} " in cli.USAGE and all(name in cli.USAGE for name in options)
+    spec = str(write_spec(tmp_path))
+    for argv in (["-h"], ["--help"], ["simulate", "-h"], ["sweep", spec, "--param", "eta", "--help"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (cli.USAGE, "")
+    proc = python_m_cli("--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.USAGE, "")
+
+
 def test_plant_through_a_symlink_loop_exit_2_names_plant_line(tmp_path):
     spec = write_spec(tmp_path, SPEC.replace("plant = lin.scenario", "plant = a/x.scenario"))
     (tmp_path / "a").symlink_to(tmp_path / "b")
@@ -657,10 +696,12 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["wiener", spec]),
     ]
     loaded = "harxlab.shapecheck" in sys.modules
+    parsers = sorted({"argparse", "getopt", "gettext", "locale"} & sys.modules.keys())
     audit = cli.main(["audit"])
 print(json.dumps({
     "batch_codes": codes,
     "checker_loaded_by_batch": loaded,
+    "parsers_loaded_by_batch": parsers,
     "audit_code": audit,
     "cli_shapecheck_is_module": cli.shapecheck is sys.modules["harxlab.shapecheck"],
     "other_names_missing": getattr(cli, "nope", None) is None,
@@ -674,6 +715,7 @@ def test_only_audit_loads_the_shape_checker(tmp_path):
     assert json.loads(proc.stdout) == {
         "batch_codes": [0, 0, 0],
         "checker_loaded_by_batch": False,
+        "parsers_loaded_by_batch": [],
         "audit_code": 0,
         "cli_shapecheck_is_module": True,
         "other_names_missing": True,
@@ -1105,23 +1147,45 @@ def scenario_texts(draw, faulty):
 
 
 @st.composite
+def command_lines(draw, faulty):
+    """A command line with None in place of the spec path, each option in the ``--opt value`` or the
+    ``--opt=value`` form; if ``faulty``, with one to three faults: an unknown or a repeated option, a
+    value dropped, or a value turned to junk.  No option names a file to write."""
+    value = floats_text(0.0, 1.0) | JUNK if faulty else floats_text(0.0, 1.0)
+    grid = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True).map(sorted)
+    grid = grid.map(lambda g: ",".join(map(repr, g))) | st.lists(value, min_size=1, max_size=4).map(",".join)
+    command, options = draw(
+        st.sampled_from([
+            ("simulate", []),
+            ("sweep", [["--param", draw(st.sampled_from(cli.SWEEP_PARAMS))], ["--grid", draw(grid)]]),
+            ("wiener", []),
+            ("wiener", [["--ridge", draw(value)]]),
+        ])
+    )
+    for _ in range(draw(st.integers(1, 3)) if faulty else 0):
+        fault = draw(st.sampled_from(["unknown", "repeat", "drop", "value"]))
+        if fault == "unknown":
+            options.append([draw(st.sampled_from(["--loud", "--fail", "--par", "--ridge", "--format"])), draw(JUNK)])
+        elif options:
+            i = draw(st.integers(0, len(options) - 1))
+            if fault == "repeat":
+                options.insert(i, list(options[i]))
+            else:
+                options[i] = options[i][:1] if fault == "drop" else [options[i][0], draw(JUNK)]
+    words = [option if draw(st.booleans()) else ["=".join(option)] for option in options]
+    words.insert(draw(st.integers(0, len(words))), [None])  # the spec, before or after any option
+    return [command, *(word for option in words for word in option)]
+
+
+@st.composite
 def cli_inputs(draw):
     """(spec text, scenario text, command line): mostly valid, with faults in one of the three."""
     faulty = draw(st.sampled_from(["spec", "scenario", "command"]))
-    value = floats_text(0.0, 1.0) | JUNK if faulty == "command" else floats_text(0.0, 1.0)
-    grid = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True).map(sorted)
-    grid = grid.map(lambda g: ",".join(map(repr, g))) | st.lists(value, min_size=1, max_size=4).map(",".join)
-    command = draw(
-        st.one_of(
-            st.just(["simulate"]),
-            st.tuples(st.sampled_from(cli.SWEEP_PARAMS), grid).map(
-                lambda pg: ["sweep", f"--param={pg[0]}", f"--grid={pg[1]}"]
-            ),
-            st.just(["wiener"]),
-            value.map(lambda ridge: ["wiener", f"--ridge={ridge}"]),
-        )
+    return (
+        draw(spec_texts(faulty == "spec")),
+        draw(scenario_texts(faulty == "scenario")),
+        draw(command_lines(faulty == "command")),
     )
-    return draw(spec_texts(faulty == "spec")), draw(scenario_texts(faulty == "scenario")), command
 
 
 @given(cli_inputs())
@@ -1136,8 +1200,5 @@ def test_any_input_ends_in_exit_0_or_2(inputs):
         (home / "run.spec").write_text(spec_text, encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([command[0], str(home / "run.spec"), *command[1:]])
-            except SystemExit as exc:  # argparse rejects a --ridge that is not a number
-                code = exc.code
+            code = cli.main([str(home / "run.spec") if word is None else word for word in command])
     assert code in (0, 2), err.getvalue()
