@@ -1,8 +1,10 @@
 """Command-line front-end: batch simulation, parameter sweeps, the equation
 shape audit, and Wiener-solution export.
 
-Exit codes: 0 success, 2 usage error or spec/parameter validation
-failure, 3 divergence when --fail-on-diverge is set, 4 audit regression.
+Exit codes: 0 success, 1 a HarxlabError no command reports as a fault of
+its input (no known input reaches it), 2 usage error or spec/parameter
+validation failure, 3 divergence when --fail-on-diverge is set, 4 audit
+regression.
 ``main`` returns them and raises no SystemExit.  Specs and the scenarios
 they name are read by one reader (``plant.read_sections``), so a fault in
 either file exits 2 naming its file and line.  All artifacts are pure
@@ -43,10 +45,12 @@ _FILTER_FIELDS = tuple(field for field in fields(FilterConfig) if field.name != 
 _NAME = r"[A-Za-z0-9_\-]+"  # a [filter NAME]
 # what `simulate` writes into its outdir: <NAME>_seed<k>.csv and <NAME>_summary.json
 _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
-# the most a command may hold: the stacked regressors (seeds x (T - m) x n float64) and kept curves
-# of `simulate` and `sweep`, the kept curves and their CSV texts while `simulate` renders them, or
-# the inputs, the noise and one chunk of rows that `wiener` streams
+# the most a command may hold (`_check_memory`): one seed's inputs, one chunk of rows and the correlation
+# matrices, and for `simulate` and `sweep` every seed's rows and outputs and the kept curves, or the curves
+# and their CSV texts while `simulate` renders them
 MAX_REGRESSOR_BYTES = 2**30
+# the n x n float64 matrices a seed the correlations hold at once: 3.6 to 4.3 traced at n = 182 to 800, rounded up
+_CORRELATION_MATRICES = 5
 # the most a curve CSV cell after a row's `iter` cell takes: %.17g, at most 24 characters, and its separator
 _CSV_CELL_BYTES = 25
 
@@ -228,47 +232,41 @@ def load_experiment_spec(path) -> ExperimentSpec:
     )
 
 
-def _check_memory(spec: ExperimentSpec, cfgs=()) -> int:
-    """The bytes ``simulate`` or ``sweep`` would hold at most; fail on the T
-    line if that is more than MAX_REGRESSOR_BYTES.
+def _check_memory(spec: ExperimentSpec, cfgs=(), stacked: int | None = None) -> int:
+    """The bytes a command would hold at most, stacking the rows of
+    ``stacked`` seeds (by default all of the spec's, 0 for ``wiener``) and
+    keeping the curves of ``cfgs``; fail on the T line if that is more than
+    MAX_REGRESSOR_BYTES.
 
-    ``cfgs`` are the configs whose curves a command keeps: ``simulate`` keeps
-    them only to render curve CSVs, ``sweep`` never.  While the filters run, a
-    command holds the regressors and the kept curves of every seed
+    Every command runs the chunk loop of ``analysis._simulate``, which holds
+    a seed's T inputs, one chunk of rows, their outputs and their noise, and
+    the chunk's basis window, and sums the correlations, which hold
+    _CORRELATION_MATRICES n x n float64 a seed (of one seed for ``wiener``).
+    ``simulate`` and ``sweep`` also stack every seed's rows and outputs and,
+    while the filters run, the curves ``simulate`` keeps for its curve CSVs
     (``analysis.curves_per_seed``, T - m float64 each).  ``simulate`` renders
-    after it freed the regressors, and then holds the curves, every CSV text,
-    the two cached templates (real and signed) and one record's values as
-    Python floats in a tuple, at most three a row of 32 bytes each.  A text or
-    template row takes at most its ``iter`` cell and three _CSV_CELL_BYTES."""
-    N, n, S = spec.T - spec.plant.m, spec.plant.n, len(spec.seeds)
-    curves = S * analysis.curves_per_seed(cfgs)
-    plus = f" plus {curves} curve(s) of T - m float64," if cfgs else ""
-    held = f"the regressors of {S} seed(s), (T - m) x n = {N} x {n} float64 each,{plus}"
-    size = (S * n + curves) * N * 8
-    csvs, row = S * len(cfgs), len(str(N)) + 1 + 3 * _CSV_CELL_BYTES
+    after it freed the rows, and then holds the curves, every CSV text, the
+    two cached templates (real and signed) and one record's values as Python
+    floats in a tuple, at most three a row of 32 bytes each; the larger of
+    the two phases counts.  A text or template row takes at most its
+    ``iter`` cell and three _CSV_CELL_BYTES."""
+    T, N, n, l = spec.T, spec.T - spec.plant.m, spec.plant.n, spec.plant.basis.l
+    S = len(spec.seeds) if stacked is None else stacked
+    rows, curves = min(N, analysis._chunk_rows(n)), S * analysis.curves_per_seed(cfgs)
+    window, matrices = rows + spec.plant.m - 1, _CORRELATION_MATRICES * max(S, 1)
+    stack, csvs, row = (S * (n + 1) + curves) * N * 8, S * len(cfgs), len(str(N)) + 1 + 3 * _CSV_CELL_BYTES
     render = curves * N * 8 + (csvs + 2) * (N + 1) * row + 3 * N * 32 if cfgs else 0
-    if render > size:
-        size, held = render, f"rendering {csvs} curve CSV(s) of {N} rows, with their {curves} curve(s),"
-    return _bounded(spec, size, held)
-
-
-def _check_stream_memory(spec: ExperimentSpec) -> int:
-    """The bytes ``wiener`` would hold at most, its T inputs, one chunk of
-    rows, their outputs and their noise, and the chunk's basis window; fail
-    on the T line if that is more than MAX_REGRESSOR_BYTES."""
-    N, n, l = spec.T - spec.plant.m, spec.plant.n, spec.plant.basis.l
-    rows = min(N, analysis._chunk_rows(n))
-    window = rows + spec.plant.m - 1
-    held = (f"the {spec.T} inputs, one chunk of {rows} rows of n + 2 = {n + 2} float64 (the rows, their outputs "
-            f"and noise) and a basis window of {window} x l = {window * l} float64,")
-    return _bounded(spec, (spec.T + rows * (n + 2) + window * l) * 8, held)
-
-
-def _bounded(spec: ExperimentSpec, size: int, held: str) -> int:
-    """``size``, the bytes that ``held`` takes; fail on the T line if that is
-    more than MAX_REGRESSOR_BYTES."""
+    size = (T + rows * (n + 2) + window * l + matrices * n * n) * 8 + max(stack, render)
     if size > MAX_REGRESSOR_BYTES:
-        message = f"T={spec.T} is too large: {held} would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
+        held = (f"the {T} inputs, one chunk of {rows} rows of n + 2 = {n + 2} float64 (the rows, their outputs and "
+                f"noise), a basis window of {window} x l = {window * l} float64 and {matrices} correlation matrices "
+                f"of n x n = {n} x {n} float64")
+        if render > stack:
+            held += f"; rendering {csvs} curve CSV(s) of {N} rows, with their {curves} curve(s)"
+        elif S:
+            held += f"; the rows and outputs of {S} seed(s), (T - m) x (n + 1) = {N} x {n + 1} float64 each"
+            held += f" and {curves} curve(s) of T - m float64" if curves else ""
+        message = f"T={T} is too large: {held}, would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
         raise spec.experiment.fail(message, "T")
     return size
 
@@ -476,15 +474,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_wiener(args) -> int:
     spec = load_experiment_spec(args.spec)
-    _check_stream_memory(spec)
+    _check_memory(spec, stacked=0)
+    if not 0.0 <= args.ridge < np.inf:  # checked before the stream, not after it in wiener_solution
+        raise ExperimentSpecError(f"ridge must be finite and >= 0, got {args.ridge}", "--ridge")
     with _plant_data(spec):
         est = analysis.stream_correlations(
             spec.plant, spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0])
         )
-        try:
-            omega = analysis.wiener_solution(est, ridge=args.ridge)
-        except ValueError as exc:
-            raise ExperimentSpecError(str(exc), "--ridge") from None
+        omega = analysis.wiener_solution(est, ridge=args.ridge)
     doc = analysis.correlation_summary(est, omega_opt=omega)
     doc["ridge"] = args.ridge
     doc["true_weight_vector"] = true_weight_vector(spec.plant).tolist()

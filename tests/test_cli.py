@@ -213,17 +213,32 @@ def test_too_few_samples_for_a_full_rank_r_exit_2_names_t_line(tmp_path, capsys)
 
 
 def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
-    # 3 seeds of builtin:muscle (m = 3, n = 9): T - 3 regressor rows of 9 float64 per seed
+    # the largest T each command accepts on builtin:muscle (m = 3, n = 9, l = 3) with SPEC's 3 seeds and two
+    # filters: `simulate` with emit = both renders 6 curve CSVs; `sweep` and emit = summary stack 3 seeds' rows and
+    # outputs, 10 float64 a row; `wiener` stacks none and fills 2**27 float64 with its T inputs, a chunk of 7280 rows
+    # of 11 float64, a basis window of 7282 x 3 and 5 correlation matrices of 9 x 9
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle")
-    largest = cli.MAX_REGRESSOR_BYTES // (3 * 9 * 8) + 3
-    spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {largest}"))
-    assert cli.load_experiment_spec(spec).T == largest  # parsing allocates no regressors
-    commands = (["simulate"], ["sweep", "--param", "eta", "--grid", "0.01"], ["wiener"])
-    for T, argvs in ((largest + 1, commands[:2]), (10**12, commands)):  # `wiener` holds no regressors
-        spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}"))
-        for argv in argvs:
-            assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
-            assert f"run.spec:3: T={T} is too large" in capsys.readouterr().err
+    cases = (  # (the largest T, emit, argv)
+        (1_241_803, "both", ["simulate"]),
+        (4_326_279, "summary", ["simulate"]),
+        (4_326_279, "both", ["sweep", "--param", "eta", "--grid", "0.01"]),
+        (2**27 - 7280 * 11 - 7282 * 3 - 5 * 81, "both", ["wiener"]),
+    )
+    assert cases[-1][0] == 134_115_397
+    reached = mock.Mock(side_effect=Reached)
+    with mock.patch.object(analysis, "simulate_seeds", reached), mock.patch.object(analysis, "stream_correlations",
+                                                                                     reached):
+        for largest, emit, argv in cases:
+            for T in (largest, largest + 1, 10**12):
+                spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}").replace("emit = both", f"emit = {emit}"))
+                assert cli.load_experiment_spec(spec).T == T  # parsing allocates no regressors
+                if T == largest:
+                    with pytest.raises(Reached):
+                        cli.main([argv[0], str(spec), *argv[1:]])
+                else:
+                    assert cli.main([argv[0], str(spec), *argv[1:]]) == 2
+                    assert f"run.spec:3: T={T} is too large" in capsys.readouterr().err
+    assert reached.call_count == len(cases)
     assert not (tmp_path / "out").exists()
 
 
@@ -238,26 +253,28 @@ class Reached(Exception):
 
 def test_wiener_memory_bound_counts_the_stream_exit_2_names_t_line(tmp_path, capsys):
     # builtin:muscle (m = 3, n = 9): the stacked regressors of T = 15,000,000 would take 1.08 GB, while
-    # the stream holds the inputs, 120 MB, and one chunk of rows, outputs and noise and its basis window;
-    # the largest T it accepts is 2**27 - 7280 * 11 - 7282 * 3 = 134,115,802
+    # the stream holds the inputs, 120 MB, one chunk of rows, outputs and noise, its basis window and
+    # 5 correlation matrices of 9 x 9; the largest T it accepts is 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle").replace("seeds = 1, 2, 3", "seeds = 1")
     reached = mock.Mock(side_effect=Reached)
     with mock.patch.object(analysis, "stream_correlations", reached):
         spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 15000000"))
         with pytest.raises(Reached):
             cli.main(["wiener", str(spec)])
-        assert cli._check_stream_memory(cli.load_experiment_spec(spec)) == (15_000_000 + 7280 * 11 + 7282 * 3) * 8
+        counted = cli._check_memory(cli.load_experiment_spec(spec), stacked=0)
+        assert counted == (15_000_000 + 7280 * 11 + 7282 * 3 + 5 * 81) * 8
         largest, over = (cli.load_experiment_spec(write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}")))
-                         for T in (134_115_802, 134_115_803))
-        assert cli._check_stream_memory(largest) == cli.MAX_REGRESSOR_BYTES
-        with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=134115803 is too large"):
-            cli._check_stream_memory(over)
+                         for T in (134_115_397, 134_115_398))
+        assert cli._check_memory(largest, stacked=0) == cli.MAX_REGRESSOR_BYTES
+        with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=134115398 is too large"):
+            cli._check_memory(over, stacked=0)
         spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 1000000000"))
         assert cli.main(["wiener", str(spec)]) == 2
         err = capsys.readouterr().err
         assert ("run.spec:3: T=1000000000 is too large: the 1000000000 inputs, one chunk of 7280 rows of n + 2 = 11 "
-                "float64 (the rows, their outputs and noise) and a basis window of 7282 x l = 21846 float64, would "
-                "take 8000815408 bytes, more than 1073741824") in err
+                "float64 (the rows, their outputs and noise), a basis window of 7282 x l = 21846 float64 and 5 "
+                "correlation matrices of n x n = 9 x 9 float64, would take 8000818648 bytes, more than 1073741824"
+                ) in err
     assert reached.call_count == 1
 
 
@@ -265,8 +282,9 @@ def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, cap
     grid = ",".join(str(0.001 * k) for k in range(1, 41))
     cases = (  # (T, emit, argv, refused)
         (5 * 10**7, "both", ["simulate"], True),  # 400 MB of regressors, 2 curves of 400 MB
-        (5 * 10**7, "summary", ["simulate"], False),  # the same regressors, no curve kept
-        # 16 MB of regressors; a sweep keeps none of its 41 x 2 curves of 16 MB
+        # no curve kept, but the same regressors, their 400 MB of outputs and the seed's 400 MB of inputs
+        (5 * 10**7, "summary", ["simulate"], True),
+        # 16 MB of regressors, of outputs and of inputs; a sweep keeps none of its 41 x 2 curves of 16 MB
         (2_000_001, "both", ["sweep", "--param", "eta", "--grid", grid], False),
     )
     reached = mock.Mock(side_effect=Reached)
@@ -282,21 +300,22 @@ def test_curves_count_against_the_memory_bound_exit_2_names_t_line(tmp_path, cap
             else:
                 with pytest.raises(Reached):
                     cli.main([argv[0], str(spec), *argv[1:]])
-    assert reached.call_count == 2
+    assert reached.call_count == 1
     assert not (tmp_path / "out").exists()
 
 
 def test_memory_bound_counts_three_curves_per_signed_row(tmp_path):
     # one flms_signed row (n = 1), rendering its CSV: three curves (24 bytes a row), the text and two templates
-    # (83 bytes a row each for T - 1 < 10**7, and a header row) and one record's floats (96 bytes a row), in all
-    # 369 (T - 1) + 249 bytes, which fit up to T - 1 = 2,909,868
+    # (83 bytes a row each for T - 1 < 10**7, and a header row) and one record's floats (96 bytes a row), 369 (T - 1)
+    # + 249 bytes; with the chunk loop's T inputs, its chunk of 65,536 rows of 3 float64 and basis window of 65,536,
+    # and 5 correlation matrices of 1 x 1, in all 377 (T - 1) + 2,097,449 bytes, which fit up to T - 1 = 2,842,558
     signed = ONE_FILTER.replace("variant = lms", "variant = flms_signed")
     largest, over = (
         cli.load_experiment_spec(write_spec(tmp_path, signed.replace("T = 300", f"T = {T}"), TINY_SCENARIO))
-        for T in (2_909_869, 2_909_870)
+        for T in (2_842_559, 2_842_560)
     )
-    assert cli._check_memory(largest, [cfg for _, cfg in largest.filters]) == 369 * 2_909_868 + 249
-    with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=2909870 is too large: rendering 1 curve CSV"):
+    assert cli._check_memory(largest, [cfg for _, cfg in largest.filters]) == 377 * 2_842_558 + 2_097_449
+    with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=2842560 is too large: .*; rendering 1 curve CSV"):
         cli._check_memory(over, [cfg for _, cfg in over.filters])
 
 
@@ -319,6 +338,38 @@ def test_memory_bound_counts_what_simulate_holds_while_it_renders(tmp_path):
     last_row = (tmp_path / "out" / "lms_small_seed1.csv").read_text().splitlines()[-1]
     assert last_row.split(",")[3] != "0"  # a signed record: three values a row
     assert peak <= counted <= 2 * peak
+
+
+# m = 500, l = 1 (n = 500): at T = 1,100 the correlations' n x n matrices outweigh the regressor rows
+WIDE_SCENARIO = SCENARIO.replace("m = 3", "m = 500").replace("0.6, 0.3, 0.1", ", ".join(["0.5"] + ["0.001"] * 499))
+# (scenario, T, seeds, argv, the analysis function a mock stops the command at)
+TRACED_COMMANDS = {
+    "n1_simulate_summary": (TINY_SCENARIO, 2_000_001, "1", ["simulate"], "run_batch"),
+    "n1_sweep": (TINY_SCENARIO, 2_000_001, "1", ["sweep", "--param", "eta", "--grid", "0.01,0.02"], "run_batch"),
+    "m500_wiener": (WIDE_SCENARIO, 1100, "1, 2", ["wiener"], "correlation_summary"),
+    "m500_simulate": (WIDE_SCENARIO, 1100, "1, 2", ["simulate"], "run_batch"),
+}
+
+
+@pytest.mark.parametrize("scenario,T,seeds,argv,stop", TRACED_COMMANDS.values(), ids=TRACED_COMMANDS)
+def test_memory_bound_counts_what_a_command_holds_up_to_its_batch(tmp_path, scenario, T, seeds, argv, stop):
+    # up to its batch or its JSON document a command holds a seed's inputs beside the stacked rows and outputs
+    # (16 MB each at n = 1) and the correlation matrices (about 4 of 2 MB a seed at n = 500)
+    text = ONE_FILTER.replace("seeds = 1", f"seeds = {seeds}").replace("emit = both", "emit = summary")
+    small = write_spec(tmp_path, text, TINY_SCENARIO)
+    assert cli.main([argv[0], str(small), *argv[1:]]) == 0  # first-call allocations stay outside the trace
+    spec = write_spec(tmp_path, text.replace("T = 300", f"T = {T}"), scenario)
+    counted, check = [], cli._check_memory
+    with mock.patch.object(cli, "_check_memory", lambda *args, **kw: counted.append(check(*args, **kw))), \
+            mock.patch.object(analysis, stop, mock.Mock(side_effect=Reached)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Reached):
+                cli.main([argv[0], str(spec), *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(counted) == 1 and peak <= counted[0]
 
 
 def test_csv_template_cache_keeps_the_two_templates_the_memory_bound_counts(tmp_path):
@@ -611,6 +662,7 @@ USAGE_ERRORS = {
     "param_gamma": (["sweep", "SPEC", "--param", "gamma", "--grid", "0.1"], "gamma"),
     "no_grid": (["sweep", "SPEC", "--param", "eta"], "--grid"),
     "ridge_abc": (["wiener", "SPEC", "--ridge", "abc"], "abc"),
+    "flag_with_a_value": (["simulate", "SPEC", "--fail-on-diverge=yes"], "--fail-on-diverge=yes"),
     "format_xml": (["audit", "--format=xml", "--out", "OUT"], "xml"),
     "repeated_out": (["wiener", "--out", "OUT", "SPEC", "--out=OUT"], "--out"),
 }
@@ -914,9 +966,16 @@ v = 0.5
 
 def test_wiener_bad_ridge_exit_2(tmp_path, capsys):
     spec = write_spec(tmp_path)
-    for ridge in ("-1", "nan", "inf"):
-        assert cli.main(["wiener", str(spec), "--ridge", ridge]) == 2
-        assert "--ridge: ridge must be finite and >= 0" in capsys.readouterr().err
+    streamed = mock.Mock(side_effect=AssertionError("the ridge is checked before the stream"))
+    with mock.patch.object(analysis, "stream_correlations", streamed):
+        for ridge in ("-1", "nan", "inf"):
+            assert cli.main(["wiener", str(spec), "--ridge", ridge]) == 2
+            assert f"--ridge: ridge must be finite and >= 0, got {float(ridge)}" in capsys.readouterr().err
+        # a fault of the spec, and then of its memory bound, comes first
+        for text, fault in ((SPEC.replace("T = 300", "T = 5"), "T must be >= m + n"),
+                            (SPEC.replace("T = 300", f"T = {10**12}"), f"T={10**12} is too large")):
+            assert cli.main(["wiener", str(write_spec(tmp_path, text)), "--ridge", "-1"]) == 2
+            assert f"run.spec:3: {fault}" in capsys.readouterr().err
 
 
 def test_wiener_json_document(tmp_path, capsys):
