@@ -222,15 +222,15 @@ def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
         (1_241_803, "both", ["simulate"]),
         (4_326_279, "summary", ["simulate"]),
         (4_326_279, "both", ["sweep", "--param", "eta", "--grid", "0.01"]),
-        (2**27 - 7280 * 11 - 7282 * 3 - 5 * 81, "both", ["wiener"]),
+        (134_115_397, "both", ["wiener"]),  # 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81
     )
-    assert cases[-1][0] == 134_115_397
     reached = mock.Mock(side_effect=Reached)
-    with mock.patch.object(analysis, "simulate_seeds", reached), mock.patch.object(analysis, "stream_correlations",
-                                                                                     reached):
+    with (mock.patch.object(analysis, "simulate_seeds", reached),
+          mock.patch.object(analysis, "stream_correlations", reached)):
         for largest, emit, argv in cases:
             for T in (largest, largest + 1, 10**12):
-                spec = write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}").replace("emit = both", f"emit = {emit}"))
+                text = muscle.replace("T = 300", f"T = {T}").replace("emit = both", f"emit = {emit}")
+                spec = write_spec(tmp_path, text)
                 assert cli.load_experiment_spec(spec).T == T  # parsing allocates no regressors
                 if T == largest:
                     with pytest.raises(Reached):
@@ -360,8 +360,8 @@ def test_memory_bound_counts_what_a_command_holds_up_to_its_batch(tmp_path, scen
     assert cli.main([argv[0], str(small), *argv[1:]]) == 0  # first-call allocations stay outside the trace
     spec = write_spec(tmp_path, text.replace("T = 300", f"T = {T}"), scenario)
     counted, check = [], cli._check_memory
-    with mock.patch.object(cli, "_check_memory", lambda *args, **kw: counted.append(check(*args, **kw))), \
-            mock.patch.object(analysis, stop, mock.Mock(side_effect=Reached)):
+    with (mock.patch.object(cli, "_check_memory", lambda *args, **kw: counted.append(check(*args, **kw))),
+          mock.patch.object(analysis, stop, mock.Mock(side_effect=Reached))):
         tracemalloc.start()
         try:
             with pytest.raises(Reached):
