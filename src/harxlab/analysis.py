@@ -415,7 +415,13 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     of every factor row: each live group writes its Re(factor) into its rows,
     and one add of a buffer of ones (F + 1 is 1 + F, with no Python float
     converted per call) and one multiply then scale every factor row's
-    gradient.  Each group makes the oracle's ufunc calls itself, bound once
+    gradient.  The parameters are (R,) columns: η, β and the guard.  A block
+    widens β to its history rows, and an ``elementwise_abs`` group's guards
+    to its rows, at full width n, so that no ufunc of a step broadcasts and
+    no (R, n) matrix of either is held.  Each factor kind, signed,
+    ``elementwise_abs`` and ``euclidean_norm``, has one list of its live
+    groups, built per block, and one loop over it per step.  Each group
+    makes the oracle's ufunc calls itself, bound once
     per block, into buffers made once per block; each np.power exponent is a
     0-d array: complex128 for a signed group, as np.power would cast a
     float64 one at every call, float64 otherwise.  It holds the value
@@ -426,11 +432,11 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     complex output buffer, whose imaginary part scales the unscaled gradient
     into the imaginary rows before its real part is copied into F.  An
     ``elementwise_abs`` group makes np.abs, np.maximum with its guards and
-    np.power in place in F.  A ``euclidean_norm`` group writes each row's
-    norm into a buffer of its rows, floors it with np.maximum, and writes
-    each row's Python float power over the row in F.  A group whose guards
-    are all 0 skips the floor: |w_j| and ||w|| are never -0.0, and NaN
-    stays NaN, so a zero guard floors nothing, bit for bit.  So a step
+    np.power in place in F; one whose guards are all 0 skips the floor:
+    |w_j| is never -0.0, and NaN stays NaN, so a zero guard floors nothing,
+    bit for bit.  A ``euclidean_norm`` group writes each row's norm into a
+    buffer of its rows, floors it with np.maximum at its guards, and writes
+    each row's Python float power over the row in F.  So a step
     allocates only what the error's ``np.vecdot`` returns and, in a
     ``euclidean_norm`` group, the array its row powers are converted to.
     The curves are computed once per block from its history, and folded
@@ -476,13 +482,8 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     signed = np.isin(group_of, np.flatnonzero(complex_group))
     r0, Rs = int(signed.argmax()), int(np.count_nonzero(signed))
 
-    # per-config parameters, one entry per row
-    column = lambda values: np.array(values, dtype=np.float64)[cfg_of]  # noqa: E731
-    # full width (R, n), so that no ufunc of a step broadcasts them
-    full = lambda values: np.repeat(column(values)[:, None], n, axis=1)  # noqa: E731
-    eta = column([cfg.eta for cfg in cfgs])
-    beta = full([cfg.momentum for cfg in cfgs])
-    guard = full([cfg.epsilon_guard for cfg in cfgs])
+    # per-config parameters, one (R,) column each
+    eta, beta, guard = np.array([(cfg.eta, cfg.momentum, cfg.epsilon_guard) for cfg in cfgs], np.float64)[cfg_of].T
 
     tally = _Tally(R)
     if curves:
@@ -504,7 +505,8 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             seeds, span = seed_of[live], slice(t0, t0 + b)
             Xb = np.take(X_by_time[span], seeds, axis=1)  # (b, L, n): each psi a contiguous (L, n)
             db = np.take(outputs_by_time[span], seeds, axis=1)
-            eta_b, beta_b, guard_b = eta[live], beta[live[hist]], guard[live]
+            # beta widened to the block's history rows, so that no ufunc of a step broadcasts it
+            eta_b, beta_b = eta[live], np.repeat(beta[live[hist], None], n, axis=1)
 
             H = np.empty((b + 2, hist.size, n))
             H[:2] = start
@@ -517,21 +519,19 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             F = np.empty((bounds[-1], n))  # 1 + Re(factor) of each live factor row, which scales its gradient
             one = np.ones_like(F)  # the 1 added to Re(factor), as a buffer: no float converted per step
             grad_f = grad[: bounds[-1]]
-            signed_at, abs_at, power_at = [], [], []  # per live group, by the path its factor takes
+            signed_at, abs_at, norm_at = [], [], []  # per live group of each factor kind
             for (kind, e), lo, hi in zip(groups, bounds, bounds[1:]):
                 if lo == hi:
                     continue
-                at, g = slice(lo, hi), guard_b[lo:hi]
+                at, g = slice(lo, hi), guard[live[lo:hi]]
                 if kind == "signed":  # Re(w) goes into z's real part; its imaginary part stays +0.0
                     z, f = np.zeros((2, hi - lo, n), np.complex128)
                     signed_at.append((at, z.real, z, np.array(e, np.complex128), f, f.real, f.imag, grad[at],
                                       grad_im[lo - s0 : hi - s0], F[at]))
-                elif kind == "elementwise_abs" and not g.any():
-                    abs_at.append((at, np.array(e), F[at]))
-                elif kind == "elementwise_abs":  # floored at its guards in F[at]
-                    power_at.append((at, np.array(e), g, None, F[at]))
-                else:  # each row's norm, floored where a guard is not 0, its power broadcast through F[at].T
-                    power_at.append((at, e, g[:, 0] if g.any() else None, np.empty(hi - lo), F[at].T))
+                elif kind == "elementwise_abs":  # floored in F[at] at its guards widened, unless all are 0
+                    abs_at.append((at, np.array(e), np.repeat(g[:, None], n, axis=1) if g.any() else None, F[at]))
+                else:  # each row's norm, floored at its guard, its power broadcast through F[at].T
+                    norm_at.append((at, e, g, np.empty(hi - lo), F[at].T))
             subtract, multiply, add, vecdot, absolute, power, maximum, sqrt = (
                 np.subtract, np.multiply, np.add, np.vecdot, np.absolute, np.power, np.maximum, np.sqrt)
             W_prev, W = H[0], H[1]
@@ -544,17 +544,15 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
                     power(z, e, f)
                     multiply(grad_at, f_im, imag_at)  # the imaginary rows, from the unscaled gradient
                     F_at[...] = f_re
-                for at, e, F_at in abs_at:
-                    power(absolute(re[at], F_at), e, F_at)
-                for at, e, g, norm, F_at in power_at:
-                    if norm is None:
-                        power(maximum(absolute(re[at], F_at), g, out=F_at), e, F_at)
-                        continue
+                for at, e, g, F_at in abs_at:
+                    absolute(re[at], F_at)
+                    if g is not None:
+                        maximum(F_at, g, out=F_at)
+                    power(F_at, e, F_at)
+                for at, e, g, norm, F_at in norm_at:
                     x = re[at]
                     sqrt(vecdot(x, x, out=norm), norm)
-                    if g is not None:
-                        maximum(norm, g, out=norm)
-                    F_at[...] = [b**e for b in norm.tolist()]
+                    F_at[...] = [b**e for b in maximum(norm, g, out=norm).tolist()]
                 if grad_f.size:
                     add(F, one, F)
                     multiply(grad_f, F, grad_f)

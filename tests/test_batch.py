@@ -115,33 +115,39 @@ def test_mixed_batch_matches_step_oracle():
 
 
 def test_guard_skip_matches_step_oracle(monkeypatch):
-    # one batch of every factor path: element-wise and Euclidean groups whose guards mix 0 and 0.05 (floored)
-    # beside all-zero-guard groups of each (no floor), a signed group and a row without a factor; the kernel
-    # makes every factor itself, so it never calls the oracle's fractional_power
-    make = lambda variant, interp="elementwise_abs", **kw: FilterConfig(  # noqa: E731
-        variant=variant, eta=0.01, dim=PLANT.n, beta=0.2, power_interpretation=interp, **kw)
-    mixed = [make("mflms_modulus", interp, v=0.5, epsilon_guard=guard)
-             for interp in ("elementwise_abs", "euclidean_norm") for guard in (0.0, 0.05)]
+    # one batch of every factor path: element-wise and Euclidean groups whose guards mix 0 and 0.05 (floored),
+    # each with a row that diverges, so that later blocks gather the guards and betas of a live subset, beside
+    # all-zero-guard groups of each (no floor), a signed group and a row without a factor, every row with its own
+    # beta; the kernel makes every factor itself, so it never calls the oracle's fractional_power
+    betas = iter(np.linspace(0.1, 0.6, 10).tolist())
+    make = lambda variant, interp="elementwise_abs", eta=0.01, **kw: FilterConfig(  # noqa: E731
+        variant=variant, eta=eta, dim=PLANT.n, beta=next(betas), power_interpretation=interp, **kw)
+    mixed = [make("mflms_modulus", interp, eta=eta, v=0.5, epsilon_guard=guard)
+             for interp in ("elementwise_abs", "euclidean_norm") for eta, guard in ((0.01, 0.0), (0.01, 0.05),
+                                                                                     (DIVERGING_ETA, 0.0))]
     zero = [make("flms_signed", v=0.75), make("mflms_modulus", v=0.75),
             make("mflms_modulus", "euclidean_norm", v=0.75), make("lms")]
     cfgs = mixed + zero
     assert len(_factor_groups(cfgs)[0]) == 5
+    assert len({cfg.momentum for cfg in cfgs}) == len(cfgs)
     assert not hasattr(analysis, "fractional_power")  # nor holds a name bound to it at import
 
     def never(*args):
         raise AssertionError("run_batch called filters.fractional_power")
 
-    for block_bytes in (analysis._BLOCK_BYTES, 1 << 12):  # 2 blocks, and 2 steps a block
+    for block_bytes in (analysis._BLOCK_BYTES, 1 << 12):  # 2 blocks, and a step a block until rows stop
         with monkeypatch.context() as patch:
             patch.setattr(filters, "fractional_power", never)
             patch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
             batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
         for cfg, records in zip(cfgs, batch):
             for s, rec in enumerate(records):
-                assert not assert_matches_oracle(rec, cfg, s)
-    # the guard moves each mixed group's second row away from its first
-    for c in (0, 2):
+                assert assert_matches_oracle(rec, cfg, s) == (cfg.eta == DIVERGING_ETA)
+    # the guard moves each mixed group's second row away from its first; the diverging rows stop
+    # after the first block of 2 steps and before the last
+    for c in (0, 3):
         assert not np.array_equal(batch[c][0].mse_curve, batch[c + 1][0].mse_curve)
+        assert all(2 < rec.final_state.iteration < T for rec in batch[c + 2])
 
 
 def test_batch_hands_out_only_read_only_arrays():
