@@ -51,6 +51,12 @@ _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
 MAX_REGRESSOR_BYTES = 2**30
 # the n x n float64 matrices a seed the correlations hold at once: 3.6 to 4.3 traced at n = 182 to 800, rounded up
 _CORRELATION_MATRICES = 5
+# what `analysis.run_batch` holds at once, traced at n = 1 to 1,000 and up to 16,040 rows, each rounded up: n-vectors
+# of float64 a row (up to 17 to 19), bytes a row for its summary or record (up to 1,500 at n = 1), and time blocks of
+# `analysis._BLOCK_BYTES` (up to 11.3 at n = 1 and 5 at n = 10)
+_BATCH_ROW_VECTORS, _BATCH_ROW_BYTES, _BATCH_BLOCKS = 20, 2000, 16
+# the bytes an entry of R takes while `wiener` renders its JSON document
+_DOCUMENT_ENTRY_BYTES = 160
 # the most a curve CSV cell after a row's `iter` cell takes: %.17g, at most 24 characters, and its separator
 _CSV_CELL_BYTES = 25
 
@@ -232,40 +238,53 @@ def load_experiment_spec(path) -> ExperimentSpec:
     )
 
 
-def _check_memory(spec: ExperimentSpec, cfgs=(), stacked: int | None = None) -> int:
-    """The bytes a command would hold at most, stacking the rows of
-    ``stacked`` seeds (by default all of the spec's, 0 for ``wiener``) and
-    keeping the curves of ``cfgs``; fail on the T line if that is more than
-    MAX_REGRESSOR_BYTES.
+def _check_memory(spec: ExperimentSpec, cfgs=(), curves: bool = False) -> int:
+    """The bytes a command would hold at most, running the batch of ``cfgs``
+    on every seed of the spec and keeping its curves when ``curves`` is
+    true; fail on the T line if that is more than MAX_REGRESSOR_BYTES.
 
     Every command runs the chunk loop of ``analysis._simulate``, which holds
     a seed's T inputs, one chunk of rows, their outputs and their noise, and
     the chunk's basis window, and sums the correlations, which hold
     _CORRELATION_MATRICES n x n float64 a seed (of one seed for ``wiener``).
-    ``simulate`` and ``sweep`` also stack every seed's rows and outputs and,
-    while the filters run, the curves ``simulate`` keeps for its curve CSVs
-    (``analysis.curves_per_seed``, T - m float64 each).  ``simulate`` renders
-    after it freed the rows, and then holds the curves, every CSV text, the
-    two cached templates (real and signed) and one record's values as Python
-    floats in a tuple, at most three a row of 32 bytes each; the larger of
-    the two phases counts.  A text or template row takes at most its
-    ``iter`` cell and three _CSV_CELL_BYTES."""
+    A command with a batch (``simulate`` and ``sweep``) also stacks every
+    seed's rows and outputs and, while the batch runs, the curves it keeps
+    (``analysis.curves_per_seed``, T - m float64 each) and what
+    ``analysis.run_batch`` holds: _BATCH_ROW_VECTORS n-vectors of float64 a
+    row, a signed row counted twice for its imaginary parts, _BATCH_ROW_BYTES
+    a row for its summary or record, and _BATCH_BLOCKS blocks of
+    ``analysis._BLOCK_BYTES``, as one time block ends and the next begins:
+    two blocks' weight history, regressors and, taking a block each at
+    n = 1, per-step diagnostics.  ``simulate`` renders after it freed the
+    rows, and then holds the curves, every CSV text, the two cached
+    templates (real and signed) and one record's values as Python floats in
+    a tuple, at most three a row of 32 bytes each; the larger of the two
+    phases counts.  A text or template row takes at most its ``iter`` cell
+    and three _CSV_CELL_BYTES.  The command without a batch (``wiener``)
+    renders R's JSON document, _DOCUMENT_ENTRY_BYTES an entry."""
     T, N, n, l = spec.T, spec.T - spec.plant.m, spec.plant.n, spec.plant.basis.l
-    S = len(spec.seeds) if stacked is None else stacked
-    rows, curves = min(N, analysis._chunk_rows(n)), S * analysis.curves_per_seed(cfgs)
+    S = len(spec.seeds) if cfgs else 0
+    rows, R, per_seed = min(N, analysis._chunk_rows(n)), S * len(cfgs), analysis.curves_per_seed(cfgs)
+    kept, Rs = S * per_seed if curves else 0, S * (per_seed - 2 * len(cfgs))  # a signed row keeps a third curve
     window, matrices = rows + spec.plant.m - 1, _CORRELATION_MATRICES * max(S, 1)
-    stack, csvs, row = (S * (n + 1) + curves) * N * 8, S * len(cfgs), len(str(N)) + 1 + 3 * _CSV_CELL_BYTES
-    render = curves * N * 8 + (csvs + 2) * (N + 1) * row + 3 * N * 32 if cfgs else 0
-    size = (T + rows * (n + 2) + window * l + matrices * n * n) * 8 + max(stack, render)
+    batch = _BATCH_ROW_VECTORS * (R + Rs) * n * 8 + _BATCH_ROW_BYTES * R + _BATCH_BLOCKS * analysis._BLOCK_BYTES
+    stack = (S * (n + 1) + kept) * N * 8 + batch if cfgs else 0
+    row = len(str(N)) + 1 + 3 * _CSV_CELL_BYTES
+    render = kept * N * 8 + (R + 2) * (N + 1) * row + 3 * N * 32 if curves else 0  # a CSV a row
+    document = 0 if cfgs else n * n * _DOCUMENT_ENTRY_BYTES
+    size = (T + rows * (n + 2) + window * l + matrices * n * n) * 8 + max(stack, render, document)
     if size > MAX_REGRESSOR_BYTES:
         held = (f"the {T} inputs, one chunk of {rows} rows of n + 2 = {n + 2} float64 (the rows, their outputs and "
                 f"noise), a basis window of {window} x l = {window * l} float64 and {matrices} correlation matrices "
                 f"of n x n = {n} x {n} float64")
         if render > stack:
-            held += f"; rendering {csvs} curve CSV(s) of {N} rows, with their {curves} curve(s)"
-        elif S:
+            held += f"; rendering {R} curve CSV(s) of {N} rows, with their {kept} curve(s)"
+        elif cfgs:
             held += f"; the rows and outputs of {S} seed(s), (T - m) x (n + 1) = {N} x {n + 1} float64 each"
-            held += f" and {curves} curve(s) of T - m float64" if curves else ""
+            held += f", {kept} curve(s) of T - m float64" if kept else ""
+            held += f" and a batch of {R} row(s), {Rs} of them signed"
+        else:
+            held += f"; a JSON document of R's {n * n} entries"
         message = f"T={T} is too large: {held}, would take {size} bytes, more than {MAX_REGRESSOR_BYTES}"
         raise spec.experiment.fail(message, "T")
     return size
@@ -361,7 +380,7 @@ def cmd_simulate(args) -> int:
     spec = load_experiment_spec(args.spec)
     cfgs = [cfg for _, cfg in spec.filters]
     keep = spec.emit in ("curves", "both")  # the curves are kept only for the CSVs
-    _check_memory(spec, cfgs if keep else ())
+    _check_memory(spec, cfgs, curves=keep)
     data = _seed_data(spec)
     batch = analysis.run_batch(cfgs, data.X, data.outputs, data.omega, curves=keep)
     del data  # the regressors are freed before the artifacts are built
@@ -430,7 +449,8 @@ def cmd_sweep(args) -> int:
     name, cfg = spec.filters[0]
     if param not in VARIANT_FIELDS[cfg.variant]:
         raise ExperimentSpecError(f"--param: variant {cfg.variant!r} of filter {name!r} does not read {param}")
-    _check_memory(spec)
+    # the grid's values, counted before they are parsed, and for eta the 2/lambda_max reference
+    _check_memory(spec, [cfg] * (args.grid.count(",") + 1 + (param == "eta")))
     grid_fault = Section(ExperimentSpecError, "--grid")
     try:
         grid = [float(x) for x in args.grid.split(",")]
@@ -474,7 +494,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_wiener(args) -> int:
     spec = load_experiment_spec(args.spec)
-    _check_memory(spec, stacked=0)
+    _check_memory(spec)
     if not 0.0 <= args.ridge < np.inf:  # checked before the stream, not after it in wiener_solution
         raise ExperimentSpecError(f"ridge must be finite and >= 0, got {args.ridge}", "--ridge")
     with _plant_data(spec):

@@ -214,15 +214,16 @@ def test_too_few_samples_for_a_full_rank_r_exit_2_names_t_line(tmp_path, capsys)
 
 def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
     # the largest T each command accepts on builtin:muscle (m = 3, n = 9, l = 3) with SPEC's 3 seeds and two
-    # filters: `simulate` with emit = both renders 6 curve CSVs; `sweep` and emit = summary stack 3 seeds' rows and
-    # outputs, 10 float64 a row; `wiener` stacks none and fills 2**27 float64 with its T inputs, a chunk of 7280 rows
-    # of 11 float64, a basis window of 7282 x 3 and 5 correlation matrices of 9 x 9
+    # filters: `simulate` with emit = both renders 6 curve CSVs; `sweep` (a grid value and the 2/lambda_max row)
+    # and emit = summary stack 3 seeds' rows and outputs, 10 float64 a row, beside a batch of 6 rows; `wiener`
+    # stacks none and fills 2**27 float64 with its T inputs, a chunk of 7280 rows of 11 float64, a basis window of
+    # 7282 x 3, 5 correlation matrices of 9 x 9 and the 81 entries of R's document, 160 bytes each
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle")
     cases = (  # (the largest T, emit, argv)
         (1_241_803, "both", ["simulate"]),
-        (4_326_279, "summary", ["simulate"]),
-        (4_326_279, "both", ["sweep", "--param", "eta", "--grid", "0.01"]),
-        (134_115_397, "both", ["wiener"]),  # 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81
+        (4_309_284, "summary", ["simulate"]),
+        (4_309_284, "both", ["sweep", "--param", "eta", "--grid", "0.01"]),
+        (134_113_777, "both", ["wiener"]),  # 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81 - 81 * 160 / 8
     )
     reached = mock.Mock(side_effect=Reached)
     with (mock.patch.object(analysis, "simulate_seeds", reached),
@@ -254,26 +255,28 @@ class Reached(Exception):
 def test_wiener_memory_bound_counts_the_stream_exit_2_names_t_line(tmp_path, capsys):
     # builtin:muscle (m = 3, n = 9): the stacked regressors of T = 15,000,000 would take 1.08 GB, while
     # the stream holds the inputs, 120 MB, one chunk of rows, outputs and noise, its basis window and
-    # 5 correlation matrices of 9 x 9; the largest T it accepts is 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81
+    # 5 correlation matrices of 9 x 9, and R's document takes 160 bytes an entry; the largest T it accepts is
+    # 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81 - 81 * 160 / 8
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle").replace("seeds = 1, 2, 3", "seeds = 1")
     reached = mock.Mock(side_effect=Reached)
     with mock.patch.object(analysis, "stream_correlations", reached):
         spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 15000000"))
         with pytest.raises(Reached):
             cli.main(["wiener", str(spec)])
-        counted = cli._check_memory(cli.load_experiment_spec(spec), stacked=0)
-        assert counted == (15_000_000 + 7280 * 11 + 7282 * 3 + 5 * 81) * 8
+        counted = cli._check_memory(cli.load_experiment_spec(spec))
+        assert counted == (15_000_000 + 7280 * 11 + 7282 * 3 + 5 * 81) * 8 + 81 * 160
         largest, over = (cli.load_experiment_spec(write_spec(tmp_path, muscle.replace("T = 300", f"T = {T}")))
-                         for T in (134_115_397, 134_115_398))
-        assert cli._check_memory(largest, stacked=0) == cli.MAX_REGRESSOR_BYTES
-        with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=134115398 is too large"):
-            cli._check_memory(over, stacked=0)
+                         for T in (134_113_777, 134_113_778))
+        assert cli._check_memory(largest) == cli.MAX_REGRESSOR_BYTES
+        with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=134113778 is too large"):
+            cli._check_memory(over)
         spec = write_spec(tmp_path, muscle.replace("T = 300", "T = 1000000000"))
         assert cli.main(["wiener", str(spec)]) == 2
         err = capsys.readouterr().err
         assert ("run.spec:3: T=1000000000 is too large: the 1000000000 inputs, one chunk of 7280 rows of n + 2 = 11 "
                 "float64 (the rows, their outputs and noise), a basis window of 7282 x l = 21846 float64 and 5 "
-                "correlation matrices of n x n = 9 x 9 float64, would take 8000818648 bytes, more than 1073741824"
+                "correlation matrices of n x n = 9 x 9 float64; a JSON document of R's 81 entries, would take "
+                "8000831608 bytes, more than 1073741824"
                 ) in err
     assert reached.call_count == 1
 
@@ -314,9 +317,9 @@ def test_memory_bound_counts_three_curves_per_signed_row(tmp_path):
         cli.load_experiment_spec(write_spec(tmp_path, signed.replace("T = 300", f"T = {T}"), TINY_SCENARIO))
         for T in (2_842_559, 2_842_560)
     )
-    assert cli._check_memory(largest, [cfg for _, cfg in largest.filters]) == 377 * 2_842_558 + 2_097_449
+    assert cli._check_memory(largest, [cfg for _, cfg in largest.filters], curves=True) == 377 * 2_842_558 + 2_097_449
     with pytest.raises(cli.ExperimentSpecError, match="run.spec:3: T=2842560 is too large: .*; rendering 1 curve CSV"):
-        cli._check_memory(over, [cfg for _, cfg in over.filters])
+        cli._check_memory(over, [cfg for _, cfg in over.filters], curves=True)
 
 
 def test_memory_bound_counts_what_simulate_holds_while_it_renders(tmp_path):
@@ -328,7 +331,7 @@ def test_memory_bound_counts_what_simulate_holds_while_it_renders(tmp_path):
     assert cli.main(["simulate", str(small)]) == 0  # first-call allocations stay outside the trace
     spec = write_spec(tmp_path, signed.replace("T = 300", "T = 20001"), plant)
     loaded = cli.load_experiment_spec(spec)
-    counted = cli._check_memory(loaded, [cfg for _, cfg in loaded.filters])
+    counted = cli._check_memory(loaded, [cfg for _, cfg in loaded.filters], curves=True)
     tracemalloc.start()
     try:
         assert cli.main(["simulate", str(spec)]) == 0
@@ -370,6 +373,63 @@ def test_memory_bound_counts_what_a_command_holds_up_to_its_batch(tmp_path, scen
         finally:
             tracemalloc.stop()
     assert len(counted) == 1 and peak <= counted[0]
+
+
+def test_memory_bound_counts_the_batch_through_its_return(tmp_path):
+    # a 40-value eta grid and the 2/lambda_max row over 20 seeds, 820 rows of n = 100 (m = 100, l = 1): through
+    # its return the batch holds its buffers, a summary a row and its time blocks beside the stacked rows
+    m100 = SCENARIO.replace("m = 3", "m = 100").replace("0.6, 0.3, 0.1", ", ".join(["0.5"] + ["0.001"] * 99))
+    text = ONE_FILTER.replace("seeds = 1", f"seeds = {', '.join(map(str, range(1, 21)))}")
+    grid = ",".join(str(0.001 * k) for k in range(1, 41))
+    argv = ["sweep", None, "--param", "eta", "--grid", grid]
+    argv[1] = str(write_spec(tmp_path, text.replace("T = 300", "T = 210"), m100))
+    assert cli.main(argv) == 0  # first-call allocations stay outside the trace
+    argv[1] = str(write_spec(tmp_path, text.replace("T = 300", "T = 400"), m100))
+    counted, check, run_batch = [], cli._check_memory, analysis.run_batch
+
+    def through(*args, **kw):
+        run_batch(*args, **kw)
+        raise Reached
+
+    with (mock.patch.object(cli, "_check_memory", lambda *args, **kw: counted.append(check(*args, **kw))),
+          mock.patch.object(analysis, "run_batch", through)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Reached):
+                cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(counted) == 1 and peak <= counted[0]
+
+
+def test_memory_bound_counts_wiener_s_document(tmp_path, capsys):
+    # m = 500, l = 1: R's 250,000 entries as lists, their JSON text and its bytes, about 160 bytes an entry
+    text = ONE_FILTER.replace("emit = both", "emit = summary")
+    out = str(tmp_path / "wiener.json")
+    assert cli.main(["wiener", str(write_spec(tmp_path, text, TINY_SCENARIO)), "--out", out]) == 0
+    spec = write_spec(tmp_path, text.replace("T = 300", "T = 1100"), WIDE_SCENARIO)
+    counted = cli._check_memory(cli.load_experiment_spec(spec))
+    tracemalloc.start()
+    try:
+        assert cli.main(["wiener", str(spec), "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out) > 250_000 * 20
+    assert peak <= counted
+
+
+def test_sweep_counts_its_grid_before_parsing_it(tmp_path, capsys):
+    # the grid's 3 values (and the 2/lambda_max row) count from its text; a T too large exits 2 on its own line
+    text = ONE_FILTER.replace("T = 300", "T = 50000000")
+    spec = write_spec(tmp_path, text, TINY_SCENARIO)
+    assert cli.main(["sweep", str(spec), "--param", "eta", "--grid", "0.01,x,0.02"]) == 2
+    err = capsys.readouterr().err
+    assert "run.spec:3: T=50000000 is too large" in err and "a batch of 4 row(s), 0 of them signed" in err
+    assert cli.main(["sweep", str(write_spec(tmp_path, ONE_FILTER, TINY_SCENARIO)), "--param", "eta",
+                     "--grid", "0.01,x,0.02"]) == 2
+    assert "--grid: eta values must be comma-separated numbers" in capsys.readouterr().err
 
 
 def test_csv_template_cache_keeps_the_two_templates_the_memory_bound_counts(tmp_path):
