@@ -380,11 +380,10 @@ def test_memory_bound_counts_the_batch_through_its_return(tmp_path):
     # its return the batch holds its buffers, a summary a row and its time blocks beside the stacked rows
     m100 = SCENARIO.replace("m = 3", "m = 100").replace("0.6, 0.3, 0.1", ", ".join(["0.5"] + ["0.001"] * 99))
     text = ONE_FILTER.replace("seeds = 1", f"seeds = {', '.join(map(str, range(1, 21)))}")
-    grid = ",".join(str(0.001 * k) for k in range(1, 41))
-    argv = ["sweep", None, "--param", "eta", "--grid", grid]
-    argv[1] = str(write_spec(tmp_path, text.replace("T = 300", "T = 210"), m100))
-    assert cli.main(argv) == 0  # first-call allocations stay outside the trace
-    argv[1] = str(write_spec(tmp_path, text.replace("T = 300", "T = 400"), m100))
+    grid = ["--param", "eta", "--grid", ",".join(str(0.001 * k) for k in range(1, 41))]
+    small = write_spec(tmp_path, text.replace("T = 300", "T = 210"), m100)
+    assert cli.main(["sweep", str(small), *grid]) == 0  # first-call allocations stay outside the trace
+    argv = ["sweep", str(write_spec(tmp_path, text.replace("T = 300", "T = 400"), m100)), *grid]
     counted, check, run_batch = [], cli._check_memory, analysis.run_batch
 
     def through(*args, **kw):
