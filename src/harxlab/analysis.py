@@ -789,16 +789,3 @@ def run_summary(record: RunRecord) -> dict:
     the first leak's iteration and the leaks' share of the iterations."""
     return dict(record.summary)
 
-
-def correlation_summary(est: CorrelationEstimate, omega_opt: np.ndarray) -> dict:
-    """JSON-ready document for a correlation estimate and the Wiener solution
-    computed from it."""
-    return {
-        "sample_count": est.sample_count,
-        "R": est.R.tolist(),
-        "p": est.p.tolist(),
-        "eigenvalues": est.eigenvalues.tolist(),
-        "lambda_max": est.lambda_max,
-        "eta_stability_reference": 2.0 / est.lambda_max,
-        "omega_opt": np.asarray(omega_opt).tolist(),
-    }

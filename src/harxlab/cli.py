@@ -203,12 +203,8 @@ def load_experiment_spec(path) -> ExperimentSpec:
     outputs = exp.take("outputs", default="harxlab_out")
     if os.path.realpath(spec_path.parent / outputs) == os.path.realpath(spec_path.parent):  # simulate would clear it
         raise exp.fail(f"outputs must name a directory other than the spec's own, got {outputs!r}", "outputs")
-    emit = exp.take("emit", default="both")
-    if emit not in EMIT_MODES:
-        raise exp.fail(f"emit must be one of {EMIT_MODES}, got {emit!r}", "emit")
-    input_kind = exp.take("input", default="white_gaussian")
-    if input_kind not in INPUT_KINDS:
-        raise exp.fail(f"input must be one of {INPUT_KINDS}, got {input_kind!r}", "input")
+    emit = exp.take("emit", EMIT_MODES, f"one of {EMIT_MODES}", "both")
+    input_kind = exp.take("input", INPUT_KINDS, f"one of {INPUT_KINDS}", "white_gaussian")
     exp.reject_unknown()
 
     filters = []
@@ -502,10 +498,17 @@ def cmd_wiener(args) -> int:
             spec.plant, spec.input_kind, T=spec.T, rng=np.random.default_rng(spec.seeds[0])
         )
         omega = analysis.wiener_solution(est, ridge=args.ridge)
-    doc = analysis.correlation_summary(est, omega_opt=omega)
-    doc["ridge"] = args.ridge
-    doc["true_weight_vector"] = true_weight_vector(spec.plant).tolist()
-    text = _dumps(doc)
+    text = _dumps({
+        "true_weight_vector": true_weight_vector(spec.plant).tolist(),
+        "sample_count": est.sample_count,
+        "R": est.R.tolist(),
+        "p": est.p.tolist(),
+        "eigenvalues": est.eigenvalues.tolist(),
+        "lambda_max": est.lambda_max,
+        "eta_stability_reference": 2.0 / est.lambda_max,
+        "ridge": args.ridge,
+        "omega_opt": omega.tolist(),
+    })
     print(text, end="")
     if args.out:
         _write_out(args.out, text)

@@ -237,14 +237,17 @@ class Section:
         return self.error(message, self.path, self.lines.get(key, self.line))
 
     def take(self, key: str, convert=str, what: str = "", default=_REQUIRED):
-        """Remove ``key`` and return its value through ``convert``; an absent key
-        gives ``default`` or, with none given, fails as missing."""
+        """Remove ``key`` and return its value through ``convert``, a function or
+        the tuple of the values allowed; an absent key gives ``default`` or,
+        with none given, fails as missing."""
         if key not in self.values:
             if default is _REQUIRED:
                 raise self.fail(f"missing required key {key!r}")
             return default
         value = self.values.pop(key)
         try:
+            if isinstance(convert, tuple):
+                return convert[convert.index(value)]  # a ValueError for a value not in it
             return convert(value)
         except ValueError:
             raise self.fail(f"{key} must be {what}, got {value!r}", key) from None
@@ -294,9 +297,8 @@ def parse_scenario(text: str, path: str | None = None) -> HarxPlant:
     scenario, *headed = read_sections(text, path, ScenarioError)
     if headed:
         raise headed[0].fail(f"unknown section [{headed[0].name}]")
-    m, l, basis = scenario.take("m", int, "an integer"), scenario.take("l", int, "an integer"), scenario.take("basis")
-    if basis != "polynomial":
-        raise scenario.fail(f"basis must be 'polynomial', got {basis!r}", "basis")
+    m, l = scenario.take("m", int, "an integer"), scenario.take("l", int, "an integer")
+    scenario.take("basis", ("polynomial",), "'polynomial'")
     with scenario.located():
         plant = HarxPlant(
             m=m,

@@ -1,6 +1,8 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,6 +226,14 @@ def test_wiener_singular_correlation():
     # a ridge restores solvability
     omega = wiener_solution(est, ridge=1e-3)
     assert np.all(np.isfinite(omega))
+
+
+def test_wiener_solution_rejects_a_bad_ridge_before_any_solve():
+    est = estimate_correlations(synthetic_dataset(np.ones((10, 3)), np.ones(10)))
+    with mock.patch.object(analysis, "_checked", mock.Mock(side_effect=AssertionError("solved"))):
+        for ridge in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^ridge must be finite and >= 0, got {re.escape(str(ridge))}$"):
+                wiener_solution(est, ridge=ridge)
 
 
 def test_correlation_checks_scale_with_the_data():

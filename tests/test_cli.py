@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harxlab import analysis, cli
+from harxlab.errors import DimensionMismatch
 from harxlab.filters import VARIANT_FIELDS, VARIANTS, FilterConfig, initial_state
 from harxlab.plant import generate_sequence, load_scenario
 
@@ -345,12 +346,13 @@ def test_memory_bound_counts_what_simulate_holds_while_it_renders(tmp_path):
 
 # m = 500, l = 1 (n = 500): at T = 1,100 the correlations' n x n matrices outweigh the regressor rows
 WIDE_SCENARIO = SCENARIO.replace("m = 3", "m = 500").replace("0.6, 0.3, 0.1", ", ".join(["0.5"] + ["0.001"] * 499))
-# (scenario, T, seeds, argv, the analysis function a mock stops the command at)
+# (scenario, T, seeds, argv, the module and function a mock stops the command at)
 TRACED_COMMANDS = {
-    "n1_simulate_summary": (TINY_SCENARIO, 2_000_001, "1", ["simulate"], "run_batch"),
-    "n1_sweep": (TINY_SCENARIO, 2_000_001, "1", ["sweep", "--param", "eta", "--grid", "0.01,0.02"], "run_batch"),
-    "m500_wiener": (WIDE_SCENARIO, 1100, "1, 2", ["wiener"], "correlation_summary"),
-    "m500_simulate": (WIDE_SCENARIO, 1100, "1, 2", ["simulate"], "run_batch"),
+    "n1_simulate_summary": (TINY_SCENARIO, 2_000_001, "1", ["simulate"], (analysis, "run_batch")),
+    "n1_sweep": (TINY_SCENARIO, 2_000_001, "1", ["sweep", "--param", "eta", "--grid", "0.01,0.02"],
+                 (analysis, "run_batch")),
+    "m500_wiener": (WIDE_SCENARIO, 1100, "1, 2", ["wiener"], (cli, "true_weight_vector")),
+    "m500_simulate": (WIDE_SCENARIO, 1100, "1, 2", ["simulate"], (analysis, "run_batch")),
 }
 
 
@@ -364,7 +366,7 @@ def test_memory_bound_counts_what_a_command_holds_up_to_its_batch(tmp_path, scen
     spec = write_spec(tmp_path, text.replace("T = 300", f"T = {T}"), scenario)
     counted, check = [], cli._check_memory
     with (mock.patch.object(cli, "_check_memory", lambda *args, **kw: counted.append(check(*args, **kw))),
-          mock.patch.object(analysis, stop, mock.Mock(side_effect=Reached))):
+          mock.patch.object(*stop, mock.Mock(side_effect=Reached))):
         tracemalloc.start()
         try:
             with pytest.raises(Reached):
@@ -691,8 +693,14 @@ SPEC_FAULTS = {
     "empty_outputs": (SPEC.replace("outputs = out", "outputs ="), ["simulate"], "{spec}:5: outputs must name a"),
     "dot_outputs": (SPEC.replace("outputs = out", "outputs = ."), ["simulate"], "{spec}:5: outputs must name a"),
     "up_outputs": (SPEC.replace("outputs = out", "outputs = sub/.."), ["simulate"], "{spec}:5: outputs must name a"),
-    "unknown_input":(SPEC.replace("emit = both", "emit = both\ninput = pink"), ["simulate"], "{spec}:7: input must"),
-    "unknown_emit": (SPEC.replace("emit = both", "emit = loud"), ["simulate"], "{spec}:6: emit must be one of"),
+    "unknown_input": (
+        SPEC.replace("emit = both", "emit = both\ninput = pink"), ["simulate"],
+        "{spec}:7: input must be one of ('white_gaussian', 'uniform'), got 'pink'\n",
+    ),
+    "unknown_emit": (
+        SPEC.replace("emit = both", "emit = loud"), ["simulate"],
+        "{spec}:6: emit must be one of ('curves', 'summary', 'both'), got 'loud'\n",
+    ),
     "grid_not_numbers": (
         SPEC, ["sweep", "--param", "eta", "--grid", "0.1,abc"], "--grid: eta values must be comma-separated numbers"
     ),
@@ -1021,6 +1029,14 @@ v = 0.5
 
 # ---------------------------------------------------------------------------
 # wiener
+
+
+def test_a_fault_of_no_input_exit_1_with_one_error_line(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    with mock.patch.object(analysis, "simulate_seeds", mock.Mock(side_effect=DimensionMismatch("inconsistent shapes"))):
+        assert cli.main(["simulate", str(spec)]) == 1
+    assert capsys.readouterr().err == "error: inconsistent shapes\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_wiener_bad_ridge_exit_2(tmp_path, capsys):

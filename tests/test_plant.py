@@ -309,6 +309,8 @@ def test_scenario_roundtrip_and_errors():
         parse_scenario(text + "bogus = 1\n")
     with pytest.raises(ScenarioError, match="polynomial"):
         parse_scenario("m = 1\nl = 1\nbasis = fourier\nq = 1\nc = 1\n")
+    with pytest.raises(ScenarioError, match=r"^s\.scenario:3: basis must be 'polynomial', got 'spline'$"):
+        parse_scenario("m = 1\nl = 1\nbasis = spline\nq = 1\nc = 1\n", path="s.scenario")
 
 
 def test_negative_scenario_seed_names_its_line():

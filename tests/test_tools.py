@@ -46,7 +46,7 @@ def test_kernel_timing_times_the_seed_layer_and_the_kernel():
         workload, timing, ms, unit = line.split()[:4]
         assert workload == "sweep_many_seeds" and unit == "ms", line
         timings[timing] = float(ms)
-    assert set(timings) == {"simulate_seeds", "run_batch"}
+    assert set(timings) == {"simulate_seeds", "run_batch", "sweep_cells"}
     assert all(ms > 0.0 for ms in timings.values())
 
 

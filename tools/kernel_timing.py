@@ -22,14 +22,17 @@ the wrong way round between two processes at 50 calls.  W is a workload of
   when its ``emit`` writes CSVs; ``sweep --param eta`` runs the grid's
   configs and the 2/lambda_max reference, without curves.  The batch's
   time is also given per step (the longest row's iterations) and per
-  row-step (every row's iterations summed).  Where the batch keeps curves,
-  the rendering of all its records by ``analysis.run_record_csv`` is timed
-  too, each from an empty template cache, so that it counts the templates a
-  fresh ``simulate`` builds.  ``simulate`` then times two more batches on
-  the same data, each of the spec's ``mflms_modulus`` config alone, for the
-  factor paths no workload takes: ``run_batch_guarded`` with an
-  ``epsilon_guard`` of 0.05 and ``run_batch_euclidean`` with the
-  ``euclidean_norm`` reading.
+  row-step (every row's iterations summed).  ``sweep`` also times
+  ``analysis.sweep_cells`` on the same configs, the batch and its
+  ``seed_aggregate`` cells as ``stability_probe`` takes them, so the time
+  beyond ``run_batch`` is what reducing the rows to cells costs.  Where
+  the batch keeps curves, the rendering of all its records by
+  ``analysis.run_record_csv`` is timed too, each from an empty template
+  cache, so that it counts the templates a fresh ``simulate`` builds.
+  ``simulate`` then times two more batches on the same data, each of the
+  spec's ``mflms_modulus`` config alone, for the factor paths no workload
+  takes: ``run_batch_guarded`` with an ``epsilon_guard`` of 0.05 and
+  ``run_batch_euclidean`` with the ``euclidean_norm`` reading.
 - ``wiener``: ``analysis.stream_correlations`` on the spec's plant and T,
   seeded with its first seed, as ``harxlab wiener`` calls it.
 - ``setup``: ``import harxlab; from harxlab import cli`` (``import_cli``),
@@ -128,6 +131,9 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
         return records
 
     records = time_batch("run_batch", cfgs)
+    if workload.command == "sweep":
+        t = median_s(lambda: analysis.sweep_cells(cfgs, data), repeat)
+        lines.append(f"{workload.name}  sweep_cells  {t * 1e3:.3f} ms  ({len(cfgs)} cells, median of {repeat})")
     if curves:
         def render():
             analysis._csv_template.cache_clear()
