@@ -6,10 +6,12 @@ together in one batched kernel), a truncated-binomial residual checked
 against the direct power, and an empirical step-size stability probe that
 replaces any analytic bound with measured divergence fractions.
 
-Every number a command reports about a run, complex leakage included, comes
-from the summary :func:`run_batch` reduces block by block (a record's
-:func:`run_summary`), and every number about a config's seeds from
-:func:`seed_aggregate` over those summaries.
+Every number a command reports about a run, complex leakage included, is
+a row of the summary columns :func:`run_batch` reduces block by block and
+hands back (its tally), and every number about a config's seeds comes from
+:func:`seed_aggregate` over that config's rows of the columns.  A run's
+numbers become a dict (a record's :func:`run_summary`) only where a record
+or a summary document asks for one.
 """
 
 from __future__ import annotations
@@ -307,13 +309,16 @@ def curves_per_seed(cfgs) -> int:
 
 
 class _Tally:
-    """Each row's running summary numbers, folded in one time block at a time.
+    """A batch's summary numbers, one (R,) column each, folded in one time
+    block at a time; :func:`run_batch` returns it.
 
     The numbers are those of :func:`run_summary`: the iterations, whether the
     row diverged, its terminal mse and weight error, its complex events and,
     from its imaginary-norm curve, the maximum, the leaks (entries above
     ``LEAK_EPS``) and the first leak.  A row without a signed factor is never
     folded as signed, so it reads 0 events, a maximum of 0.0 and no leak.
+    The rows are in config order: config c's S seeds are rows c S to
+    c S + S - 1.
     """
 
     def __init__(self, R: int):
@@ -349,8 +354,9 @@ class _Tally:
         first = self.first_leak[rows]
         self.first_leak[rows] = np.where((first < 0) & hot.any(axis=0), t0 + hot.argmax(axis=0), first)
 
-    def summaries(self) -> list[dict]:
-        """Each row's :func:`run_summary` dict, in row order."""
+    def summaries(self, rows=slice(None)) -> list[dict]:
+        """The :func:`run_summary` dict of each row of ``rows`` (an index), in
+        its order: the one place a row's numbers become a dict."""
         columns = (self.iterations, self.diverged, *self.terminal, self.events, self.max_imag, self.first_leak,
                    self.leaks)
         return [
@@ -364,11 +370,11 @@ class _Tally:
                 "first_leak_iter": first if first >= 0 else None,
                 "leak_fraction": leaks / k,
             }
-            for k, diverged, mse, werr, events, max_imag, first, leaks in zip(*(c.tolist() for c in columns))
+            for k, diverged, mse, werr, events, max_imag, first, leaks in zip(*(c[rows].tolist() for c in columns))
         ]
 
 
-def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunRecord]] | list[list[dict]]:
+def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> tuple[_Tally, list[list[RunRecord]] | None]:
     """Run every config on every seed's data, all (config, seed) rows stepping together.
 
     ``X`` (S, N, n) with S, N, n >= 1, ``outputs`` (S, N) and ``omega`` (S, n)
@@ -447,13 +453,16 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
     on for at most B - 1 steps whose results nothing reads; every sum is per
     row, so they touch no other row.
 
-    Returns ``records[c][s]`` in the order of ``cfgs``, every array in them
-    read-only.  The curves are views into buffers the batch's rows share, so
-    a record a caller keeps holds every row's curves alive; each
-    ``omega_opt`` is a view of the batch's own copy of ``omega``.  With
-    ``curves`` false no curve and no final state is kept and no record is
-    built: the result is ``summaries[c][s]``, the dicts :func:`run_summary`
-    would return for the records.
+    Returns ``tally, records``.  The tally holds every row's summary
+    numbers as (R,) columns in the order of ``cfgs``, config c's seeds at
+    rows c S to c S + S - 1; the block folds each row at that place.
+    ``records[c][s]`` are in the same order, every array in them read-only,
+    each ``summary`` the tally's dict for its row.  The curves are views
+    into buffers the batch's rows share, so a record a caller keeps holds
+    every row's curves alive; each ``omega_opt`` is a view of the batch's
+    own copy of ``omega``.  With ``curves`` false no curve and no final
+    state is kept, and no record and no summary dict is built: ``records``
+    is None.
     """
     cfgs = list(cfgs)
     X = np.asarray(X, dtype=np.float64)
@@ -469,13 +478,14 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
         if cfg.dim != n:
             raise DimensionMismatch(f"config dim {cfg.dim} != data weight dimension {n}")
     if not cfgs:
-        return []
+        return _Tally(0), [] if curves else None
     omega.setflags(write=False)
     R = len(cfgs) * S
 
     groups, group_of = _factor_groups(cfgs)
     order = np.argsort(group_of, kind="stable")
     cfg_of, seed_of = np.repeat(order, S), np.tile(np.arange(S), len(cfgs))
+    place = cfg_of * S + seed_of  # each row's place in the tally, in config order
     group_of = group_of[cfg_of]
     # the signed rows, rows r0 .. r0 + Rs - 1, with a second row each for their imaginary parts
     complex_group = [kind == "signed" for kind, _ in groups]
@@ -572,7 +582,7 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             last = np.where(stopped, bad.argmax(axis=0), b - 1)  # each row's last step that counts
             # max |imag| of each step and row, a column at a time: a reduce over a short last axis is slow
             peak = functools.reduce(np.maximum, np.abs(im, out=Xb[:, s0:s1]).transpose(2, 0, 1))
-            tally.fold(t0, live, stopped, last, m_b, e_b, slice(s0, s1), i_b, peak)
+            tally.fold(t0, place[live], stopped, last, m_b, e_b, slice(s0, s1), i_b, peak)
             if curves:
                 mse[live, span] = m_b.T
                 werr[live, span] = e_b.T
@@ -584,32 +594,34 @@ def run_batch(cfgs, X, outputs, omega, curves: bool = True) -> list[list[RunReco
             keep = ~stopped
             start, live = H[b:, keep[hist]], live[keep]
             t0 += b
+            # the finished block, and every view of it, goes before the next one is made
+            del psi, d, err, re, W_new, W_prev, W, diff, im, peak, m_b, e_b, i_b, worst, bad, H, Xb, E, db
 
-    rows = summaries = tally.summaries()  # each row's summary, or with curves its record
-    if curves:
-        for arr in (mse, werr, imag, real_imag):
-            arr.setflags(write=False)
-        # a signed row's final (w_prev, w), rebuilt exactly from its two rows
-        signed_final = final[:, r0 : r0 + Rs].astype(np.complex128)
-        signed_final.imag = final[:, R:]
-        rows = []
-        for r, (s, summary) in enumerate(zip(seed_of.tolist(), summaries)):
-            j = r - r0 if r0 <= r < r0 + Rs else None  # a signed row's index among the signed rows
-            w_prev, w = final[:, r] if j is None else signed_final[:, j]
-            k, events = summary["iterations"], summary["complex_events"]
-            rows.append(
-                RunRecord(
-                    mse_curve=mse[r, :k],
-                    weight_error_curve=werr[r, :k],
-                    imag_curve=(real_imag if j is None else imag[j])[:k],
-                    diverged=summary["diverged"],
-                    final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=events),
-                    omega_opt=omega[s],
-                    summary=summary,
-                )
+    if not curves:
+        return tally, None
+    for arr in (mse, werr, imag, real_imag):
+        arr.setflags(write=False)
+    # a signed row's final (w_prev, w), rebuilt exactly from its two rows
+    signed_final = final[:, r0 : r0 + Rs].astype(np.complex128)
+    signed_final.imag = final[:, R:]
+    rows = []
+    for r, (s, summary) in enumerate(zip(seed_of.tolist(), tally.summaries(place))):
+        j = r - r0 if r0 <= r < r0 + Rs else None  # a signed row's index among the signed rows
+        w_prev, w = final[:, r] if j is None else signed_final[:, j]
+        k, events = summary["iterations"], summary["complex_events"]
+        rows.append(
+            RunRecord(
+                mse_curve=mse[r, :k],
+                weight_error_curve=werr[r, :k],
+                imag_curve=(real_imag if j is None else imag[j])[:k],
+                diverged=summary["diverged"],
+                final_state=FilterState(w=w, w_prev=w_prev, iteration=k, complex_events=events),
+                omega_opt=omega[s],
+                summary=summary,
             )
+        )
     # config c's seeds are the S rows from its place in the row order
-    return [rows[r : r + S] for r in (np.argsort(order) * S).tolist()]
+    return tally, [rows[r : r + S] for r in (np.argsort(order) * S).tolist()]
 
 
 def run_experiment(
@@ -626,7 +638,7 @@ def run_experiment(
     the seed drives the input and noise streams, and the steps are pure.
     """
     data = simulate_seeds(plant, T, [seed], input_kind)
-    return run_batch([cfg], data.X, data.outputs, data.omega)[0][0]
+    return run_batch([cfg], data.X, data.outputs, data.omega)[1][0][0]
 
 
 def binomial_residual(omega_opt: float, delta: float, exponent: float, k_max: int) -> np.ndarray:
@@ -690,31 +702,36 @@ def binomial_report(omega_opt: float, delta: float, exponent: float, k_max: int,
     return BinomialReport(scalar_residuals=residuals, vector_verdict=tag, notes=notes)
 
 
-def seed_aggregate(summaries) -> dict:
-    """Aggregate the :func:`run_summary` dicts of one config's seeds.
+def seed_aggregate(tally: _Tally, rows: slice) -> dict:
+    """Aggregate one config's seeds, the rows ``rows`` of a :func:`run_batch`
+    tally.
 
     The terminal means and maximum cover the seeds that did not diverge and
     are NaN when every seed diverged; ``leak_fraction_mean`` and
-    ``max_imag`` cover every seed.
+    ``max_imag`` cover every seed.  Each is one numpy reduction over the
+    rows' column values in row order, so it has the bits it has over the
+    :func:`run_summary` values of the rows.
     """
-    ok = [s for s in summaries if not s["diverged"]]
-    over_ok = lambda reduce, key: float(reduce([s[key] for s in ok])) if ok else float("nan")  # noqa: E731
+    ok = ~tally.diverged[rows]
+    diverged = ok.size - int(np.count_nonzero(ok))
+    over_ok = lambda reduce, column: float(reduce(column[rows][ok])) if ok.any() else float("nan")  # noqa: E731
     return {
-        "diverged_count": len(summaries) - len(ok),
-        "diverged_fraction": (len(summaries) - len(ok)) / len(summaries),
-        "terminal_mse_mean": over_ok(np.mean, "terminal_mse"),
-        "terminal_weight_error_mean": over_ok(np.mean, "terminal_weight_error"),
-        "terminal_weight_error_max": over_ok(np.max, "terminal_weight_error"),
-        "leak_fraction_mean": float(np.mean([s["leak_fraction"] for s in summaries])),
-        "max_imag": float(np.max([s["max_imag"] for s in summaries])),
+        "diverged_count": diverged,
+        "diverged_fraction": diverged / ok.size,
+        "terminal_mse_mean": over_ok(np.mean, tally.terminal[0]),
+        "terminal_weight_error_mean": over_ok(np.mean, tally.terminal[1]),
+        "terminal_weight_error_max": over_ok(np.max, tally.terminal[1]),
+        "leak_fraction_mean": float(np.mean(tally.leaks[rows] / tally.iterations[rows])),
+        "max_imag": float(np.max(tally.max_imag[rows])),
     }
 
 
 def sweep_cells(cfgs, data: SeedData) -> list[dict]:
     """One :func:`seed_aggregate` cell per config; every config runs over
     every seed of ``data`` in one batch, which keeps no curves."""
-    batch = run_batch(cfgs, data.X, data.outputs, data.omega, curves=False)
-    return [seed_aggregate(summaries) for summaries in batch]
+    tally, _ = run_batch(cfgs, data.X, data.outputs, data.omega, curves=False)
+    S = len(data.X)
+    return [seed_aggregate(tally, slice(r, r + S)) for r in range(0, tally.iterations.size, S)]
 
 
 @record(eq=True)

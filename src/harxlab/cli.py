@@ -51,10 +51,11 @@ _SIMULATE_FILES = re.compile(_NAME + r"_(seed\d+\.csv|summary\.json)")
 MAX_REGRESSOR_BYTES = 2**30
 # the n x n float64 matrices a seed the correlations hold at once: 3.6 to 4.3 traced at n = 182 to 800, rounded up
 _CORRELATION_MATRICES = 5
-# what `analysis.run_batch` holds at once, traced at n = 1 to 1,000 and up to 16,040 rows, each rounded up: n-vectors
-# of float64 a row (up to 17 to 19), bytes a row for its summary or record (up to 1,500 at n = 1), and time blocks of
-# `analysis._BLOCK_BYTES` (up to 11.3 at n = 1 and 5 at n = 10)
-_BATCH_ROW_VECTORS, _BATCH_ROW_BYTES, _BATCH_BLOCKS = 20, 2000, 16
+# what `analysis.run_batch` holds at once, traced up to 16,040 rows, each rounded up: n-vectors of float64 a row (up to
+# 17 to 19 at n = 1 to 1,000), bytes a row for its record (up to 1,500 at n = 1), and time blocks of
+# `analysis._BLOCK_BYTES` (up to 7.25 at n = 1, 4.63 at n = 2, 2.51 at n = 10 and 2.03 at n = 100: one block's
+# history, regressors, outputs and per-step diagnostics, for the finished block is dropped before the next is made)
+_BATCH_ROW_VECTORS, _BATCH_ROW_BYTES, _BATCH_BLOCKS = 20, 2000, 8
 # the bytes an entry of R takes while `wiener` renders its JSON document
 _DOCUMENT_ENTRY_BYTES = 160
 # the most a curve CSV cell after a row's `iter` cell takes: %.17g, at most 24 characters, and its separator
@@ -248,16 +249,16 @@ def _check_memory(spec: ExperimentSpec, cfgs=(), curves: bool = False) -> int:
     (``analysis.curves_per_seed``, T - m float64 each) and what
     ``analysis.run_batch`` holds: _BATCH_ROW_VECTORS n-vectors of float64 a
     row, a signed row counted twice for its imaginary parts, _BATCH_ROW_BYTES
-    a row for its summary or record, and _BATCH_BLOCKS blocks of
-    ``analysis._BLOCK_BYTES``, as one time block ends and the next begins:
-    two blocks' weight history, regressors and, taking a block each at
-    n = 1, per-step diagnostics.  ``simulate`` renders after it freed the
-    rows, and then holds the curves, every CSV text, the two cached
-    templates (real and signed) and one record's values as Python floats in
-    a tuple, at most three a row of 32 bytes each; the larger of the two
-    phases counts.  A text or template row takes at most its ``iter`` cell
-    and three _CSV_CELL_BYTES.  The command without a batch (``wiener``)
-    renders R's JSON document, _DOCUMENT_ENTRY_BYTES an entry."""
+    a row for its record, and _BATCH_BLOCKS blocks of
+    ``analysis._BLOCK_BYTES``: one time block's weight history, regressors,
+    outputs and, taking a block each at n = 1, per-step diagnostics.
+    ``simulate`` renders after it freed the rows, and then holds the curves,
+    every CSV text, the two cached templates (real and signed) and one
+    record's values as Python floats in a tuple, at most three a row of 32
+    bytes each; the larger of the two phases counts.  A text or template
+    row takes at most its ``iter`` cell and three _CSV_CELL_BYTES.  The
+    command without a batch (``wiener``) renders R's JSON document,
+    _DOCUMENT_ENTRY_BYTES an entry."""
     T, N, n, l = spec.T, spec.T - spec.plant.m, spec.plant.n, spec.plant.basis.l
     S = len(spec.seeds) if cfgs else 0
     rows, R, per_seed = min(N, analysis._chunk_rows(n)), S * len(cfgs), analysis.curves_per_seed(cfgs)
@@ -351,9 +352,10 @@ def _seed_data(spec: ExperimentSpec) -> analysis.SeedData:
 # simulate
 
 
-def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, summaries) -> dict:
-    per_seed = [{"seed": seed, **summary} for seed, summary in zip(spec.seeds, summaries)]
-    aggregate = analysis.seed_aggregate(per_seed)
+def _summary_doc(name: str, cfg: FilterConfig, spec: ExperimentSpec, tally, rows: slice) -> dict:
+    """The summary document of one filter, the rows ``rows`` of the batch's tally."""
+    per_seed = [{"seed": seed, **summary} for seed, summary in zip(spec.seeds, tally.summaries(rows))]
+    aggregate = analysis.seed_aggregate(tally, rows)
     del aggregate["diverged_fraction"]  # the summary reports the count
     return {
         "config": {"name": name, **vars(cfg)},
@@ -378,21 +380,20 @@ def cmd_simulate(args) -> int:
     keep = spec.emit in ("curves", "both")  # the curves are kept only for the CSVs
     _check_memory(spec, cfgs, curves=keep)
     data = _seed_data(spec)
-    batch = analysis.run_batch(cfgs, data.X, data.outputs, data.omega, curves=keep)
+    tally, records = analysis.run_batch(cfgs, data.X, data.outputs, data.omega, curves=keep)
     del data  # the regressors are freed before the artifacts are built
-    summaries = [[analysis.run_summary(rec) for rec in runs] for runs in batch] if keep else batch
-    any_diverged = any(summary["diverged"] for runs in summaries for summary in runs)
+    S = len(spec.seeds)
     files: dict[str, str] = {}
-    for (name, cfg), runs, sums in zip(spec.filters, batch, summaries):
+    for c, (name, cfg) in enumerate(spec.filters):
         if keep:
-            for seed, rec in zip(spec.seeds, runs):
+            for seed, rec in zip(spec.seeds, records[c]):
                 files[f"{name}_seed{seed}.csv"] = analysis.run_record_csv(rec)
         if spec.emit in ("summary", "both"):
-            files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, sums))
+            files[f"{name}_summary.json"] = _dumps(_summary_doc(name, cfg, spec, tally, slice(c * S, c * S + S)))
     outdir = _resolve_outdir(spec)
     _write_artifacts(outdir, files, "cannot write artifacts", str(outdir), owned=_SIMULATE_FILES)
     print(f"wrote {len(files)} artifact(s) to {outdir}")
-    if any_diverged and args.fail_on_diverge:
+    if tally.diverged.any() and args.fail_on_diverge:
         print("at least one run diverged", file=sys.stderr)
         return 3
     return 0

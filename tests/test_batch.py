@@ -97,7 +97,7 @@ def assert_matches_oracle(rec, cfg, s):
 @pytest.mark.parametrize("variant,interp", KINDS)
 def test_run_batch_matches_step_oracle(variant, interp):
     cfgs = configs(variant, interp)
-    batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+    _, batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     assert len(batch) == len(cfgs) and all(len(row) == len(SEEDS) for row in batch)
     diverged = sum(assert_matches_oracle(rec, cfg, s) for cfg, records in zip(cfgs, batch)
                    for s, rec in enumerate(records))
@@ -108,7 +108,7 @@ def test_mixed_batch_matches_step_oracle():
     # every config of the six kinds in one call: the one time loop holds rows without a factor,
     # signed rows, two exponents and both interpretations side by side
     cfgs = [cfg for kind in KINDS for cfg in configs(*kind)]
-    batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+    _, batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     diverged = sum(assert_matches_oracle(rec, cfg, s) for cfg, records in zip(cfgs, batch)
                    for s, rec in enumerate(records))
     assert diverged == len(KINDS) * len(SEEDS)
@@ -139,7 +139,7 @@ def test_guard_skip_matches_step_oracle(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(filters, "fractional_power", never)
             patch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
-            batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+            _, batch = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
         for cfg, records in zip(cfgs, batch):
             for s, rec in enumerate(records):
                 assert assert_matches_oracle(rec, cfg, s) == (cfg.eta == DIVERGING_ETA)
@@ -153,7 +153,7 @@ def test_guard_skip_matches_step_oracle(monkeypatch):
 def test_batch_hands_out_only_read_only_arrays():
     # one mixed batch of the six kinds, on a copy of omega the test writes into afterwards
     omega = DATA.omega.copy()
-    batch = run_batch([cfg for kind in KINDS for cfg in configs(*kind)], DATA.X, DATA.outputs, omega)
+    _, batch = run_batch([cfg for kind in KINDS for cfg in configs(*kind)], DATA.X, DATA.outputs, omega)
     omega += 1.0
     for records in batch:
         for s, rec in enumerate(records):
@@ -188,7 +188,7 @@ def batches(draw):
 @functools.cache
 def batch_of_one(cfg, s):
     """Row (cfg, seed s) run alone, computed once per pytest run."""
-    return run_batch([cfg], DATA.X[[s]], DATA.outputs[[s]], DATA.omega[[s]])[0][0]
+    return run_batch([cfg], DATA.X[[s]], DATA.outputs[[s]], DATA.omega[[s]])[1][0][0]
 
 
 @given(batches())
@@ -200,7 +200,7 @@ def batch_of_one(cfg, s):
 def test_batch_composition_invariance(batch_spec):
     cfgs, seeds = batch_spec
     X, d, omega = DATA.X[seeds], DATA.outputs[seeds], DATA.omega[seeds]
-    batch = run_batch(cfgs, X, d, omega)
+    _, batch = run_batch(cfgs, X, d, omega)
     for c, cfg in enumerate(cfgs):
         for j, s in enumerate(seeds):
             alone = batch_of_one(cfg, s)
@@ -220,7 +220,7 @@ def test_batch_composition_invariance(batch_spec):
 @pytest.mark.parametrize("variant,interp", KINDS)
 def test_diverged_row_freezes_at_its_stopping_step(variant, interp):
     steady, _, diverging, _ = configs(variant, interp)
-    records = run_batch([steady, diverging], DATA.X[:2], DATA.outputs[:2], DATA.omega[:2])
+    _, records = run_batch([steady, diverging], DATA.X[:2], DATA.outputs[:2], DATA.omega[:2])
     for s in range(2):
         rec = records[1][s]
         k = rec.final_state.iteration
@@ -242,14 +242,14 @@ def test_diverged_row_freezes_at_its_stopping_step(variant, interp):
 def test_block_boundaries_change_nothing(monkeypatch, signed):
     # the pool's real configs, or its signed ones, under blocks of 1, 3 and 4 steps and of the whole run
     cfgs = [cfg for cfg in POOL if (cfg.variant == "flms_signed") == signed]
-    default = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
+    _, default = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)
     stops = [rec.final_state.iteration - 1 for records in default for rec in records if rec.diverged]
     step_bytes = len(cfgs) * len(SEEDS) * PLANT.n * (16 if signed else 8)  # one step; a signed row is two rows
     for steps in (1, 3, 4, T):
         monkeypatch.setattr(analysis, "_BLOCK_BYTES", steps * step_bytes)
         if 1 < steps < T:  # some row stops on the first step of a block, and some row on the last
             assert any(t % steps == 0 for t in stops) and any(t % steps == steps - 1 for t in stops)
-        for records, expected in zip(run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega), default):
+        for records, expected in zip(run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)[1], default):
             for rec, want in zip(records, expected):
                 same_csv = run_record_csv(rec) == run_record_csv(want)
                 assert same_csv, f"{steps}-step blocks: CSV differs"
@@ -292,12 +292,14 @@ def test_summaries_equal_a_scan_of_the_curves(monkeypatch, steps):
     signed_rows = sum(cfg.variant == "flms_signed" for cfg in cfgs) * len(BROKEN[0])
     if steps is not None:
         monkeypatch.setattr(analysis, "_BLOCK_BYTES", steps * (rows + signed_rows) * PLANT.n * 8)
-    batch = run_batch(cfgs, *BROKEN)
+    tally, batch = run_batch(cfgs, *BROKEN)
     summaries = [run_summary(rec) for records in batch for rec in records]
     for rec, summary in zip((rec for records in batch for rec in records), summaries):
         # repr tells NaN, -0.0, int and bool apart, as the JSON of a summary does
         assert repr(summary) == repr(scan_summary(rec))
-    assert repr(summaries) == repr([s for cells in run_batch(cfgs, *BROKEN, curves=False) for s in cells])
+    # the tally's rows are the records' summaries in config order, with curves and without
+    assert repr(summaries) == repr(tally.summaries())
+    assert repr(summaries) == repr(run_batch(cfgs, *BROKEN, curves=False)[0].summaries())
     stops = [s["iterations"] - 1 for s in summaries if s["diverged"]]
     if steps in (3, 4):  # some row stops on the first step of a block, and some row on the last
         assert any(t % steps == 0 for t in stops) and any(t % steps == steps - 1 for t in stops)
@@ -306,23 +308,46 @@ def test_summaries_equal_a_scan_of_the_curves(monkeypatch, steps):
     assert any(s["terminal_mse"] == np.inf for s in summaries)
 
 
+def reference_aggregate(summaries):
+    """One config's cell from its records' run_summary dicts, reduced as a list of dicts: the reference for
+    seed_aggregate's reductions over the tally's columns."""
+    ok = [s for s in summaries if not s["diverged"]]
+    over_ok = lambda reduce, key: float(reduce([s[key] for s in ok])) if ok else float("nan")  # noqa: E731
+    return {
+        "diverged_count": len(summaries) - len(ok),
+        "diverged_fraction": (len(summaries) - len(ok)) / len(summaries),
+        "terminal_mse_mean": over_ok(np.mean, "terminal_mse"),
+        "terminal_weight_error_mean": over_ok(np.mean, "terminal_weight_error"),
+        "terminal_weight_error_max": over_ok(np.max, "terminal_weight_error"),
+        "leak_fraction_mean": float(np.mean([s["leak_fraction"] for s in summaries])),
+        "max_imag": float(np.max([s["max_imag"] for s in summaries])),
+    }
+
+
 def test_curve_free_batch_builds_no_record(monkeypatch):
+    # on BROKEN's NaN and inf rows, with configs every seed of which diverges: a sweep builds no record and no
+    # summary dict, and its cells are the records' summaries reduced as dicts, NaN, -0.0, int and bool alike
     made = []
     for name in ("RunRecord", "FilterState"):
         cls = getattr(analysis, name)
         monkeypatch.setattr(analysis, name, lambda *a, _cls=cls, **kw: made.append(_cls) or _cls(*a, **kw))
     cfgs = [cfg for kind in KINDS for cfg in configs(*kind)]
-    cells = analysis.sweep_cells(cfgs, DATA)
+    data = analysis.SeedData(X=BROKEN[0], outputs=BROKEN[1], omega=BROKEN[2], lambda_max=np.ones(len(BROKEN[0])))
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis._Tally, "summaries", lambda *a: pytest.fail("a curve-free batch built a summary"))
+        cells = analysis.sweep_cells(cfgs, data)
     assert made == []
-    records = run_batch(cfgs, DATA.X, DATA.outputs, DATA.omega)  # one of each per row, seen by the count
-    assert len(made) == 2 * len(cfgs) * len(SEEDS)
-    expected = [analysis.seed_aggregate([run_summary(rec) for rec in runs]) for runs in records]
+    _, records = run_batch(cfgs, *BROKEN)  # one of each per row, seen by the count
+    assert len(made) == 2 * len(cfgs) * len(BROKEN[0])
+    expected = [reference_aggregate([run_summary(rec) for rec in runs]) for runs in records]
     assert repr(cells) == repr(expected)
+    assert any(cell["diverged_fraction"] == 1.0 and np.isnan(cell["terminal_mse_mean"]) for cell in cells)
+    assert any(0.0 < cell["diverged_fraction"] < 1.0 and np.isnan(cell["max_imag"]) for cell in cells)
 
 
 @pytest.mark.parametrize("variant,interp", [k for k in KINDS if k[0] != "flms_signed"])
 def test_real_rows_stay_real(variant, interp):
-    for records in run_batch(configs(variant, interp), DATA.X, DATA.outputs, DATA.omega):
+    for records in run_batch(configs(variant, interp), DATA.X, DATA.outputs, DATA.omega)[1]:
         for rec in records:
             assert np.all(rec.imag_curve == 0.0)
             assert rec.final_state.complex_events == 0
@@ -353,7 +378,7 @@ def test_signed_rows_imaginary_state_feeds_back_on_nothing():
     for kept, scrambled in ((err, err_s), (w_re, w_re_s), (werr, werr_s)):
         assert kept.tobytes() == scrambled.tobytes()
     assert np.all(np.any(w_im[500:] != w_im_s[500:], axis=1))  # while every later imaginary part moved
-    rec = run_batch([cfg], data.X, data.outputs, data.omega)[0][0]
+    rec = run_batch([cfg], data.X, data.outputs, data.omega)[1][0][0]
     assert not rec.diverged and rec.mse_curve.size == len(d)
     assert rec.mse_curve.tobytes() == (err_s * err_s).tobytes()
     assert rec.weight_error_curve.tobytes() == werr_s.tobytes()
@@ -396,4 +421,6 @@ def test_run_batch_rejects_bad_shapes():
     for S, N in ((0, T - PLANT.m), (len(SEEDS), 0)):  # no seeds, no samples
         with pytest.raises(DimensionMismatch):
             run_batch([lms], DATA.X[:S, :N], DATA.outputs[:S, :N], DATA.omega[:S])
-    assert run_batch([], DATA.X, DATA.outputs, DATA.omega) == []
+    for curves, records in ((True, []), (False, None)):
+        tally, got = run_batch([], DATA.X, DATA.outputs, DATA.omega, curves=curves)
+        assert got == records and tally.iterations.size == 0 and tally.summaries() == []

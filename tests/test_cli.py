@@ -132,6 +132,9 @@ def test_simulate_fail_on_diverge(tmp_path):
     spec = write_spec(tmp_path, diverging)
     assert cli.main(["simulate", str(spec)]) == 0  # without the flag: artifacts, exit 0
     assert cli.main(["simulate", str(spec), "--fail-on-diverge"]) == 3
+    for emit in ("summary", "curves"):  # the same exit whichever artifacts are written
+        spec = write_spec(tmp_path, diverging.replace("emit = both", f"emit = {emit}"))
+        assert cli.main(["simulate", str(spec), "--fail-on-diverge"]) == 3
 
 
 def test_simulate_emit_modes(tmp_path):
@@ -139,6 +142,23 @@ def test_simulate_emit_modes(tmp_path):
     assert cli.main(["simulate", str(spec)]) == 0
     names = [p.name for p in (tmp_path / "out").iterdir()]
     assert all(n.endswith(".csv") for n in names)
+    # a diverging filter (None in its aggregate and per-seed leaks) beside a leaking signed one: the summaries are
+    # the same bytes whether or not the curves are kept
+    mixed = SPEC.replace("eta = 0.05\n\n[filter mom]", "eta = 40.0\n\n[filter mom]")
+    mixed += "\n[filter signed]\nvariant = flms_signed\neta = 0.05\nbeta = 0.2\nv = 0.5\n"
+    written = {}
+    for emit in ("summary", "both"):
+        text = mixed.replace("emit = both", f"emit = {emit}").replace("outputs = out", f"outputs = {emit}")
+        assert cli.main(["simulate", str(write_spec(tmp_path, text, HOST_SCENARIO))]) == 0
+        written[emit] = read_artifacts(tmp_path / emit)
+    summaries = {name: data for name, data in written["both"].items() if name.endswith("_summary.json")}
+    assert written["summary"] == summaries and len(summaries) == 3
+    diverged = json.loads(summaries["lms_small_summary.json"])
+    assert diverged["aggregate"]["diverged_count"] == 3 and diverged["aggregate"]["terminal_mse_mean"] is None
+    assert all(seed["first_leak_iter"] is None for seed in diverged["per_seed"])
+    signed = json.loads(summaries["signed_summary.json"])
+    assert signed["aggregate"]["leak_fraction_mean"] > 0.0 and signed["aggregate"]["max_imag"] > 0.0
+    assert all(seed["first_leak_iter"] is not None and seed["complex_events"] > 0 for seed in signed["per_seed"])
 
 
 def test_simulate_outdir_env_override(tmp_path, monkeypatch):
@@ -222,8 +242,8 @@ def test_too_many_samples_for_memory_exit_2_names_t_line(tmp_path, capsys):
     muscle = SPEC.replace("plant = lin.scenario", "plant = builtin:muscle")
     cases = (  # (the largest T, emit, argv)
         (1_241_803, "both", ["simulate"]),
-        (4_309_284, "summary", ["simulate"]),
-        (4_309_284, "both", ["sweep", "--param", "eta", "--grid", "0.01"]),
+        (4_317_740, "summary", ["simulate"]),
+        (4_317_740, "both", ["sweep", "--param", "eta", "--grid", "0.01"]),
         (134_113_777, "both", ["wiener"]),  # 2**27 - 7280 * 11 - 7282 * 3 - 5 * 81 - 81 * 160 / 8
     )
     reached = mock.Mock(side_effect=Reached)

@@ -120,12 +120,17 @@ def time_workload(workload, seed: int, repeat: int | None, analysis, cli) -> lis
 
     def time_batch(timing, batch):
         run = lambda: analysis.run_batch(batch, data.X, data.outputs, data.omega, curves=curves)  # noqa: E731
-        records = [rec for runs in run() for rec in runs]
-        iterations = [(rec.summary if curves else rec)["iterations"] for rec in records]
+        result = run()
+        if isinstance(result, tuple):  # tally, records[c][s] (None without curves)
+            iterations = result[0].iterations.tolist()
+            records = [rec for runs in result[1] or () for rec in runs]
+        else:  # a checkout whose run_batch returns records[c][s], or summary dicts without curves
+            records = [rec for runs in result for rec in runs]
+            iterations = [(rec.summary if curves else rec)["iterations"] for rec in records]
         t = median_s(run, repeat)
         steps, row_steps = max(iterations), sum(iterations)
         lines.append(
-            f"{workload.name}  {timing}  {t * 1e3:.3f} ms  rows {len(records)}  steps {steps}  "
+            f"{workload.name}  {timing}  {t * 1e3:.3f} ms  rows {len(iterations)}  steps {steps}  "
             f"{t / steps * 1e6:.3f} us/step  {t / row_steps * 1e6:.4f} us/row-step  (median of {repeat})"
         )
         return records
